@@ -15,7 +15,6 @@ from .engine import (
 )
 from .numtheory import (
     Factorization,
-    QValue,
     SpfTable,
     build_spf,
     factorize,
@@ -30,7 +29,6 @@ __all__ = [
     "SHIFTED",
     "STANDARD",
     "Factorization",
-    "QValue",
     "SequenceRun",
     "SequenceSpec",
     "SpfTable",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .engine import STANDARD, SequenceRun, SequenceSpec, generate
+from .engine import SequenceRun, SequenceSpec, fixed_points, generate
 from .numtheory import build_spf
 
 
@@ -59,32 +59,32 @@ def classify(run: SequenceRun, n_limit: int | None = None) -> ClassificationRepo
     is a near match (a(n+1) = n) needs term n + 1.
     """
     if n_limit is None:
-        n_limit = len(run.terms) - 1
+        n_limit = len(run.a) - 1
     if n_limit < 1:
         raise ValueError(f"n_limit must be >= 1, got {n_limit}")
-    if len(run.terms) < n_limit + 1:
+    if len(run.a) < n_limit + 1:
         raise ValueError(
-            f"run holds {len(run.terms)} terms; classifying up to n={n_limit} "
+            f"run holds {len(run.a)} terms; classifying up to n={n_limit} "
             f"needs {n_limit + 1} (near matches at n={n_limit} are undecidable)"
         )
 
     table = build_spf(max(n_limit, 2))
     spf = table.spf
 
-    p = run.spec.p if run.spec.variant == STANDARD else None
+    p = run.spec.multiplier  # 1 outside the standard variant: never prime
     excluded = [2]
-    if p is not None and p != 2 and p <= n_limit and spf[p] == p:
+    if p != 2 and p <= n_limit and spf[p] == p:
         excluded.append(p)
     excluded_set = set(excluded)
 
-    terms = run.terms
+    a = run.a
     detected = 0
     near = 0
     missed = []
     fn_values = []
     prime_count = 0
     for n in range(2, n_limit + 1):
-        a_n = terms[n - 1].a
+        a_n = a[n - 1]
         if spf[n] == n:
             prime_count += 1
             if n in excluded_set:
@@ -93,7 +93,7 @@ def classify(run: SequenceRun, n_limit: int | None = None) -> ClassificationRepo
                 detected += 1
             else:
                 missed.append(n)
-                if terms[n].a == n:  # terms[n] is the record for index n+1
+                if a[n] == n:  # a[n] is a(n+1)
                     near += 1
         elif a_n == n:
             fn_values.append(n)
@@ -153,26 +153,26 @@ def check_conjecture_3_1(run: SequenceRun) -> ConjectureResult:
     conjecture's odd-p scope (e.g. p = 2) simply fail."""
     label = run.spec.label()
     bad = tuple(
-        Counterexample(label, t.n, f"even fixed point a({t.n}) = {t.a}")
-        for t in run.terms
-        if t.is_fixed_point and t.n % 2 == 0
+        Counterexample(label, n, f"even fixed point a({n}) = {n}")
+        for n in fixed_points(run)
+        if n % 2 == 0
     )
-    return ConjectureResult("3.1", (label,), len(run.terms), bad)
+    return ConjectureResult("3.1", (label,), len(run.a), bad)
 
 
 def check_conjecture_3_2(run: SequenceRun, n_limit: int | None = None) -> ConjectureResult:
     """Every eligible prime n appears as a(n) or as a(n+1)."""
     if n_limit is None:
-        n_limit = len(run.terms) - 1
-    if len(run.terms) < n_limit + 1:
+        n_limit = len(run.a) - 1
+    if len(run.a) < n_limit + 1:
         raise ValueError(f"checking up to n={n_limit} needs {n_limit + 1} terms")
     report = classify(run, n_limit)
     label = run.spec.label()
-    terms = run.terms
+    a = run.a
     bad = tuple(
-        Counterexample(label, n, f"a({n}) = {terms[n - 1].a}, a({n + 1}) = {terms[n].a}")
+        Counterexample(label, n, f"a({n}) = {a[n - 1]}, a({n + 1}) = {a[n]}")
         for n in report.missed_primes
-        if terms[n].a != n
+        if a[n] != n
     )
     return ConjectureResult("3.2", (label,), n_limit, bad)
 
@@ -183,9 +183,9 @@ def check_conjecture_5_1(n_limit: int) -> ConjectureResult:
     run = generate(SequenceSpec.shifted(n_limit + 1))
     table = build_spf(max(n_limit, 2))
     bad = tuple(
-        Counterexample("shifted", n, f"odd prime not a fixed point; a({n}) = {run.terms[n - 1].a}")
+        Counterexample("shifted", n, f"odd prime not a fixed point; a({n}) = {run.a[n - 1]}")
         for n in range(3, n_limit + 1)
-        if table.spf[n] == n and run.terms[n - 1].a != n
+        if table.spf[n] == n and run.a[n - 1] != n
     )
     return ConjectureResult("5.1", ("shifted",), n_limit, bad)
 
@@ -276,6 +276,8 @@ def sweep(
     """
     if n_limit < 2:
         raise ValueError(f"n_limit must be >= 2, got {n_limit}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     for p in p_list:
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")

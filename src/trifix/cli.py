@@ -74,19 +74,21 @@ def _emit(text: str, out_path: str | None) -> None:
 def _format_table(run: SequenceRun) -> str:
     lines = [f"{'n':>6}  {'mult':>10}  {'q(n)':>14}  {'a(n)':>10}  fixed point"]
     prev_q = 0
-    for t in run.terms:
-        marker = "*" if t.is_fixed_point else ""
-        lines.append(f"{t.n:>6}  {t.q - prev_q:>10}  {t.q:>14}  {t.a:>10}  {marker}".rstrip())
-        prev_q = t.q
+    for n, a in enumerate(run.a, start=1):
+        q = run.spec.q(n)
+        marker = "*" if a == n else ""
+        lines.append(f"{n:>6}  {q - prev_q:>10}  {q:>14}  {a:>10}  {marker}".rstrip())
+        prev_q = q
     return "\n".join(lines) + "\n"
 
 
 def _format_csv(run: SequenceRun) -> str:
     lines = ["n,mult,q,a,fixed_point"]
     prev_q = 0
-    for t in run.terms:
-        lines.append(f"{t.n},{t.q - prev_q},{t.q},{t.a},{str(t.is_fixed_point).lower()}")
-        prev_q = t.q
+    for n, a in enumerate(run.a, start=1):
+        q = run.spec.q(n)
+        lines.append(f"{n},{q - prev_q},{q},{a},{str(a == n).lower()}")
+        prev_q = q
     return "\n".join(lines) + "\n"
 
 
@@ -102,7 +104,7 @@ def _format_json(run: SequenceRun) -> str:
                 "near_match": t.is_near_match,
                 "bootstrap_duplicate": t.is_bootstrap_duplicate,
             }
-            for t in run.terms
+            for t in map(run.term, range(1, len(run.a) + 1))
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -164,7 +166,7 @@ def _cmd_analyze(args) -> int:
 
     near_list = None
     if args.near_matches:
-        near_list = [n for n in report.missed_primes if run.terms[n].a == n]
+        near_list = [n for n in report.missed_primes if run.a[n] == n]
     fn_filter = None
     if args.filter_small_primes:
         small = _parse_p_list(args.filter_small_primes)
@@ -287,7 +289,8 @@ def _cmd_oeis_check(args) -> int:
     if args.field == "a":
         result = oeis.compare(run, bfile, args.shift)
     elif args.field == "q":
-        result = oeis.compare_values([(t.n, t.q) for t in run.terms], bfile, args.shift)
+        pairs = [(n, spec.q(n)) for n in range(1, len(run.a) + 1)]
+        result = oeis.compare_values(pairs, bfile, args.shift)
     else:  # fixed-points, compared as their own sequence (k-th fixed point)
         pairs = list(enumerate(fixed_points(run), start=1))
         result = oeis.compare_values(pairs, bfile, args.shift)

@@ -1,13 +1,15 @@
 """Sequence generator: a(1) = 1 and a(n) is the smallest positive integer
 not yet in the sequence that divides q(n).
 
-Three variants share the machinery:
+Three variants share the machinery; each is q(n) = m*(n+o-1)*(n+o)/2 at
+the (multiplier m, index offset o) that :class:`SequenceSpec` owns:
 
-* ``standard`` p: q(n) = p*(n-1)*n/2 (partial sums of multiples of p).
-* ``shifted``:    q(n) = (n-1)*n/2, i.e. standard with p = 1.  Its n = 2
+* ``standard`` p: m = p, o = 0 (partial sums of multiples of p).
+* ``shifted``:    m = 1, o = 0, i.e. standard with p = 1.  Its n = 2
   step (q = 1, sole divisor 1 already used) emits a sanctioned duplicate
   a(2) = 1, flagged as the bootstrap.
-* ``no-zero``:    q(n) = n*(n+1)/2 (triangular numbers starting at 1).
+* ``no-zero``:    m = 1, o = 1: q(n) = n*(n+1)/2 (triangular numbers
+  starting at 1).
 
 A term index n with a(n) = n is a fixed point; fixed points of these
 sequences are the prime-candidate signal downstream analysis classifies.
@@ -80,14 +82,28 @@ class SequenceSpec:
         return self.variant
 
     @property
+    def multiplier(self) -> int:
+        """The p of q(n) = p*(n-1)*n/2: p for standard, 1 otherwise."""
+        return self.p if self.variant == STANDARD else 1
+
+    @property
+    def offset(self) -> int:
+        """Index shift of q: no-zero reads T(n) = q(n+1) at p = 1."""
+        return 1 if self.variant == NO_ZERO else 0
+
+    def q(self, n: int) -> int:
+        """q(n) of this sequence; OverflowError past the 63-bit range."""
+        return q_value(self.multiplier, n + self.offset)
+
+    @property
     def has_bootstrap(self) -> bool:
         """True when n=2 legitimately re-emits 1 (q(2) = 1, divisor exhausted)."""
-        return self.variant == SHIFTED or (self.variant == STANDARD and self.p == 1)
+        return self.multiplier == 1 and self.offset == 0
 
 
 @dataclass(frozen=True, slots=True)
 class TermRecord:
-    """One emitted term.
+    """One term, derived from (spec, n, a(n)).
 
     ``is_near_match`` marks a(n) = n - 1, i.e. this term realizes
     "value n-1 appears one position late"; primality of n-1 is judged by
@@ -97,29 +113,30 @@ class TermRecord:
     n: int
     q: int
     a: int
-    is_fixed_point: bool
-    is_near_match: bool
     is_bootstrap_duplicate: bool
+
+    @property
+    def is_fixed_point(self) -> bool:
+        return self.a == self.n
+
+    @property
+    def is_near_match(self) -> bool:
+        return self.a == self.n - 1
 
 
 @dataclass(frozen=True, slots=True)
 class SequenceRun:
-    """A materialized run: terms 1..N plus the used-value set."""
+    """A materialized run: the spec plus a(1..N).  Every other per-term
+    field is derived on demand by :meth:`term`."""
 
     spec: SequenceSpec
-    terms: tuple[TermRecord, ...]
-    used: frozenset[int]
+    a: tuple[int, ...]
 
     def term(self, n: int) -> TermRecord:
-        if not 1 <= n <= len(self.terms):
-            raise IndexError(f"term index {n} outside 1..{len(self.terms)}")
-        return self.terms[n - 1]
-
-    def a_values(self) -> list[int]:
-        return [t.a for t in self.terms]
-
-    def q_values(self) -> list[int]:
-        return [t.q for t in self.terms]
+        if not 1 <= n <= len(self.a):
+            raise IndexError(f"term index {n} outside 1..{len(self.a)}")
+        a = self.a[n - 1]
+        return TermRecord(n, self.spec.q(n), a, n == 2 and a == 1 and self.spec.has_bootstrap)
 
 
 class SequenceEngine:
@@ -128,34 +145,16 @@ class SequenceEngine:
 
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
-        # no-zero reads T(n) = q(n+1) at p=1, so its sieve covers term_count+1
-        sieve_limit = spec.term_count + (1 if spec.variant == NO_ZERO else 0)
-        self.table: SpfTable = build_spf(max(sieve_limit, 2))
-        p = spec.p if spec.variant == STANDARD else 1
-        self._p = p
-        self._p_fact: Factorization = factorize_trial(p)
+        self.table: SpfTable = build_spf(max(spec.term_count + spec.offset, 2))
+        self._p_fact: Factorization = factorize_trial(spec.multiplier)
         self._used: set[int] = set()
-        self._terms: list[TermRecord] = []
-
-    @property
-    def emitted(self) -> int:
-        return len(self._terms)
-
-    def _q(self, n: int) -> int:
-        if self.spec.variant == NO_ZERO:
-            return q_value(1, n + 1).value
-        return q_value(self._p, n).value
-
-    def _q_factorization(self, n: int) -> Factorization:
-        if self.spec.variant == NO_ZERO:
-            return factorize_q(self._p_fact, n + 1, self.table)
-        return factorize_q(self._p_fact, n, self.table)
+        self._a: list[int] = []
 
     def next_term(self) -> TermRecord:
-        if len(self._terms) >= self.spec.term_count:
+        if len(self._a) >= self.spec.term_count:
             raise IndexError(f"all {self.spec.term_count} terms already emitted")
-        n = len(self._terms) + 1
-        q = self._q(n)
+        n = len(self._a) + 1
+        q = self.spec.q(n)
 
         bootstrap = False
         if q == 0:
@@ -164,7 +163,7 @@ class SequenceEngine:
             a = 1
         else:
             a = 0
-            for d in sorted_divisors(self._q_factorization(n)):
+            for d in sorted_divisors(factorize_q(self._p_fact, n + self.spec.offset, self.table)):
                 if d not in self._used:
                     a = d
                     break
@@ -178,21 +177,13 @@ class SequenceEngine:
                     )
 
         self._used.add(a)
-        record = TermRecord(
-            n=n,
-            q=q,
-            a=a,
-            is_fixed_point=(a == n),
-            is_near_match=(a == n - 1),
-            is_bootstrap_duplicate=bootstrap,
-        )
-        self._terms.append(record)
-        return record
+        self._a.append(a)
+        return TermRecord(n, q, a, bootstrap)
 
     def run(self) -> SequenceRun:
-        while len(self._terms) < self.spec.term_count:
+        while len(self._a) < self.spec.term_count:
             self.next_term()
-        return SequenceRun(self.spec, tuple(self._terms), frozenset(self._used))
+        return SequenceRun(self.spec, tuple(self._a))
 
 
 def generate(spec: SequenceSpec) -> SequenceRun:
@@ -203,4 +194,4 @@ def generate(spec: SequenceSpec) -> SequenceRun:
 
 def fixed_points(run: SequenceRun) -> list[int]:
     """Indices n with a(n) = n, ascending."""
-    return [t.n for t in run.terms if t.is_fixed_point]
+    return [n for n, a in enumerate(run.a, start=1) if a == n]

@@ -180,21 +180,10 @@ def sorted_divisors(f: Factorization) -> list[int]:
     return divisors
 
 
-@dataclass(frozen=True, slots=True)
-class QValue:
-    """q(n) = p*(n-1)*n/2, the n-th partial sum of multiples of p.
-
-    value == 0 exactly when n == 1 (the empty sum).
-    """
-
-    p: int
-    n: int
-    value: int
-
-
-def q_value(p: int, n: int) -> QValue:
-    """Evaluate q(n) = p*(n-1)*n/2 exactly, rejecting values beyond the
-    supported 63-bit range instead of growing silently."""
+def q_value(p: int, n: int) -> int:
+    """Evaluate q(n) = p*(n-1)*n/2, the n-th partial sum of multiples of p,
+    exactly (0 exactly when n == 1), rejecting values beyond the supported
+    63-bit range instead of growing silently."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if n < 1:
@@ -205,7 +194,7 @@ def q_value(p: int, n: int) -> QValue:
             f"q({n}) = {value} for p={p} exceeds the supported value range "
             f"(2**63 - 1)"
         )
-    return QValue(p, n, value)
+    return value
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -73,12 +73,10 @@ def parse_bfile(text: str, sequence_id: str = PLACEHOLDER_ID) -> BFile:
     return BFile(sequence_id=sequence_id, offset=entries[0][0], entries=tuple(entries))
 
 
-def write_bfile(run: SequenceRun, sequence_id: str = PLACEHOLDER_ID) -> str:
+def write_bfile(run: SequenceRun) -> str:
     """Serialize a run's a-values as b-file text with offset 1.
     Round-trips through parse_bfile to identical entries."""
-    if not _ID_PATTERN.fullmatch(sequence_id):
-        raise ValueError(f"bad OEIS id {sequence_id!r} (expected 'A' + 6 digits)")
-    return "".join(f"{t.n} {t.a}\n" for t in run.terms)
+    return "".join(f"{n} {a}\n" for n, a in enumerate(run.a, start=1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,4 +123,4 @@ def compare_values(
 
 def compare(run: SequenceRun, bfile: BFile, shift: int = 0) -> ComparisonResult:
     """Compare run term n against bfile entry (n - shift) over the overlap."""
-    return compare_values([(t.n, t.a) for t in run.terms], bfile, shift)
+    return compare_values(list(enumerate(run.a, start=1)), bfile, shift)

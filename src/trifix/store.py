@@ -16,21 +16,17 @@ import io
 import json
 import os
 import re
+import secrets
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .analysis import ClassificationReport, SweepReport, percent
-from .engine import NO_ZERO, STANDARD, SequenceRun, SequenceSpec, TermRecord
-from .numtheory import q_value
-from .oeis import parse_bfile
+from .engine import STANDARD, SequenceRun, SequenceSpec
+from .oeis import parse_bfile, write_bfile
 
 FORMAT_VERSION = 1
-
-
-class CacheIntegrityError(Exception):
-    """Cached payload does not match its manifest checksum."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,9 +59,15 @@ def _paths(key: CacheKey, cache_dir: str | os.PathLike) -> tuple[Path, Path]:
 
 
 def _write_atomic(path: Path, data: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write through a temporary file of this call's own, next to path, then
+    rename it over path: concurrent writers of one key never share it."""
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_run(run: SequenceRun, cache_dir: str | os.PathLike) -> CacheEntry:
@@ -74,7 +76,7 @@ def save_run(run: SequenceRun, cache_dir: str | os.PathLike) -> CacheEntry:
     from . import __version__
 
     key = CacheKey.for_spec(run.spec)
-    payload = "".join(f"{t.n} {t.a}\n" for t in run.terms)
+    payload = write_bfile(run)
     manifest = {
         "variant": run.spec.variant,
         "p": run.spec.p,
@@ -91,40 +93,34 @@ def save_run(run: SequenceRun, cache_dir: str | os.PathLike) -> CacheEntry:
     return CacheEntry(key, payload_path, manifest)
 
 
-def _rebuild_run(spec: SequenceSpec, a_values: list[int]) -> SequenceRun:
-    """Reconstruct full term records from cached a-values: q comes from the
-    variant formula, flags from the a-values themselves."""
-    terms = []
-    for n, a in enumerate(a_values, start=1):
-        q = q_value(1, n + 1).value if spec.variant == NO_ZERO else q_value(spec.p or 1, n).value
-        terms.append(
-            TermRecord(
-                n=n,
-                q=q,
-                a=a,
-                is_fixed_point=(a == n),
-                is_near_match=(a == n - 1),
-                is_bootstrap_duplicate=(n == 2 and a == 1 and spec.has_bootstrap),
-            )
-        )
-    return SequenceRun(spec, tuple(terms), frozenset(a_values))
+def _cached_values(spec: SequenceSpec, payload_path: Path, manifest_path: Path) -> tuple[int, ...]:
+    """a(1..N) of spec from one cache entry.  Raises ValueError (malformed
+    JSON and b-file text included) saying why the entry is damaged, stale or
+    not a run of spec."""
+    from . import __version__
 
-
-def _load_entry(key: CacheKey, cache_dir: str | os.PathLike) -> list[int] | None:
-    payload_path, manifest_path = _paths(key, cache_dir)
-    if not payload_path.exists() or not manifest_path.exists():
-        return None
     payload = payload_path.read_text(encoding="utf-8")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    if digest != manifest.get("sha256"):
-        warnings.warn(
-            f"cache entry {payload_path} failed its checksum; treating as absent",
-            stacklevel=3,
+    if not isinstance(manifest, dict) or digest != manifest.get("sha256"):
+        raise ValueError("payload does not match the manifest's sha256 checksum")
+    if manifest.get("engine_version") != __version__:
+        raise ValueError(
+            f"engine version {manifest.get('engine_version')!r}, expected {__version__!r}"
         )
-        return None
     bfile = parse_bfile(payload)
-    return [value for _, value in bfile.entries]
+    count = spec.term_count
+    if bfile.offset != 1 or len(bfile.entries) < count:
+        raise ValueError(f"payload does not hold terms 1..{count}")
+    values = tuple(value for _, value in bfile.entries[:count])
+    seen = set()
+    for n, a in enumerate(values, start=1):
+        if a < 1 or spec.q(n) % a:
+            raise ValueError(f"a({n}) = {a} does not divide q({n})")
+        if a in seen and not (n == 2 and spec.has_bootstrap):
+            raise ValueError(f"a({n}) = {a} repeats an earlier value")
+        seen.add(a)
+    return values
 
 
 _STANDARD_STEM = re.compile(r"p(\d+)_n(\d+)_v(\d+)\.bfile\.txt")
@@ -153,12 +149,21 @@ def _longer_candidates(spec: SequenceSpec, cache_dir: str | os.PathLike) -> list
 def load_run(spec: SequenceSpec, cache_dir: str | os.PathLike) -> SequenceRun | None:
     """Load a cached run for ``spec``, or None.  A longer cached run of the
     same sequence is truncated to term_count (the greedy rule has no
-    lookahead, so prefixes are stable)."""
+    lookahead, so prefixes are stable).  An entry that is damaged, written
+    by another engine version or not a valid run is warned about and
+    treated as absent."""
     for count in _longer_candidates(spec, cache_dir):
         key = CacheKey(spec.variant, spec.p, count, FORMAT_VERSION)
-        a_values = _load_entry(key, cache_dir)
-        if a_values is not None:
-            return _rebuild_run(spec, a_values[: spec.term_count])
+        payload_path, manifest_path = _paths(key, cache_dir)
+        if not payload_path.exists() or not manifest_path.exists():
+            continue
+        try:
+            return SequenceRun(spec, _cached_values(spec, payload_path, manifest_path))
+        except ValueError as exc:
+            warnings.warn(
+                f"cache entry {payload_path} is damaged or invalid: {exc}; treating as absent",
+                stacklevel=2,
+            )
     return None
 
 

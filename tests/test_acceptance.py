@@ -118,7 +118,7 @@ def test_criterion_5_missed_prime_identity(sweep7, family_runs):
 
 def test_criterion_6_triangular_variants(shifted_run):
     no_zero = generate(SequenceSpec.no_zero(70))
-    assert no_zero.a_values()[:12] == [1, 3, 2, 5, 15, 7, 4, 6, 9, 11, 22, 13]
+    assert no_zero.a[:12] == (1, 3, 2, 5, 15, 7, 4, 6, 9, 11, 22, 13)
     assert fixed_points(no_zero)[:6] == [1, 9, 25, 49, 57, 65]
 
     report = classify(shifted_run, N)
@@ -133,13 +133,13 @@ def test_criterion_6_triangular_variants(shifted_run):
 def test_criterion_7_small_multiplier_identities():
     for p in (2, 4, 6):
         run = generate(SequenceSpec.standard(p, 1000))
-        assert run.a_values() == list(range(1, 1001)), f"A({p}) is not the identity"
+        assert run.a == tuple(range(1, 1001)), f"A({p}) is not the identity"
     note("7a", "PASS — A(2), A(4), A(6) are the identity over 1000 terms")
 
 
 def test_criterion_7_a9_equals_a3_full_range(family_runs):
-    a3 = family_runs[3].a_values()[:N]
-    a9 = generate(SequenceSpec.standard(9, N)).a_values()
+    a3 = list(family_runs[3].a[:N])
+    a9 = list(generate(SequenceSpec.standard(9, N)).a)
     first_diff = next((i + 1 for i in range(N) if a3[i] != a9[i]), None)
     observed = (
         f"A(9) equals A(3) over all {N} terms"
@@ -180,25 +180,26 @@ def test_criterion_9_oracle_equivalence():
     specs = [SequenceSpec.standard(p, 200) for p in (1, 2, 3, 4, 5, 6, 7, 9, 11, 41, 97, 199, 541)]
     specs += [SequenceSpec.no_zero(200), SequenceSpec.shifted(200)]
     for spec in specs:
-        assert generate(spec).a_values() == oracle_terms(spec.variant, spec.p, 200), spec.label()
+        assert list(generate(spec).a) == oracle_terms(spec.variant, spec.p, 200), spec.label()
     note("9.oracle", f"PASS — {len(specs)} specs match the brute-force oracle at N=200")
 
 
 def test_criterion_9_run_invariants(family_runs, shifted_run):
     for p, run in family_runs.items():
-        values = run.a_values()
+        values = run.a
         assert len(set(values)) == len(values), f"duplicate value in A({p})"
-        assert not any(t.is_bootstrap_duplicate for t in run.terms)
-        for t in run.terms[1:]:
+        terms = [run.term(n) for n in range(1, len(values) + 1)]
+        assert not any(t.is_bootstrap_duplicate for t in terms)
+        for t in terms[1:]:
             assert t.q % t.a == 0
     # the sanctioned duplicate is the only exception, in the shifted variant
-    assert shifted_run.a_values().count(1) == 2
+    assert shifted_run.a.count(1) == 2
     note("9.invariants", "PASS — distinctness + divisibility over the 7-sequence family at N=10,001")
 
 
 def test_criterion_9_prefix_stability(family_runs):
     for p in (3, 199):
-        assert family_runs[p].a_values()[:300] == generate(SequenceSpec.standard(p, 300)).a_values()
+        assert family_runs[p].a[:300] == generate(SequenceSpec.standard(p, 300)).a
     note("9.prefix", "PASS — 10,001-term runs agree with fresh 300-term runs")
 
 
@@ -211,8 +212,8 @@ def test_criterion_9_fixed_points_are_odd(family_runs):
 
 def test_criterion_9_bfile_round_trip(family_runs):
     run = family_runs[7]
-    parsed = oeis.parse_bfile(oeis.write_bfile(run, "A000000"))
-    assert parsed.entries == tuple((t.n, t.a) for t in run.terms)
+    parsed = oeis.parse_bfile(oeis.write_bfile(run))
+    assert parsed.entries == tuple(enumerate(run.a, start=1))
     note("9.bfile", "PASS — parse(write(run)) is the identity on 10,001 terms")
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from trifix.cli import EXIT_ERROR, EXIT_FALSIFIED, EXIT_OK, main
 
 from test_engine import A7_FIXED_POINTS, A7_PREFIX
@@ -182,6 +184,28 @@ class TestSweep:
             capsys, "sweep", "--p-list", "3", "--terms", "120", "--cache", str(cache)
         )
         assert code == EXIT_OK and second == first
+
+    def test_damaged_cache_entry_is_regenerated(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ("sweep", "--p-list", "3", "--terms", "120", "--cache", str(cache))
+        _, first, _ = run_cli(capsys, *argv)
+        manifest = cache / "standard" / "p3_n121_v1.manifest.json"
+        manifest.write_text("{bad")
+        with pytest.warns(UserWarning, match="treating as absent"):
+            code, second, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK and second == first
+        assert json.loads(manifest.read_text())["term_count"] == 121
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["sweep", "export"])
+    def test_jobs_below_1_rejected(self, capsys, tmp_path, command, jobs):
+        argv = [command, "--p-list", "3", "--terms", "50", "--jobs", jobs,
+                "--cache", str(tmp_path / "cache")]
+        if command == "export":
+            argv += ["--what", "table2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert out == "" and "jobs must be >= 1" in err
 
     def test_jobs_flag_changes_nothing(self, capsys):
         _, serial, _ = run_cli(capsys, "sweep", "--p-list", "3,5", "--terms", "150")

@@ -1,6 +1,6 @@
 import pytest
 
-from oracle import oracle_fixed_points, oracle_terms
+from oracle import oracle_fixed_points, oracle_terms, q_of
 from trifix.engine import (
     NO_ZERO,
     SHIFTED,
@@ -48,11 +48,21 @@ class TestSpec:
         assert not SequenceSpec.standard(3, 5).has_bootstrap
         assert not SequenceSpec.no_zero(5).has_bootstrap
 
+    def test_variant_rule(self):
+        # every variant is q(n) = m*T(n+o-1) at its (multiplier m, offset o)
+        for spec, rule in ((SequenceSpec.standard(7, 5), (7, 0)),
+                           (SequenceSpec.shifted(5), (1, 0)),
+                           (SequenceSpec.no_zero(5), (1, 1))):
+            assert (spec.multiplier, spec.offset) == rule
+            qs = [spec.q(n) for n in range(1, 51)]
+            assert qs == [q_of(spec.variant, spec.p, n) for n in range(1, 51)]
+
 
 class TestGoldenPrefixes:
     def test_a7_terms_and_q(self):
         run = generate(SequenceSpec.standard(7, 25))
-        assert [(t.n, t.q, t.a) for t in run.terms] == [(n, q, a) for n, _, q, a in A7_PREFIX]
+        terms = [run.term(n) for n in range(1, 26)]
+        assert [(t.n, t.q, t.a) for t in terms] == [(n, q, a) for n, _, q, a in A7_PREFIX]
 
     def test_a7_fixed_points(self):
         run = generate(SequenceSpec.standard(7, 25))
@@ -60,12 +70,12 @@ class TestGoldenPrefixes:
 
     def test_a3_prefix(self):
         run = generate(SequenceSpec.standard(3, 11))
-        assert run.a_values() == [1, 3, 9, 2, 5, 15, 7, 4, 6, 27, 11]
+        assert run.a == (1, 3, 9, 2, 5, 15, 7, 4, 6, 27, 11)
 
     def test_no_zero_prefix(self):
         run = generate(SequenceSpec.no_zero(12))
-        assert run.a_values() == [1, 3, 2, 5, 15, 7, 4, 6, 9, 11, 22, 13]
-        assert run.terms[0].q == 1 and run.terms[0].a == 1
+        assert run.a == (1, 3, 2, 5, 15, 7, 4, 6, 9, 11, 22, 13)
+        assert run.term(1).q == 1 and run.term(1).a == 1
 
     def test_no_zero_fixed_points(self):
         run = generate(SequenceSpec.no_zero(70))
@@ -73,42 +83,42 @@ class TestGoldenPrefixes:
 
     def test_shifted_prefix(self):
         run = generate(SequenceSpec.shifted(7))
-        assert run.a_values() == [1, 1, 3, 2, 5, 15, 7]
+        assert run.a == (1, 1, 3, 2, 5, 15, 7)
 
     def test_identity_sequences(self):
-        assert generate(SequenceSpec.standard(2, 8)).a_values() == list(range(1, 9))
+        assert generate(SequenceSpec.standard(2, 8)).a == tuple(range(1, 9))
         run = generate(SequenceSpec.standard(2, 100))
         assert fixed_points(run) == list(range(1, 101))
 
     def test_a9_matches_a3_prefix(self):
-        a9 = generate(SequenceSpec.standard(9, 11)).a_values()
-        a3 = generate(SequenceSpec.standard(3, 11)).a_values()
+        a9 = generate(SequenceSpec.standard(9, 11)).a
+        a3 = generate(SequenceSpec.standard(3, 11)).a
         assert a9 == a3
 
 
 class TestBootstrap:
     def test_standard_1_duplicate(self):
         run = generate(SequenceSpec.standard(1, 2))
-        first, second = run.terms
+        first, second = run.term(1), run.term(2)
         assert (first.n, first.q, first.a) == (1, 0, 1)
         assert (second.n, second.q, second.a) == (2, 1, 1)
         assert second.is_bootstrap_duplicate and not first.is_bootstrap_duplicate
 
     def test_shifted_equals_standard_1(self):
-        assert generate(SequenceSpec.shifted(50)).a_values() == \
-            generate(SequenceSpec.standard(1, 50)).a_values()
+        assert generate(SequenceSpec.shifted(50)).a == generate(SequenceSpec.standard(1, 50)).a
 
     def test_only_one_duplicate(self):
         run = generate(SequenceSpec.shifted(200))
-        values = run.a_values()
+        values = run.a
         assert values.count(1) == 2
         assert len(values) - len(set(values)) == 1
-        flagged = [t.n for t in run.terms if t.is_bootstrap_duplicate]
+        flagged = [n for n in range(1, 201) if run.term(n).is_bootstrap_duplicate]
         assert flagged == [2]
 
     def test_no_bootstrap_elsewhere(self):
         for spec in (SequenceSpec.standard(3, 200), SequenceSpec.no_zero(200)):
-            assert not any(t.is_bootstrap_duplicate for t in generate(spec).terms)
+            run = generate(spec)
+            assert not any(run.term(n).is_bootstrap_duplicate for n in range(1, 201))
 
 
 class TestEngineStepping:
@@ -138,7 +148,7 @@ class TestEngineStepping:
         engine.next_term()
         engine.next_term()
         run = engine.run()
-        assert len(run.terms) == 10
+        assert len(run.a) == 10
         assert run == generate(SequenceSpec.standard(7, 10))
 
 
@@ -162,7 +172,7 @@ ORACLE_SPECS = [
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
 def test_matches_brute_force_oracle(spec):
     expected = oracle_terms(spec.variant, spec.p, spec.term_count)
-    assert generate(spec).a_values() == expected
+    assert list(generate(spec).a) == expected
 
 
 def test_oracle_fixed_points_agree():
@@ -173,7 +183,8 @@ def test_oracle_fixed_points_agree():
 class TestInvariants:
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
     def test_divisibility_and_bounds(self, spec):
-        for t in generate(spec).terms:
+        run = generate(spec)
+        for t in map(run.term, range(1, spec.term_count + 1)):
             if t.q > 0:
                 assert t.q % t.a == 0
                 assert t.a <= t.q
@@ -182,42 +193,44 @@ class TestInvariants:
 
     @pytest.mark.parametrize("p", [2, 3, 7, 9, 199])
     def test_distinctness(self, p):
-        values = generate(SequenceSpec.standard(p, 500)).a_values()
+        values = generate(SequenceSpec.standard(p, 500)).a
         assert len(set(values)) == len(values)
 
     def test_first_term_is_always_1(self):
         for spec in ORACLE_SPECS:
-            assert generate(spec).terms[0].a == 1
+            assert generate(spec).a[0] == 1
 
     def test_second_term_is_p_for_prime_p(self):
         # q(2) = p, so for prime p the only fresh divisor is p itself
         for p in (2, 3, 5, 7, 11, 199):
-            assert generate(SequenceSpec.standard(p, 2)).terms[1].a == p
+            assert generate(SequenceSpec.standard(p, 2)).a[1] == p
 
     def test_second_term_for_composite_p_is_smallest_fresh_divisor(self):
         # q(2) = p; composite p yields its smallest prime factor, not p
-        assert generate(SequenceSpec.standard(4, 2)).terms[1].a == 2
-        assert generate(SequenceSpec.standard(9, 2)).terms[1].a == 3
+        assert generate(SequenceSpec.standard(4, 2)).a[1] == 2
+        assert generate(SequenceSpec.standard(9, 2)).a[1] == 3
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS[:6], ids=lambda s: s.label())
     def test_prefix_stability(self, spec):
         longer = generate(SequenceSpec(spec.variant, 120, spec.p))
         shorter = generate(SequenceSpec(spec.variant, 50, spec.p))
-        assert longer.a_values()[:50] == shorter.a_values()
-
-    def test_used_set_matches_values(self):
-        run = generate(SequenceSpec.standard(7, 100))
-        assert run.used == frozenset(run.a_values())
+        assert longer.a[:50] == shorter.a
 
     def test_determinism(self):
         spec = SequenceSpec.standard(11, 300)
         assert generate(spec) == generate(spec)
 
+    def test_runs_are_hashable_values(self):
+        spec = SequenceSpec.standard(11, 300)
+        run = generate(spec)
+        assert isinstance(run.a, tuple)
+        assert len({run, generate(spec)}) == 1
+
     def test_no_exhaustion_at_depth(self):
         # q(n) exceeds every prior term, so a fresh divisor always exists
         for p in (3, 199):
             run = generate(SequenceSpec.standard(p, 2000))
-            assert not any(t.is_bootstrap_duplicate for t in run.terms)
+            assert not any(run.term(n).is_bootstrap_duplicate for n in range(1, 2001))
 
 
 def test_overflow_propagates_from_q():

@@ -79,9 +79,9 @@ class TestWrite:
     )
     def test_round_trip(self, spec):
         run = generate(spec)
-        parsed = parse_bfile(write_bfile(run, "A111273"), "A111273")
+        parsed = parse_bfile(write_bfile(run), "A111273")
         assert parsed.offset == 1
-        assert parsed.entries == tuple((t.n, t.a) for t in run.terms)
+        assert parsed.entries == tuple(enumerate(run.a, start=1))
 
 
 class TestCompare:
@@ -143,7 +143,7 @@ class TestQSequenceRegistry:
     def test_q_values_match(self, p, fixture, seq_id, data_dir):
         bfile = load_fixture(data_dir, fixture, seq_id)
         run = generate(SequenceSpec.standard(p, 31))
-        pairs = [(t.n, t.q) for t in run.terms]
+        pairs = [(n, run.spec.q(n)) for n in range(1, 32)]
         result = compare_values(pairs, bfile, shift=1)
         assert result.matches
         assert result.compared_length == 31

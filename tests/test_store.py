@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from trifix import store
 from trifix.analysis import classify, sweep
 from trifix.engine import SequenceSpec, generate
 from trifix.store import (
@@ -84,8 +86,111 @@ class TestRunCache:
         run = generate(SequenceSpec.shifted(30))
         save_run(run, cache)
         loaded = load_run(run.spec, cache)
-        assert loaded.terms[1].is_bootstrap_duplicate
-        assert [t.q for t in loaded.terms] == [t.q for t in run.terms]
+        assert loaded.term(2).is_bootstrap_duplicate
+        assert [loaded.term(n).q for n in range(1, 31)] == [run.term(n).q for n in range(1, 31)]
+
+
+def manifest_path(entry):
+    return entry.payload_path.with_name(
+        entry.payload_path.name.replace(".bfile.txt", ".manifest.json"))
+
+
+def rewrite_entry(entry, payload=None, **manifest_fields):
+    """Replace an entry's payload and manifest fields, keeping the checksum
+    consistent with the new payload."""
+    if payload is None:
+        payload = entry.payload_path.read_text()
+    entry.payload_path.write_text(payload)
+    manifest = json.loads(manifest_path(entry).read_text())
+    manifest["sha256"] = hashlib.sha256(payload.encode()).hexdigest()
+    manifest.update(manifest_fields)
+    manifest_path(entry).write_text(json.dumps(manifest))
+
+
+class TestDamagedEntries:
+    """Every damaged or invalid entry is warned about and treated as absent."""
+
+    @pytest.fixture
+    def a7(self, cache):
+        run = generate(SequenceSpec.standard(7, 25))
+        return run, save_run(run, cache)
+
+    def assert_absent(self, spec, cache, match):
+        with pytest.warns(UserWarning, match=match):
+            assert load_run(spec, cache) is None
+
+    def test_manifest_not_json(self, cache, a7):
+        run, entry = a7
+        manifest_path(entry).write_text("{bad")
+        self.assert_absent(run.spec, cache, "damaged")
+
+    def test_manifest_not_an_object(self, cache, a7):
+        run, entry = a7
+        manifest_path(entry).write_text("[1, 2]")
+        self.assert_absent(run.spec, cache, "checksum")
+
+    def test_payload_not_a_bfile_despite_checksum(self, cache, a7):
+        run, entry = a7
+        rewrite_entry(entry, entry.payload_path.read_text().replace("5 5\n", "5 x5\n"))
+        self.assert_absent(run.spec, cache, "non-integer token")
+
+    @pytest.mark.parametrize("damage", ["truncated", "offset 0", "offset 2"])
+    def test_entries_must_be_terms_1_to_n(self, cache, a7, damage):
+        run, entry = a7
+        lines = entry.payload_path.read_text().splitlines(keepends=True)
+        payload = {
+            "truncated": "".join(lines[:24]),
+            "offset 0": "0 0\n" + "".join(lines[:24]),
+            "offset 2": "".join(f"{n + 1} {a}\n" for n, a in enumerate(run.a, start=1)),
+        }[damage]
+        rewrite_entry(entry, payload)
+        self.assert_absent(run.spec, cache, "terms 1..25")
+
+    def test_term_must_divide_q(self, cache, a7):
+        run, entry = a7
+        rewrite_entry(entry, entry.payload_path.read_text().replace("7 21\n", "7 999\n"))
+        self.assert_absent(run.spec, cache, r"a\(7\) = 999 does not divide q\(7\)")
+
+    def test_values_must_be_distinct(self, cache, a7):
+        run, entry = a7
+        # a(4) = 2 also divides q(8) = 196, so only distinctness is broken
+        rewrite_entry(entry, entry.payload_path.read_text().replace("8 4\n", "8 2\n"))
+        self.assert_absent(run.spec, cache, r"a\(8\) = 2 repeats")
+
+    def test_engine_version_must_match(self, cache, a7):
+        run, entry = a7
+        rewrite_entry(entry, engine_version="0.0.0")
+        self.assert_absent(run.spec, cache, "engine version '0.0.0'")
+
+    def test_damaged_entry_falls_through_to_a_longer_valid_one(self, cache):
+        exact = save_run(generate(SequenceSpec.standard(7, 25)), cache)
+        save_run(generate(SequenceSpec.standard(7, 30)), cache)
+        manifest_path(exact).write_text("{bad")
+        with pytest.warns(UserWarning, match="damaged"):
+            assert load_run(SequenceSpec.standard(7, 25), cache) == \
+                generate(SequenceSpec.standard(7, 25))
+
+
+def test_concurrent_saves_of_one_key_do_not_collide(cache, monkeypatch):
+    """A second save of the same key that runs completely between the first
+    save's temporary write and its rename must not take the first one's
+    temporary file away."""
+    run = generate(SequenceSpec.standard(7, 25))
+    real_replace = store.os.replace
+    calls = []
+
+    def replace_after_second_save(src, dst):
+        calls.append(dst)
+        if len(calls) == 1:
+            save_run(run, cache)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(store.os, "replace", replace_after_second_save)
+    save_run(run, cache)
+    monkeypatch.undo()
+    assert len(calls) == 4
+    assert load_run(run.spec, cache) == run
+    assert list(cache.rglob("*.tmp")) == []
 
 
 @pytest.fixture(scope="module")
