@@ -148,16 +148,21 @@ class ConjectureResult:
         return not self.counterexamples
 
 
-def check_conjecture_3_1(run: SequenceRun) -> ConjectureResult:
-    """All fixed points are odd.  Reports raw facts: sequences outside the
-    conjecture's odd-p scope (e.g. p = 2) simply fail."""
+def check_conjecture_3_1(run: SequenceRun, n_limit: int | None = None) -> ConjectureResult:
+    """All fixed points n <= n_limit (default: every term) are odd.  Reports
+    raw facts: sequences outside the conjecture's odd-p scope (e.g. p = 2)
+    simply fail."""
+    if n_limit is None:
+        n_limit = len(run.a)
+    if len(run.a) < n_limit:
+        raise ValueError(f"checking up to n={n_limit} needs {n_limit} terms")
     label = run.spec.label()
     bad = tuple(
         Counterexample(label, n, f"even fixed point a({n}) = {n}")
         for n in fixed_points(run)
-        if n % 2 == 0
+        if n % 2 == 0 and n <= n_limit
     )
-    return ConjectureResult("3.1", (label,), len(run.a), bad)
+    return ConjectureResult("3.1", (label,), n_limit, bad)
 
 
 def check_conjecture_3_2(run: SequenceRun, n_limit: int | None = None) -> ConjectureResult:
@@ -247,18 +252,15 @@ class SweepReport:
 
 
 def _sweep_one(args: tuple[int, int, str | None]) -> ClassificationReport:
-    p, n_limit, cache_dir = args
-    run = None
-    if cache_dir is not None:
-        from . import store
+    from . import store
 
-        spec = SequenceSpec.standard(p, n_limit + 1)
-        run = store.load_run(spec, cache_dir)
-        if run is None:
-            run = generate(spec)
-            store.save_run(run, cache_dir)
+    p, n_limit, cache_dir = args
+    spec = SequenceSpec.standard(p, n_limit + 1)
+    run = None if cache_dir is None else store.load_run(spec, cache_dir)
     if run is None:
-        run = generate(SequenceSpec.standard(p, n_limit + 1))
+        run = generate(spec)
+        if cache_dir is not None:
+            store.save_run(run, cache_dir)
     return classify(run, n_limit)
 
 
@@ -282,12 +284,15 @@ def sweep(
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
 
-    work = [(p, n_limit, cache_dir) for p in p_list]
+    distinct = list(dict.fromkeys(p_list))  # a repeated p is classified once
+    work = [(p, n_limit, cache_dir) for p in distinct]
     if jobs > 1 and len(work) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = tuple(pool.map(_sweep_one, work))
+            done = list(pool.map(_sweep_one, work))
     else:
-        reports = tuple(_sweep_one(w) for w in work)
+        done = [_sweep_one(w) for w in work]
+    report_of = dict(zip(distinct, done))
+    reports = tuple(report_of[p] for p in p_list)
 
     union: set[int] | None = None
     for r in reports:

@@ -233,6 +233,8 @@ def _format_conjecture(result: analysis.ConjectureResult) -> str:
 
 def _cmd_conjecture(args) -> int:
     n = args.terms
+    if n < 1:
+        raise ValueError(f"--terms must be >= 1, got {n}")
     results = []
     text = ""
     if args.id == "5.1":
@@ -251,7 +253,7 @@ def _cmd_conjecture(args) -> int:
         for p in p_list:
             run = generate(SequenceSpec.standard(p, n + 1))
             if args.id == "3.1":
-                results.append(analysis.check_conjecture_3_1(run))
+                results.append(analysis.check_conjecture_3_1(run, n))
             else:
                 results.append(analysis.check_conjecture_3_2(run, n))
     text += "".join(_format_conjecture(r) for r in results)

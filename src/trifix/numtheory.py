@@ -37,24 +37,6 @@ class SpfTable:
         self.limit = limit
         self.spf = spf
 
-    def smallest_factor(self, m: int) -> int:
-        if not 2 <= m <= self.limit:
-            raise ValueError(f"m={m} outside table range 2..{self.limit}")
-        return self.spf[m]
-
-    def is_prime(self, m: int) -> bool:
-        """Sieved primality for 0 <= m <= limit."""
-        if m < 2:
-            return False
-        return self.spf[m] == m
-
-    def primes(self):
-        """Yield the primes <= limit in ascending order."""
-        spf = self.spf
-        for m in range(2, self.limit + 1):
-            if spf[m] == m:
-                yield m
-
 
 def build_spf(limit: int, *, ceiling: int = DEFAULT_SIEVE_CEILING) -> SpfTable:
     """Sieve smallest prime factors for 2..limit.

@@ -1,11 +1,13 @@
 """Run cache and report serialization.
 
-Cached runs live one directory per variant, file names encoding (p, N,
-format version); the payload is b-file text, so cached runs are
-human-inspectable and directly comparable with OEIS data.  A JSON manifest
-alongside each payload carries creation parameters and a sha256 checksum.
-Writes go to a temporary file then rename, so a crashed sweep never leaves
-a truncated entry observable.
+Cached runs live one directory per variant, one entry per sequence, file
+names encoding (p, format version).  The greedy rule has no lookahead, so
+a(1..N) is a prefix of every longer run of the same sequence: one entry
+serves every request up to its length.  The payload is b-file text, so
+cached runs are human-inspectable and directly comparable with OEIS data.
+A JSON manifest alongside each payload carries creation parameters and a
+sha256 checksum.  Writes go to a temporary file then rename, so a crashed
+sweep never leaves a truncated entry observable.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import secrets
 import warnings
 from dataclasses import dataclass
@@ -30,37 +31,21 @@ FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True, slots=True)
-class CacheKey:
-    variant: str
-    p: int | None
-    term_count: int
-    format_version: int
-
-    @classmethod
-    def for_spec(cls, spec: SequenceSpec) -> "CacheKey":
-        return cls(spec.variant, spec.p, spec.term_count, FORMAT_VERSION)
-
-    def stem(self) -> str:
-        if self.variant == STANDARD:
-            return f"p{self.p}_n{self.term_count}_v{self.format_version}"
-        return f"n{self.term_count}_v{self.format_version}"
-
-
-@dataclass(frozen=True, slots=True)
 class CacheEntry:
-    key: CacheKey
     payload_path: Path
     manifest: dict
 
 
-def _paths(key: CacheKey, cache_dir: str | os.PathLike) -> tuple[Path, Path]:
-    base = Path(cache_dir) / key.variant / key.stem()
+def _paths(spec: SequenceSpec, cache_dir: str | os.PathLike) -> tuple[Path, Path]:
+    """The one entry of spec's sequence, whatever its term count."""
+    stem = f"p{spec.p}_v{FORMAT_VERSION}" if spec.variant == STANDARD else f"v{FORMAT_VERSION}"
+    base = Path(cache_dir) / spec.variant / stem
     return base.with_suffix(".bfile.txt"), base.with_suffix(".manifest.json")
 
 
 def _write_atomic(path: Path, data: str) -> None:
     """Write through a temporary file of this call's own, next to path, then
-    rename it over path: concurrent writers of one key never share it."""
+    rename it over path: concurrent writers of one entry never share it."""
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as f:
@@ -71,11 +56,10 @@ def _write_atomic(path: Path, data: str) -> None:
 
 
 def save_run(run: SequenceRun, cache_dir: str | os.PathLike) -> CacheEntry:
-    """Persist a run; the payload is the b-file serialization of its
-    a-values (offset 1)."""
+    """Persist a run as its sequence's entry, replacing any earlier one;
+    the payload is the b-file serialization of its a-values (offset 1)."""
     from . import __version__
 
-    key = CacheKey.for_spec(run.spec)
     payload = write_bfile(run)
     manifest = {
         "variant": run.spec.variant,
@@ -86,17 +70,19 @@ def save_run(run: SequenceRun, cache_dir: str | os.PathLike) -> CacheEntry:
         "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    payload_path, manifest_path = _paths(key, cache_dir)
+    payload_path, manifest_path = _paths(run.spec, cache_dir)
     payload_path.parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(payload_path, payload)
     _write_atomic(manifest_path, json.dumps(manifest, indent=2) + "\n")
-    return CacheEntry(key, payload_path, manifest)
+    return CacheEntry(payload_path, manifest)
 
 
-def _cached_values(spec: SequenceSpec, payload_path: Path, manifest_path: Path) -> tuple[int, ...]:
-    """a(1..N) of spec from one cache entry.  Raises ValueError (malformed
-    JSON and b-file text included) saying why the entry is damaged, stale or
-    not a run of spec."""
+def _cached_values(
+    spec: SequenceSpec, payload_path: Path, manifest_path: Path
+) -> tuple[int, ...] | None:
+    """a(1..N) of spec from its cache entry, or None when the entry is a
+    shorter run.  Raises ValueError (malformed JSON and b-file text
+    included) saying why the entry is damaged, stale or not a run of spec."""
     from . import __version__
 
     payload = payload_path.read_text(encoding="utf-8")
@@ -108,11 +94,18 @@ def _cached_values(spec: SequenceSpec, payload_path: Path, manifest_path: Path) 
         raise ValueError(
             f"engine version {manifest.get('engine_version')!r}, expected {__version__!r}"
         )
-    bfile = parse_bfile(payload)
+    held = manifest.get("term_count")
+    if not isinstance(held, int):
+        raise ValueError(f"manifest term count {held!r} is not an integer")
     count = spec.term_count
+    if held < count:
+        return None
+    bfile = parse_bfile(payload)
     if bfile.offset != 1 or len(bfile.entries) < count:
         raise ValueError(f"payload does not hold terms 1..{count}")
     values = tuple(value for _, value in bfile.entries[:count])
+    if values[0] != 1:
+        raise ValueError(f"a(1) = {values[0]}, expected 1")
     seen = set()
     for n, a in enumerate(values, start=1):
         if a < 1 or spec.q(n) % a:
@@ -123,48 +116,24 @@ def _cached_values(spec: SequenceSpec, payload_path: Path, manifest_path: Path) 
     return values
 
 
-_STANDARD_STEM = re.compile(r"p(\d+)_n(\d+)_v(\d+)\.bfile\.txt")
-_PLAIN_STEM = re.compile(r"n(\d+)_v(\d+)\.bfile\.txt")
-
-
-def _longer_candidates(spec: SequenceSpec, cache_dir: str | os.PathLike) -> list[int]:
-    """Term counts of cached entries for the same sequence with at least
-    spec.term_count terms (prefix stability lets them supersede)."""
-    variant_dir = Path(cache_dir) / spec.variant
-    if not variant_dir.is_dir():
-        return []
-    counts = []
-    for name in os.listdir(variant_dir):
-        if spec.variant == STANDARD:
-            m = _STANDARD_STEM.fullmatch(name)
-            if m and int(m.group(1)) == spec.p and int(m.group(3)) == FORMAT_VERSION:
-                counts.append(int(m.group(2)))
-        else:
-            m = _PLAIN_STEM.fullmatch(name)
-            if m and int(m.group(2)) == FORMAT_VERSION:
-                counts.append(int(m.group(1)))
-    return sorted(c for c in counts if c >= spec.term_count)
-
-
 def load_run(spec: SequenceSpec, cache_dir: str | os.PathLike) -> SequenceRun | None:
-    """Load a cached run for ``spec``, or None.  A longer cached run of the
-    same sequence is truncated to term_count (the greedy rule has no
-    lookahead, so prefixes are stable).  An entry that is damaged, written
-    by another engine version or not a valid run is warned about and
-    treated as absent."""
-    for count in _longer_candidates(spec, cache_dir):
-        key = CacheKey(spec.variant, spec.p, count, FORMAT_VERSION)
-        payload_path, manifest_path = _paths(key, cache_dir)
-        if not payload_path.exists() or not manifest_path.exists():
-            continue
-        try:
-            return SequenceRun(spec, _cached_values(spec, payload_path, manifest_path))
-        except ValueError as exc:
-            warnings.warn(
-                f"cache entry {payload_path} is damaged or invalid: {exc}; treating as absent",
-                stacklevel=2,
-            )
-    return None
+    """Load a cached run for ``spec``, or None.  The entry of the sequence
+    serves any term_count up to its own, truncated (prefixes are stable);
+    a shorter entry is a plain miss.  An entry that is damaged, written by
+    another engine version or not a valid run is warned about and treated
+    as absent."""
+    payload_path, manifest_path = _paths(spec, cache_dir)
+    if not payload_path.exists() or not manifest_path.exists():
+        return None
+    try:
+        values = _cached_values(spec, payload_path, manifest_path)
+    except ValueError as exc:
+        warnings.warn(
+            f"cache entry {payload_path} is damaged or invalid: {exc}; treating as absent",
+            stacklevel=2,
+        )
+        return None
+    return None if values is None else SequenceRun(spec, values)
 
 
 # ---------------------------------------------------------------------------

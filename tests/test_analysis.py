@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracle import naive_is_prime, oracle_terms
+from trifix import analysis
 from trifix.analysis import (
     check_conjecture_3_1,
     check_conjecture_3_2,
@@ -130,6 +131,15 @@ class TestConjecture31:
         assert not result.holds
         assert [c.n for c in result.counterexamples[:3]] == [2, 4, 6]
 
+    def test_n_limit_bounds_the_check(self):
+        run = generate(SequenceSpec.standard(2, 100))  # a(n) = n for every n
+        assert check_conjecture_3_1(run).n_limit == 100
+        result = check_conjecture_3_1(run, 7)
+        assert result.n_limit == 7
+        assert [c.n for c in result.counterexamples] == [2, 4, 6]
+        with pytest.raises(ValueError, match="needs 101 terms"):
+            check_conjecture_3_1(run, 101)
+
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_family_at_moderate_depth(self, p):
         assert check_conjecture_3_1(generate(SequenceSpec.standard(p, 500))).holds
@@ -214,6 +224,24 @@ class TestSweep:
 
     def test_jobs_do_not_change_results(self):
         assert sweep([3, 5, 7], 200, jobs=3) == sweep([3, 5, 7], 200)
+
+    def test_repeated_p_generated_once(self, monkeypatch):
+        calls = []
+
+        def counting_generate(spec):
+            calls.append(spec)
+            return generate(spec)
+
+        monkeypatch.setattr(analysis, "generate", counting_generate)
+        result = sweep([199, 5, 199, 199], 500)
+        assert calls == [SequenceSpec.standard(199, 501), SequenceSpec.standard(5, 501)]
+        monkeypatch.undo()
+        alone = sweep([199, 5], 500)
+        assert result.p_list == (199, 5, 199, 199)
+        a199, a5 = alone.reports
+        assert result.reports == (a199, a5, a199, a199)
+        assert result.union_missed == alone.union_missed
+        assert [p for p, _ in result.figure2_series] == [199, 5, 199, 199]
 
     def test_validation(self):
         with pytest.raises(ValueError):

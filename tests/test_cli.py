@@ -154,6 +154,26 @@ class TestConjecture:
         assert code == EXIT_FALSIFIED
         assert "n=17" in out
 
+    def test_3_1_checks_exactly_the_requested_terms(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "conjecture", "--id", "3.1", "--p-list", "3", "--terms", "200"
+        )
+        assert code == EXIT_OK and "HOLDS up to N=200\n" in out
+        # A(2) has a(n) = n for every n, so checking term 2 would falsify it
+        code, out, _ = run_cli(
+            capsys, "conjecture", "--id", "3.1", "--p-list", "2", "--terms", "1"
+        )
+        assert code == EXIT_OK and "HOLDS up to N=1\n" in out
+
+    @pytest.mark.parametrize("terms", ["0", "-3"])
+    @pytest.mark.parametrize("cid", ["3.1", "3.2", "5.1", "6.1"])
+    def test_terms_below_1_rejected(self, capsys, cid, terms):
+        code, out, err = run_cli(
+            capsys, "conjecture", "--id", cid, "--p-list", "3", "--terms", terms
+        )
+        assert code == EXIT_ERROR
+        assert out == "" and "--terms must be >= 1" in err
+
     def test_bad_p_list(self, capsys):
         code, _, err = run_cli(capsys, "conjecture", "--id", "3.1", "--p-list", "3,oops")
         assert code == EXIT_ERROR
@@ -179,7 +199,7 @@ class TestSweep:
             capsys, "sweep", "--p-list", "3", "--terms", "120", "--cache", str(cache)
         )
         assert code == EXIT_OK
-        assert (cache / "standard" / "p3_n121_v1.bfile.txt").exists()
+        assert (cache / "standard" / "p3_v1.bfile.txt").exists()
         code, second, _ = run_cli(
             capsys, "sweep", "--p-list", "3", "--terms", "120", "--cache", str(cache)
         )
@@ -189,7 +209,7 @@ class TestSweep:
         cache = tmp_path / "cache"
         argv = ("sweep", "--p-list", "3", "--terms", "120", "--cache", str(cache))
         _, first, _ = run_cli(capsys, *argv)
-        manifest = cache / "standard" / "p3_n121_v1.manifest.json"
+        manifest = cache / "standard" / "p3_v1.manifest.json"
         manifest.write_text("{bad")
         with pytest.warns(UserWarning, match="treating as absent"):
             code, second, _ = run_cli(capsys, *argv)
@@ -281,7 +301,7 @@ class TestExport:
             "success rate (A/C),95.00%,95.00%\n"
         )
         # runs were cached on the way through
-        assert (cache / "standard" / "p3_n301_v1.bfile.txt").exists()
+        assert (cache / "standard" / "p3_v1.bfile.txt").exists()
 
     def test_cache_env_var_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TRIFIX_CACHE_DIR", str(tmp_path / "envcache"))
@@ -290,7 +310,7 @@ class TestExport:
         )
         assert code == EXIT_OK
         assert out.startswith("p,success_rate_percent\n")
-        assert (tmp_path / "envcache" / "standard" / "p3_n121_v1.bfile.txt").exists()
+        assert (tmp_path / "envcache" / "standard" / "p3_v1.bfile.txt").exists()
 
     def test_requires_cache(self, capsys, monkeypatch):
         monkeypatch.delenv("TRIFIX_CACHE_DIR", raising=False)

