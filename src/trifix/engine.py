@@ -18,15 +18,15 @@ sequences are the prime-candidate signal downstream analysis classifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from .numtheory import (
-    Factorization,
-    SpfTable,
     build_spf,
-    factorize_q,
+    divisors,
     factorize_trial,
+    q_exponents,
     q_value,
-    sorted_divisors,
+    sieve_factors,
 )
 
 STANDARD = "standard"
@@ -123,6 +123,11 @@ class TermRecord:
     def is_near_match(self) -> bool:
         return self.a == self.n - 1
 
+    @classmethod
+    def of(cls, spec: SequenceSpec, n: int, a: int) -> "TermRecord":
+        """Term n of ``spec`` given a(n)."""
+        return cls(n, spec.q(n), a, n == 2 and a == 1 and spec.has_bootstrap)
+
 
 @dataclass(frozen=True, slots=True)
 class SequenceRun:
@@ -135,8 +140,7 @@ class SequenceRun:
     def term(self, n: int) -> TermRecord:
         if not 1 <= n <= len(self.a):
             raise IndexError(f"term index {n} outside 1..{len(self.a)}")
-        a = self.a[n - 1]
-        return TermRecord(n, self.spec.q(n), a, n == 2 and a == 1 and self.spec.has_bootstrap)
+        return TermRecord.of(self.spec, n, self.a[n - 1])
 
 
 class SequenceEngine:
@@ -145,44 +149,44 @@ class SequenceEngine:
 
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
-        self.table: SpfTable = build_spf(max(spec.term_count + spec.offset, 2))
-        self._p_fact: Factorization = factorize_trial(spec.multiplier)
+        self._spf = build_spf(max(spec.term_count + spec.offset, 2)).spf
+        self._p_factors = factorize_trial(spec.multiplier).factors
+        self._prev_factors: list[tuple[int, int]] = []  # of n + offset - 1, from the last step
         self._used: set[int] = set()
         self._a: list[int] = []
 
-    def next_term(self) -> TermRecord:
-        if len(self._a) >= self.spec.term_count:
-            raise IndexError(f"all {self.spec.term_count} terms already emitted")
+    def _step(self) -> None:
+        """Append a(n), the least unused divisor of q(n), for the next n."""
         n = len(self._a) + 1
-        q = self.spec.q(n)
-
-        bootstrap = False
+        q = self.spec.q(n)  # OverflowError before any state changes
+        factors = sieve_factors(n + self.spec.offset, self._spf)
         if q == 0:
             # n = 1 for standard/shifted: every integer divides 0; a(1) = 1
             # by definition, so divisors of 0 are never enumerated.
             a = 1
         else:
-            a = 0
-            for d in sorted_divisors(factorize_q(self._p_fact, n + self.spec.offset, self.table)):
-                if d not in self._used:
-                    a = d
-                    break
+            candidates = divisors(q_exponents(self._p_factors, self._prev_factors, factors).items())
+            a = min(filterfalse(self._used.__contains__, candidates), default=0)
             if a == 0:
                 if n == 2 and self.spec.has_bootstrap:
                     a = 1
-                    bootstrap = True
                 else:
                     raise ExhaustedDivisorsError(
                         f"{self.spec.label()}: all divisors of q({n}) = {q} in use"
                     )
-
+        self._prev_factors = factors
         self._used.add(a)
         self._a.append(a)
-        return TermRecord(n, q, a, bootstrap)
+
+    def next_term(self) -> TermRecord:
+        if len(self._a) >= self.spec.term_count:
+            raise IndexError(f"all {self.spec.term_count} terms already emitted")
+        self._step()
+        return TermRecord.of(self.spec, len(self._a), self._a[-1])
 
     def run(self) -> SequenceRun:
-        while len(self._a) < self.spec.term_count:
-            self.next_term()
+        for _ in range(len(self._a), self.spec.term_count):
+            self._step()
         return SequenceRun(self.spec, tuple(self._a))
 
 

@@ -82,49 +82,63 @@ class Factorization:
             prev = p
 
 
+def sieve_factors(m: int, spf: array) -> list[tuple[int, int]]:
+    """Ascending (prime, exponent) pairs of 1 <= m < len(spf), unchecked."""
+    factors = []
+    while m > 1:
+        p = spf[m]
+        m //= p
+        e = 1
+        while spf[m] == p:  # spf[1] == 0 ends the run at m = 1
+            m //= p
+            e += 1
+        factors.append((p, e))
+    return factors
+
+
 def factorize(m: int, table: SpfTable) -> Factorization:
     """Factor m using the sieve. Requires 1 <= m <= table.limit."""
     if m < 1:
         raise ValueError(f"cannot factorize {m}")
     if m > table.limit:
         raise ValueError(f"m={m} exceeds sieve limit {table.limit}")
-    value = m
-    spf = table.spf
-    factors = []
-    while m > 1:
-        p = spf[m]
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors.append((p, e))
-    return Factorization(value, tuple(factors))
+    return Factorization(m, tuple(sieve_factors(m, table.spf)))
 
 
 def factorize_trial(m: int) -> Factorization:
     """Factor m by trial division (no sieve). Intended for the single
-    multiplier p of a sequence, which may exceed any term-sized sieve."""
+    multiplier p of a sequence, which may exceed any term-sized sieve.
+    Stops at a prime cofactor, so only two prime factors above ~1e8 are slow."""
     if m < 1:
         raise ValueError(f"cannot factorize {m}")
     value = m
     factors = []
-    for p in range(2, isqrt(m) + 1):
+    p = 2
+    limit = 1 if is_prime(m) else isqrt(m)
+    while p <= limit:
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             factors.append((p, e))
-        if m == 1:
-            break
+            limit = 1 if is_prime(m) else isqrt(m)
+        p += 1
     if m > 1:
         factors.append((m, 1))
     return Factorization(value, tuple(factors))
 
 
-def _merge_counts(target: dict[int, int], factors: tuple[tuple[int, int], ...]) -> None:
-    for p, e in factors:
-        target[p] = target.get(p, 0) + e
+def q_exponents(p_factors, prev_factors, factors) -> dict[int, int]:
+    """{prime: exponent} of q = p*(m-1)*m/2 from the factor pairs of p, m-1
+    and m, unchecked.  m-1 and m are coprime: only p's primes can overlap."""
+    counts = dict(prev_factors + factors)
+    for p, e in p_factors:
+        counts[p] = counts.get(p, 0) + e
+    counts[2] -= 1  # (m-1)*m is even, so the exponent of 2 is >= 1
+    if counts[2] == 0:
+        del counts[2]
+    return counts
 
 
 def factorize_q(p_fact: Factorization, n: int, table: SpfTable) -> Factorization:
@@ -137,29 +151,26 @@ def factorize_q(p_fact: Factorization, n: int, table: SpfTable) -> Factorization
     """
     if n < 2:
         raise ValueError(f"q({n}) has no factorization (need n >= 2)")
-    counts: dict[int, int] = {}
-    _merge_counts(counts, p_fact.factors)
-    _merge_counts(counts, factorize(n - 1, table).factors)
-    _merge_counts(counts, factorize(n, table).factors)
-    counts[2] -= 1  # (n-1)*n is even, so the exponent of 2 is >= 1
-    if counts[2] == 0:
-        del counts[2]
+    counts = q_exponents(p_fact.factors, factorize(n - 1, table).factors,
+                         factorize(n, table).factors)
     value = p_fact.value * (n - 1) * n // 2
     return Factorization(value, tuple(sorted(counts.items())))
 
 
+def divisors(factors) -> list[int]:
+    """All divisors of the product of (prime, exponent) pairs, unordered."""
+    result = [1]
+    for p, e in factors:
+        block = result
+        for _ in range(e):
+            block = [d * p for d in block]
+            result += block
+    return result
+
+
 def sorted_divisors(f: Factorization) -> list[int]:
     """All divisors of f.value in ascending order."""
-    divisors = [1]
-    for p, e in f.factors:
-        powers = []
-        pk = 1
-        for _ in range(e):
-            pk *= p
-            powers.append(pk)
-        divisors += [d * pk for pk in powers for d in divisors]
-    divisors.sort()
-    return divisors
+    return sorted(divisors(f.factors))
 
 
 def q_value(p: int, n: int) -> int:

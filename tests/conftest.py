@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -15,3 +17,24 @@ def spf_10k():
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA_DIR
+
+
+@pytest.fixture
+def time_limit():
+    """``with time_limit(seconds):`` raises TimeoutError inside the block
+    once it has run that long (SIGALRM, so POSIX and the main thread only)."""
+
+    @contextmanager
+    def limit(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

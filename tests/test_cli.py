@@ -66,6 +66,14 @@ class TestGenerate:
         values = [int(line.split()[1]) for line in out.splitlines()]
         assert values == [1, 3, 2, 5, 15, 7, 4, 6, 9, 11, 22, 13]
 
+    def test_large_prime_p(self, capsys, time_limit):
+        p = 10**18 + 3
+        with time_limit(10):
+            code, out, _ = run_cli(capsys, "generate", "--p", str(p), "--terms", "3",
+                                   "--format", "bfile")
+        assert code == EXIT_OK
+        assert out == f"1 1\n2 {p}\n3 3\n"
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "generate", "--p", "11", "--terms", "50")
         _, second, _ = run_cli(capsys, "generate", "--p", "11", "--terms", "50")

@@ -5,11 +5,13 @@ from trifix.engine import (
     NO_ZERO,
     SHIFTED,
     STANDARD,
+    ExhaustedDivisorsError,
     SequenceEngine,
     SequenceSpec,
     fixed_points,
     generate,
 )
+from trifix.numtheory import build_spf, factorize_q, factorize_trial, sorted_divisors
 
 # Published golden prefix of A(7): (n, mult, q, a), fixed points marked below.
 A7_PREFIX = [
@@ -143,6 +145,37 @@ class TestEngineStepping:
         with pytest.raises(IndexError):
             run.term(26)
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 50])
+    @pytest.mark.parametrize("spec", [SequenceSpec.shifted(300), SequenceSpec.standard(9, 300)],
+                             ids=lambda s: s.label())
+    def test_stepping_then_run_equals_generate(self, spec, k):
+        engine = SequenceEngine(spec)
+        records = [engine.next_term() for _ in range(k)]
+        run = engine.run()
+        assert run == generate(spec)
+        assert records == [run.term(n) for n in range(1, k + 1)]
+
+    def test_next_term_flags_the_bootstrap(self):
+        engine = SequenceEngine(SequenceSpec.shifted(5))
+        first, second, third = (engine.next_term() for _ in range(3))
+        assert (second.n, second.q, second.a, second.is_bootstrap_duplicate) == (2, 1, 1, True)
+        assert not first.is_bootstrap_duplicate and not third.is_bootstrap_duplicate
+
+    def test_overflow_leaves_the_engine_unchanged(self):
+        engine = SequenceEngine(SequenceSpec.standard(2**62, 4))
+        assert [engine.next_term().a for _ in range(2)] == [1, 2]
+        for step in (engine.next_term, engine.run, engine.next_term):
+            with pytest.raises(OverflowError, match=r"^q\(3\) = "):
+                step()
+
+    def test_exhausted_divisors_leave_the_engine_unchanged(self):
+        engine = SequenceEngine(SequenceSpec.standard(7, 5))
+        engine.next_term()
+        engine._used.add(7)  # q(2) = 7: both of its divisors now taken
+        for _ in range(2):
+            with pytest.raises(ExhaustedDivisorsError, match=r"q\(2\) = 7"):
+                engine.next_term()
+
     def test_run_after_manual_stepping_keeps_all_terms(self):
         engine = SequenceEngine(SequenceSpec.standard(7, 10))
         engine.next_term()
@@ -173,6 +206,33 @@ ORACLE_SPECS = [
 def test_matches_brute_force_oracle(spec):
     expected = oracle_terms(spec.variant, spec.p, spec.term_count)
     assert list(generate(spec).a) == expected
+
+
+def sorted_scan_greedy(spec: SequenceSpec) -> tuple[int, ...]:
+    """The greedy rule stepped as the package once did it: factorize q(n)
+    with the public ``factorize_q``, list its divisors ascending with
+    ``sorted_divisors`` and take the first unused one (1 when none is left,
+    which only the bootstrap at n = 2 needs)."""
+    table = build_spf(spec.term_count + spec.offset)
+    p_fact = factorize_trial(spec.multiplier)
+    values, used = [1], {1}  # a(1) = 1: q(1) is 0, or 1 for no-zero
+    for n in range(2, spec.term_count + 1):
+        q_fact = factorize_q(p_fact, n + spec.offset, table)
+        a = next((d for d in sorted_divisors(q_fact) if d not in used), 1)
+        values.append(a)
+        used.add(a)
+    return tuple(values)
+
+
+REFERENCE_SPECS = [SequenceSpec.standard(p, 10_000) for p in (1, 2, 9, 12, 199)] + [
+    SequenceSpec.no_zero(10_000),
+    SequenceSpec.shifted(10_000),
+]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.label())
+def test_matches_sorted_scan_reference(spec):
+    assert generate(spec).a == sorted_scan_greedy(spec)
 
 
 def test_oracle_fixed_points_agree():

@@ -104,6 +104,20 @@ class TestFactorize:
         for m in (1, 2, 84, 541, 9409, 9973):
             assert factorize_trial(m) == factorize(m, spf_10k)
 
+    @pytest.mark.parametrize("m, factors", [
+        (10**18 + 3, ((10**18 + 3, 1),)),
+        (2 * (10**18 + 3), ((2, 1), (10**18 + 3, 1))),
+        (9 * (10**9 + 7), ((3, 2), (10**9 + 7, 1))),
+    ])
+    def test_trial_stops_at_a_prime_cofactor(self, m, factors, time_limit):
+        # dividing up to isqrt(m) would take ~1e9 steps for the first two
+        with time_limit(5):
+            assert factorize_trial(m).factors == factors
+
+    @given(st.integers(min_value=1, max_value=10**7))
+    def test_trial_matches_oracle(self, m):
+        assert list(factorize_trial(m).factors) == naive_factorize(m)
+
     def test_malformed_factorization_rejected(self):
         with pytest.raises(ValueError):
             Factorization(12, ((3, 1), (2, 2)))  # primes out of order
