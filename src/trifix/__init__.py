@@ -15,7 +15,6 @@ from .engine import (
 )
 from .numtheory import (
     Factorization,
-    SpfTable,
     build_spf,
     factorize,
     factorize_q,
@@ -31,7 +30,6 @@ __all__ = [
     "Factorization",
     "SequenceRun",
     "SequenceSpec",
-    "SpfTable",
     "TermRecord",
     "build_spf",
     "factorize",

@@ -10,6 +10,7 @@ opposite of common machine-learning usage.
 from __future__ import annotations
 
 import concurrent.futures
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -68,8 +69,7 @@ def classify(run: SequenceRun, n_limit: int | None = None) -> ClassificationRepo
             f"needs {n_limit + 1} (near matches at n={n_limit} are undecidable)"
         )
 
-    table = build_spf(max(n_limit, 2))
-    spf = table.spf
+    spf = build_spf(max(n_limit, 2))
 
     p = run.spec.multiplier  # 1 outside the standard variant: never prime
     excluded = [2]
@@ -142,6 +142,7 @@ class ConjectureResult:
     sequences: tuple[str, ...]
     n_limit: int
     counterexamples: tuple[Counterexample, ...]
+    primes_checked: int = 0  # eligible primes tested over all sequences (5.1, 6.1)
 
     @property
     def holds(self) -> bool:
@@ -167,10 +168,6 @@ def check_conjecture_3_1(run: SequenceRun, n_limit: int | None = None) -> Conjec
 
 def check_conjecture_3_2(run: SequenceRun, n_limit: int | None = None) -> ConjectureResult:
     """Every eligible prime n appears as a(n) or as a(n+1)."""
-    if n_limit is None:
-        n_limit = len(run.a) - 1
-    if len(run.a) < n_limit + 1:
-        raise ValueError(f"checking up to n={n_limit} needs {n_limit + 1} terms")
     report = classify(run, n_limit)
     label = run.spec.label()
     a = run.a
@@ -179,35 +176,35 @@ def check_conjecture_3_2(run: SequenceRun, n_limit: int | None = None) -> Conjec
         for n in report.missed_primes
         if a[n] != n
     )
-    return ConjectureResult("3.2", (label,), n_limit, bad)
+    return ConjectureResult("3.2", (label,), report.n_limit, bad)
+
+
+def _check_primes_fixed(conjecture_id: str, runs: Iterable[SequenceRun], n_limit: int,
+                        detail: str) -> ConjectureResult:
+    """Every eligible prime n <= n_limit is a fixed point of each run; a
+    prime that is not is described by ``detail`` formatted with n and a(n)."""
+    labels, bad, checked = [], [], 0
+    for run in runs:  # may be a generator: one run in memory at a time
+        report = classify(run, n_limit)
+        labels.append(run.spec.label())
+        checked += report.total_eligible_primes
+        bad += (Counterexample(labels[-1], n, detail.format(n=n, a=run.a[n - 1]))
+                for n in report.missed_primes)
+    return ConjectureResult(conjecture_id, tuple(labels), n_limit, tuple(bad), checked)
 
 
 def check_conjecture_5_1(n_limit: int) -> ConjectureResult:
     """The shifted sequence detects every odd prime <= n_limit as a fixed
     point (generates n_limit + 1 terms itself)."""
-    run = generate(SequenceSpec.shifted(n_limit + 1))
-    table = build_spf(max(n_limit, 2))
-    bad = tuple(
-        Counterexample("shifted", n, f"odd prime not a fixed point; a({n}) = {run.a[n - 1]}")
-        for n in range(3, n_limit + 1)
-        if table.spf[n] == n and run.a[n - 1] != n
-    )
-    return ConjectureResult("5.1", ("shifted",), n_limit, bad)
+    return _check_primes_fixed("5.1", [generate(SequenceSpec.shifted(n_limit + 1))], n_limit,
+                               "odd prime not a fixed point; a({n}) = {a}")
 
 
 def check_conjecture_6_1(p_list: tuple[int, ...] = (541,), n_limit: int = 10_000) -> ConjectureResult:
     """For each listed p, every eligible prime <= n_limit is a fixed point
     of A(p) (the large-p perfect-detection claim; default p = 541)."""
-    bad = []
-    labels = []
-    for p in p_list:
-        report = classify(generate(SequenceSpec.standard(p, n_limit + 1)), n_limit)
-        labels.append(report.spec.label())
-        bad.extend(
-            Counterexample(report.spec.label(), n, "eligible prime not a fixed point")
-            for n in report.missed_primes
-        )
-    return ConjectureResult("6.1", tuple(labels), n_limit, tuple(bad))
+    runs = (generate(SequenceSpec.standard(p, n_limit + 1)) for p in p_list)
+    return _check_primes_fixed("6.1", runs, n_limit, "eligible prime not a fixed point")
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,7 +218,10 @@ class FalseNegativeFilter:
 
 def filter_false_negatives(report: ClassificationReport, small_primes: list[int]) -> FalseNegativeFilter:
     """Drop false negatives divisible by any of ``small_primes`` (cheap to
-    re-test externally), keeping the rest."""
+    re-test externally), keeping the rest.  Each must be >= 2."""
+    for s in small_primes:
+        if s < 2:
+            raise ValueError(f"small primes must be >= 2, got {s}")
     remaining = tuple(
         v for v in report.false_negative_values
         if not any(v % s == 0 for s in small_primes)

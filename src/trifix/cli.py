@@ -38,13 +38,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _parse_p_list(text: str) -> list[int]:
+def _parse_p_list(text: str, flag: str = "--p-list") -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"--p-list expects comma-separated integers, got {text!r}") from None
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
     if not values:
-        raise ValueError("--p-list is empty")
+        raise ValueError(f"{flag} is empty")
     return values
 
 
@@ -169,7 +169,7 @@ def _cmd_analyze(args) -> int:
         near_list = [n for n in report.missed_primes if run.a[n] == n]
     fn_filter = None
     if args.filter_small_primes:
-        small = _parse_p_list(args.filter_small_primes)
+        small = _parse_p_list(args.filter_small_primes, "--filter-small-primes")
         fn_filter = analysis.filter_false_negatives(report, small)
 
     if args.format == "json":
@@ -240,7 +240,7 @@ def _cmd_conjecture(args) -> int:
     if args.id == "5.1":
         result = analysis.check_conjecture_5_1(n)
         results.append(result)
-        total = _count_odd_primes(n)
+        total = result.primes_checked
         text += (
             f"{total - len(result.counterexamples)}/{total} odd primes detected "
             f"as fixed points of the shifted sequence\n"
@@ -259,15 +259,6 @@ def _cmd_conjecture(args) -> int:
     text += "".join(_format_conjecture(r) for r in results)
     _emit(text, args.out)
     return EXIT_OK if all(r.holds for r in results) else EXIT_FALSIFIED
-
-
-def _count_odd_primes(n: int) -> int:
-    from .numtheory import build_spf
-
-    if n < 3:
-        return 0
-    table = build_spf(n)
-    return sum(1 for m in range(3, n + 1) if table.spf[m] == m)
 
 
 # ---------------------------------------------------------------------------

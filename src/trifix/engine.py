@@ -149,7 +149,7 @@ class SequenceEngine:
 
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
-        self._spf = build_spf(max(spec.term_count + spec.offset, 2)).spf
+        self._spf = build_spf(max(spec.term_count + spec.offset, 2))
         self._p_factors = factorize_trial(spec.multiplier).factors
         self._prev_factors: list[tuple[int, int]] = []  # of n + offset - 1, from the last step
         self._used: set[int] = set()

@@ -1,8 +1,7 @@
 """Integer utilities: smallest-prime-factor sieve, factorization, divisor
 enumeration, primality, and the q(n) = p*(n-1)*n/2 partial-sum formula.
 
-Everything here is a pure function of its inputs; an SpfTable is immutable
-after construction and safe to share across workers.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -16,43 +15,27 @@ from math import isqrt
 # ceiling is enforced explicitly: exceeding it is a loud OverflowError.
 MAX_SUPPORTED_VALUE = 2**63 - 1
 
-# Sieve entries are 32-bit; the default ceiling keeps a table under ~200 MB.
-DEFAULT_SIEVE_CEILING = 50_000_000
+# Sieve entries are 32-bit; the ceiling keeps a sieve under ~200 MB.
+SIEVE_CEILING = 50_000_000
 
 
 class CapacityError(Exception):
-    """Requested sieve limit exceeds the configured memory ceiling."""
+    """Requested sieve limit exceeds SIEVE_CEILING."""
 
 
-class SpfTable:
-    """Smallest-prime-factor table for the integers 2..limit.
-
-    ``table.spf[m]`` is the smallest prime factor of m (and equals m exactly
-    when m is prime).  Entries 0 and 1 are unused and hold 0.
-    """
-
-    __slots__ = ("limit", "spf")
-
-    def __init__(self, limit: int, spf: array):
-        self.limit = limit
-        self.spf = spf
-
-
-def build_spf(limit: int, *, ceiling: int = DEFAULT_SIEVE_CEILING) -> SpfTable:
-    """Sieve smallest prime factors for 2..limit.
+def build_spf(limit: int) -> array:
+    """Smallest prime factors of 0..limit: ``spf[m]`` is the smallest prime
+    factor of m (m itself exactly when m is prime); ``spf[0] == spf[1] == 0``.
 
     Raises ValueError for limit < 2 and CapacityError when limit exceeds
-    ``ceiling`` (memory guard, ~4 bytes per entry).
+    SIEVE_CEILING (memory guard, 4 bytes per entry).
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit > ceiling:
+    if limit > SIEVE_CEILING:
         raise CapacityError(
-            f"sieve limit {limit} exceeds ceiling {ceiling}; "
-            f"raise the ceiling explicitly if this is intended"
+            f"sieve limit {limit} exceeds the ceiling of {SIEVE_CEILING} entries"
         )
-    if limit > 2**31 - 1:
-        raise CapacityError(f"sieve limit {limit} exceeds 32-bit entry width")
     # bytes(...) zero-fills; spf[m] == 0 marks "not yet assigned"
     spf = array("i", bytes(4 * (limit + 1)))
     for i in range(2, limit + 1):
@@ -61,7 +44,7 @@ def build_spf(limit: int, *, ceiling: int = DEFAULT_SIEVE_CEILING) -> SpfTable:
             for j in range(i * i, limit + 1, i):
                 if spf[j] == 0:
                     spf[j] = i
-    return SpfTable(limit, spf)
+    return spf
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,13 +79,13 @@ def sieve_factors(m: int, spf: array) -> list[tuple[int, int]]:
     return factors
 
 
-def factorize(m: int, table: SpfTable) -> Factorization:
-    """Factor m using the sieve. Requires 1 <= m <= table.limit."""
+def factorize(m: int, spf: array) -> Factorization:
+    """Factor m using the sieve. Requires 1 <= m < len(spf)."""
     if m < 1:
         raise ValueError(f"cannot factorize {m}")
-    if m > table.limit:
-        raise ValueError(f"m={m} exceeds sieve limit {table.limit}")
-    return Factorization(m, tuple(sieve_factors(m, table.spf)))
+    if m >= len(spf):
+        raise ValueError(f"m={m} exceeds sieve limit {len(spf) - 1}")
+    return Factorization(m, tuple(sieve_factors(m, spf)))
 
 
 def factorize_trial(m: int) -> Factorization:
@@ -141,7 +124,7 @@ def q_exponents(p_factors, prev_factors, factors) -> dict[int, int]:
     return counts
 
 
-def factorize_q(p_fact: Factorization, n: int, table: SpfTable) -> Factorization:
+def factorize_q(p_fact: Factorization, n: int, spf: array) -> Factorization:
     """Factorization of q(n) = p*(n-1)*n/2 composed from the factorizations
     of p, n-1 and n, dropping one factor of 2.
 
@@ -151,8 +134,8 @@ def factorize_q(p_fact: Factorization, n: int, table: SpfTable) -> Factorization
     """
     if n < 2:
         raise ValueError(f"q({n}) has no factorization (need n >= 2)")
-    counts = q_exponents(p_fact.factors, factorize(n - 1, table).factors,
-                         factorize(n, table).factors)
+    counts = q_exponents(p_fact.factors, factorize(n - 1, spf).factors,
+                         factorize(n, spf).factors)
     value = p_fact.value * (n - 1) * n // 2
     return Factorization(value, tuple(sorted(counts.items())))
 

@@ -19,8 +19,9 @@ import json
 import os
 import secrets
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 from .analysis import ClassificationReport, SweepReport, percent
@@ -144,22 +145,8 @@ def report_to_json(report: ClassificationReport) -> str:
     """JSON mirror of ClassificationReport, field for field.  Rates are
     emitted as floats; the integer counts alongside stay exact."""
     doc = {
-        "spec": {
-            "variant": report.spec.variant,
-            "term_count": report.spec.term_count,
-            "p": report.spec.p,
-        },
-        "n_limit": report.n_limit,
-        "excluded_primes": list(report.excluded_primes),
-        "detected": report.detected,
-        "near_matches": report.near_matches,
-        "total_eligible_primes": report.total_eligible_primes,
-        "success_rate": float(report.success_rate),
-        "false_negatives": report.false_negatives,
-        "total_nonprimes": report.total_nonprimes,
-        "false_negative_rate": float(report.false_negative_rate),
-        "missed_primes": list(report.missed_primes),
-        "false_negative_values": list(report.false_negative_values),
+        name: float(value) if isinstance(value, Fraction) else value
+        for name, value in asdict(report).items()
     }
     return json.dumps(doc, indent=2) + "\n"
 

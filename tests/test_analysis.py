@@ -15,7 +15,7 @@ from trifix.analysis import (
     percent,
     sweep,
 )
-from trifix.engine import SequenceSpec, generate
+from trifix.engine import SequenceRun, SequenceSpec, generate
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +174,20 @@ class TestConjecture51:
         result = check_conjecture_5_1(500)
         assert result.holds and result.n_limit == 500
 
+    @pytest.mark.parametrize("n_limit, odd_primes", [(1, 0), (2, 0), (3, 1), (100, 24), (500, 94)])
+    def test_counts_the_odd_primes_checked(self, n_limit, odd_primes):
+        assert check_conjecture_5_1(n_limit).primes_checked == odd_primes
+
+    def test_counterexample_detail(self, monkeypatch):
+        good = generate(SequenceSpec.shifted(101))
+        broken = SequenceRun(good.spec, good.a[:16] + (999,) + good.a[17:])  # a(17) = 999
+        monkeypatch.setattr(analysis, "generate", lambda spec: broken)
+        result = check_conjecture_5_1(100)
+        assert not result.holds and result.sequences == ("shifted",)
+        assert [(c.sequence, c.n, c.detail) for c in result.counterexamples] == [
+            ("shifted", 17, "odd prime not a fixed point; a(17) = 999")
+        ]
+
 
 class TestConjecture61:
     def test_large_p_small_range_holds(self):
@@ -183,6 +197,15 @@ class TestConjecture61:
         result = check_conjecture_6_1((3,), 100)
         assert not result.holds
         assert result.counterexamples[0].n == 17
+
+    def test_counts_the_eligible_primes_of_each_sequence(self):
+        # 25 primes <= 100: A(3) excludes 2 and 3, A(541) only 2
+        result = check_conjecture_6_1((3, 541), 100)
+        assert result.sequences == ("A(3)", "A(541)")
+        assert result.primes_checked == 23 + 24
+        assert [(c.sequence, c.n, c.detail) for c in result.counterexamples] == [
+            ("A(3)", 17, "eligible prime not a fixed point")
+        ]
 
 
 class TestFilterFalseNegatives:
@@ -196,6 +219,11 @@ class TestFilterFalseNegatives:
         f = filter_false_negatives(a3_report, [])
         assert f.remaining == a3_report.false_negative_values
         assert f.removed == 0
+
+    @pytest.mark.parametrize("bad", [0, 1, -3])
+    def test_rejects_values_below_2(self, a3_report, bad):
+        with pytest.raises(ValueError, match=f"must be >= 2, got {bad}"):
+            filter_false_negatives(a3_report, [3, bad])
 
     def test_multiples_removed(self):
         report = classify(generate(SequenceSpec.no_zero(101)), 100)

@@ -97,6 +97,13 @@ class TestGenerateErrors:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == EXIT_ERROR
 
+    def test_sieve_ceiling_is_an_operational_error(self, capsys, time_limit):
+        # the sieve for N = 50,000,001 terms would pass the 5*10^7-entry ceiling
+        with time_limit(10):
+            code, out, err = run_cli(capsys, "generate", "--p", "3", "--terms", "50000001")
+        assert code == EXIT_ERROR and out == ""
+        assert err == "trifix: error: sieve limit 50000001 exceeds the ceiling of 50000000 entries\n"
+
     def test_overflow_is_operational_error(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--p", str(2**62), "--terms", "5")
         assert code == EXIT_ERROR
@@ -127,6 +134,19 @@ class TestAnalyze:
         assert doc["n_limit"] == 200
         assert doc["spec"]["term_count"] == 201  # one extra for near matches
 
+    @pytest.mark.parametrize("value, message", [
+        ("0", "small primes must be >= 2, got 0"),
+        ("3,1", "small primes must be >= 2, got 1"),
+        ("x", "--filter-small-primes expects comma-separated integers, got 'x'"),
+        (",", "--filter-small-primes is empty"),
+    ])
+    def test_bad_filter_small_primes(self, capsys, value, message):
+        code, out, err = run_cli(
+            capsys, "analyze", "--p", "3", "--terms", "100", "--filter-small-primes", value
+        )
+        assert code == EXIT_ERROR and out == ""
+        assert err == f"trifix: error: {message}\n"
+
 
 class TestConjecture:
     def test_5_1_holds(self, capsys):
@@ -134,6 +154,28 @@ class TestConjecture:
         assert code == EXIT_OK
         assert "24/24 odd primes detected" in out
         assert "HOLDS" in out
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--id", "5.1", "--terms", "1"],
+         "0/0 odd primes detected as fixed points of the shifted sequence\n"
+         "conjecture 5.1 [shifted]: HOLDS up to N=1\n"),
+        (["--id", "5.1", "--terms", "100"],
+         "24/24 odd primes detected as fixed points of the shifted sequence\n"
+         "conjecture 5.1 [shifted]: HOLDS up to N=100\n"),
+        (["--id", "6.1", "--p-list", "3", "--terms", "100"],
+         "conjecture 6.1 [A(3)]: FALSIFIED, 1 counterexample(s); "
+         "first: A(3) n=17 (eligible prime not a fixed point)\n"),
+        (["--id", "6.1", "--p-list", "3,541,97,3", "--terms", "2000"],
+         "conjecture 6.1 [A(3), A(541), A(97), A(3)]: FALSIFIED, 38 counterexample(s); "
+         "first: A(3) n=17 (eligible prime not a fixed point)\n"),
+        (["--id", "3.2", "--p-list", "3,2", "--terms", "300"],
+         "conjecture 3.2 [A(3)]: HOLDS up to N=300\n"
+         "conjecture 3.2 [A(2)]: HOLDS up to N=300\n"),
+    ])
+    def test_exact_output(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, "conjecture", *argv)
+        assert out == expected and err == ""
+        assert code == (EXIT_FALSIFIED if "FALSIFIED" in expected else EXIT_OK)
 
     def test_3_1_falsified_on_identity_sequence(self, capsys):
         code, out, _ = run_cli(

@@ -23,33 +23,33 @@ def big_table():
     return build_spf(3_500_000)
 
 
-def sieved_primes(table):
-    """The primes <= table.limit: the m whose smallest factor is m itself."""
-    return [m for m in range(2, table.limit + 1) if table.spf[m] == m]
+def sieved_primes(spf):
+    """The primes < len(spf): the m whose smallest factor is m itself."""
+    return [m for m in range(2, len(spf)) if spf[m] == m]
 
 
 class TestBuildSpf:
     def test_limit_10(self):
-        table = build_spf(10)
+        spf = build_spf(10)
         expected = {2: 2, 3: 3, 4: 2, 5: 5, 6: 2, 7: 7, 8: 2, 9: 3, 10: 2}
-        assert {m: table.spf[m] for m in range(2, 11)} == expected
+        assert {m: spf[m] for m in range(2, 11)} == expected
 
     def test_smallest_valid_table(self):
-        table = build_spf(2)
-        assert table.limit == 2
-        assert table.spf[2] == 2
+        spf = build_spf(2)
+        assert len(spf) - 1 == 2
+        assert spf[2] == 2
 
     def test_spot_checks_at_10k(self, spf_10k):
-        assert spf_10k.spf[9999] == 3
-        assert spf_10k.spf[9973] == 9973
+        assert spf_10k[9999] == 3
+        assert spf_10k[9973] == 9973
 
     def test_matches_trial_division(self, spf_10k):
         for m in range(2, 2000):
-            assert spf_10k.spf[m] == naive_spf(m)
+            assert spf_10k[m] == naive_spf(m)
 
     def test_invariants(self, spf_10k):
         for m in range(2, 3000):
-            s = spf_10k.spf[m]
+            s = spf_10k[m]
             assert m % s == 0
             assert naive_is_prime(s)
             assert all(m % d for d in range(2, s))
@@ -61,8 +61,6 @@ class TestBuildSpf:
     def test_rejects_limit_over_ceiling(self):
         with pytest.raises(CapacityError):
             build_spf(10**9)
-        # an explicit ceiling unlocks larger tables
-        assert build_spf(101, ceiling=101).limit == 101
 
     def test_primes_iterator(self, spf_10k):
         primes = sieved_primes(spf_10k)
