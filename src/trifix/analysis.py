@@ -19,15 +19,11 @@ from .engine import SequenceRun, SequenceSpec, fixed_points, generate
 from .numtheory import build_spf
 
 
-def percent(rate: Fraction | float, places: int = 2) -> str:
-    """Format a rate in [0,1] as a percentage string with round-half-up,
-    e.g. Fraction(1160, 1227) -> '94.54%'."""
-    if isinstance(rate, Fraction):
-        d = Decimal(rate.numerator) / Decimal(rate.denominator)
-    else:
-        d = Decimal(repr(rate))
-    q = (d * 100).quantize(Decimal(10) ** -places, rounding=ROUND_HALF_UP)
-    return f"{q}%"
+def percent(rate: Fraction) -> str:
+    """Format a rate in [0,1] as a percentage string with two decimals,
+    round-half-up, e.g. Fraction(1160, 1227) -> '94.54%'."""
+    d = Decimal(rate.numerator) / Decimal(rate.denominator)
+    return f"{(d * 100).quantize(Decimal('0.01'), rounding=ROUND_HALF_UP)}%"
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,29 +203,15 @@ def check_conjecture_6_1(p_list: tuple[int, ...] = (541,), n_limit: int = 10_000
     return _check_primes_fixed("6.1", runs, n_limit, "eligible prime not a fixed point")
 
 
-@dataclass(frozen=True, slots=True)
-class FalseNegativeFilter:
-    """False negatives surviving a small-prime divisibility filter."""
-
-    small_primes: tuple[int, ...]
-    remaining: tuple[int, ...]
-    removed: int
-
-
-def filter_false_negatives(report: ClassificationReport, small_primes: list[int]) -> FalseNegativeFilter:
-    """Drop false negatives divisible by any of ``small_primes`` (cheap to
-    re-test externally), keeping the rest.  Each must be >= 2."""
+def filter_false_negatives(report: ClassificationReport, small_primes: list[int]) -> tuple[int, ...]:
+    """The false negatives not divisible by any of ``small_primes``; the
+    others are cheap to re-test externally.  Each must be >= 2."""
     for s in small_primes:
         if s < 2:
             raise ValueError(f"small primes must be >= 2, got {s}")
-    remaining = tuple(
+    return tuple(
         v for v in report.false_negative_values
         if not any(v % s == 0 for s in small_primes)
-    )
-    return FalseNegativeFilter(
-        small_primes=tuple(small_primes),
-        remaining=remaining,
-        removed=report.false_negatives - len(remaining),
     )
 
 

@@ -117,7 +117,7 @@ def _cmd_generate(args) -> int:
         "table": _format_table,
         "csv": _format_csv,
         "json": _format_json,
-        "bfile": lambda r: oeis.write_bfile(r),
+        "bfile": oeis.write_bfile,
     }[args.format]
     _emit(formatter(run), args.out)
     return EXIT_OK
@@ -128,7 +128,7 @@ def _cmd_generate(args) -> int:
 
 
 def _format_report(report: analysis.ClassificationReport, near_list: list[int] | None,
-                   fn_filter: analysis.FalseNegativeFilter | None) -> str:
+                   small_primes: list[int] | None, remaining: tuple[int, ...]) -> str:
     matrix = analysis.classification_matrix(report)
     lines = [
         f"sequence {report.spec.label()}, classified n <= {report.n_limit}",
@@ -151,31 +151,36 @@ def _format_report(report: analysis.ClassificationReport, near_list: list[int] |
             f"near-match primes ({len(near_list)}): "
             + (", ".join(map(str, near_list)) if near_list else "none")
         )
-    if fn_filter is not None:
+    if small_primes is not None:
         lines.append(
-            f"false negatives not divisible by {{{', '.join(map(str, fn_filter.small_primes))}}}: "
-            f"{len(fn_filter.remaining)} (removed {fn_filter.removed})"
+            f"false negatives not divisible by {{{', '.join(map(str, small_primes))}}}: "
+            f"{len(remaining)} (removed {report.false_negatives - len(remaining)})"
         )
     return "\n".join(lines) + "\n"
 
 
 def _cmd_analyze(args) -> int:
     spec = _spec_from_args(args, args.terms + 1)
+    if args.format == "json" and (args.near_matches or args.filter_small_primes):
+        # the JSON report mirrors ClassificationReport field for field
+        raise ValueError(
+            "--near-matches and --filter-small-primes add to the text report only; "
+            "they cannot be combined with --format json"
+        )
     run = generate(spec)
     report = analysis.classify(run, args.terms)
+    if args.format == "json":
+        _emit(store.report_to_json(report), args.out)
+        return EXIT_OK
 
     near_list = None
     if args.near_matches:
         near_list = [n for n in report.missed_primes if run.a[n] == n]
-    fn_filter = None
+    small, remaining = None, ()
     if args.filter_small_primes:
         small = _parse_p_list(args.filter_small_primes, "--filter-small-primes")
-        fn_filter = analysis.filter_false_negatives(report, small)
-
-    if args.format == "json":
-        _emit(store.report_to_json(report), args.out)
-    else:
-        _emit(_format_report(report, near_list, fn_filter), args.out)
+        remaining = analysis.filter_false_negatives(report, small)
+    _emit(_format_report(report, near_list, small, remaining), args.out)
     return EXIT_OK
 
 
@@ -266,41 +271,36 @@ def _cmd_conjecture(args) -> int:
 
 
 _BFILE_NAME = re.compile(r"b(\d{6})\.txt")
+_OEIS_ID = re.compile(r"A\d{6}")
 
 
 def _cmd_oeis_check(args) -> int:
     path = Path(args.bfile)
-    text = path.read_text(encoding="utf-8")
+    bfile = oeis.parse_bfile(path.read_text(encoding="utf-8"))
     sequence_id = args.sequence_id
     if sequence_id is None:
         m = _BFILE_NAME.fullmatch(path.name)
-        sequence_id = f"A{m.group(1)}" if m else oeis.PLACEHOLDER_ID
-    bfile = oeis.parse_bfile(text, sequence_id)
+        sequence_id = f"A{m.group(1)}" if m else "A000000"
+    elif not _OEIS_ID.fullmatch(sequence_id):
+        raise ValueError(f"bad OEIS id {sequence_id!r} (expected 'A' + 6 digits)")
 
     spec = _spec_from_args(args, args.terms)
     run = generate(spec)
     if args.field == "a":
-        result = oeis.compare(run, bfile, args.shift)
+        values = run.a
     elif args.field == "q":
-        pairs = [(n, spec.q(n)) for n in range(1, len(run.a) + 1)]
-        result = oeis.compare_values(pairs, bfile, args.shift)
+        values = [spec.q(n) for n in range(1, len(run.a) + 1)]
     else:  # fixed-points, compared as their own sequence (k-th fixed point)
-        pairs = list(enumerate(fixed_points(run), start=1))
-        result = oeis.compare_values(pairs, bfile, args.shift)
+        values = fixed_points(run)
+    result = oeis.compare(values, bfile, args.shift)
 
     if result.matches:
-        _emit(
-            f"{spec.label()} [{args.field}] vs {bfile.sequence_id} shift {result.applied_shift}: "
-            f"MATCH over {result.compared_length} position(s)\n",
-            args.out,
-        )
+        verdict = f"MATCH over {result.compared_length} position(s)"
     else:
         idx, expected, actual = result.first_mismatch
-        _emit(
-            f"{spec.label()} [{args.field}] vs {bfile.sequence_id} shift {result.applied_shift}: "
-            f"MISMATCH at index {idx}: expected {expected}, got {actual}\n",
-            args.out,
-        )
+        verdict = f"MISMATCH at index {idx}: expected {expected}, got {actual}"
+    _emit(f"{spec.label()} [{args.field}] vs {sequence_id} shift {args.shift}: {verdict}\n",
+          args.out)
     return EXIT_OK
 
 
@@ -408,8 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_ERROR
-    except (ValueError, OverflowError, CapacityError, OSError,
-            oeis.BFileParseError, oeis.BFileStructureError) as exc:
+    except (ValueError, OverflowError, CapacityError, OSError) as exc:
         print(f"trifix: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -102,9 +102,9 @@ def _cached_values(
     if held < count:
         return None
     bfile = parse_bfile(payload)
-    if bfile.offset != 1 or len(bfile.entries) < count:
+    if bfile.offset != 1 or len(bfile.values) < count:
         raise ValueError(f"payload does not hold terms 1..{count}")
-    values = tuple(value for _, value in bfile.entries[:count])
+    values = bfile.values[:count]
     if values[0] != 1:
         raise ValueError(f"a(1) = {values[0]}, expected 1")
     seen = set()

@@ -147,6 +147,19 @@ class TestAnalyze:
         assert code == EXIT_ERROR and out == ""
         assert err == f"trifix: error: {message}\n"
 
+    @pytest.mark.parametrize("flags", [
+        ["--near-matches"],
+        ["--filter-small-primes", "3,5"],
+    ])
+    def test_text_only_flags_rejected_with_json(self, capsys, flags):
+        # the JSON report has no field for either list, so it would drop them
+        code, out, err = run_cli(
+            capsys, "analyze", "--p", "3", "--terms", "200", "--format", "json", *flags
+        )
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith("trifix: error: ")
+        assert "--near-matches" in err and "--filter-small-primes" in err
+
 
 class TestConjecture:
     def test_5_1_holds(self, capsys):
@@ -333,6 +346,21 @@ class TestOeisCheck:
             "--variant", "no-zero",
         )
         assert code == EXIT_ERROR
+
+    def test_sequence_id(self, capsys, data_dir):
+        bfile = str(data_dir / "b111273.txt")
+        code, out, err = run_cli(
+            capsys, "oeis-check", "--bfile", bfile, "--variant", "no-zero", "--terms", "30",
+            "--sequence-id", "X1",
+        )
+        assert code == EXIT_ERROR and out == ""
+        assert err == "trifix: error: bad OEIS id 'X1' (expected 'A' + 6 digits)\n"
+        code, out, _ = run_cli(
+            capsys, "oeis-check", "--bfile", bfile, "--variant", "no-zero", "--terms", "30",
+            "--sequence-id", "A123456",
+        )
+        assert code == EXIT_OK
+        assert out == "no-zero [a] vs A123456 shift 0: MATCH over 30 position(s)\n"
 
 
 class TestExport:

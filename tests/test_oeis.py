@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trifix.engine import SequenceSpec, fixed_points, generate
 from trifix.oeis import (
@@ -6,30 +8,29 @@ from trifix.oeis import (
     BFileParseError,
     BFileStructureError,
     compare,
-    compare_values,
     parse_bfile,
     write_bfile,
 )
 
 
-def load_fixture(data_dir, name, sequence_id):
-    return parse_bfile((data_dir / name).read_text(), sequence_id)
+def load_fixture(data_dir, name):
+    return parse_bfile((data_dir / name).read_text())
 
 
 class TestParse:
     def test_offset_1(self):
         b = parse_bfile("1 1\n2 3\n3 2\n")
         assert b.offset == 1
-        assert b.entries == ((1, 1), (2, 3), (3, 2))
+        assert b.values == (1, 3, 2)
 
     def test_comment_and_offset_0(self):
         b = parse_bfile("# comment\n0 0\n1 1\n2 3\n")
         assert b.offset == 0
-        assert b.entries == ((0, 0), (1, 1), (2, 3))
+        assert b.values == (0, 1, 3)
 
     def test_blank_lines_ignored(self):
         b = parse_bfile("\n1 5\n\n2 6\n")
-        assert b.entries == ((1, 5), (2, 6))
+        assert b.values == (5, 6)
 
     def test_malformed_token(self):
         with pytest.raises(BFileParseError, match="line 1"):
@@ -46,18 +47,6 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(BFileParseError):
             parse_bfile("# only comments\n")
-
-    def test_bad_sequence_id(self):
-        with pytest.raises(ValueError):
-            BFile("X123", 1, ((1, 1),))
-        with pytest.raises(ValueError):
-            parse_bfile("1 1\n", "A12345")
-
-    def test_value_lookup(self):
-        b = parse_bfile("5 50\n6 60\n")
-        assert b.value_at(6) == 60
-        assert b.value_at(4) is None
-        assert b.last_index == 6
 
 
 class TestWrite:
@@ -79,44 +68,43 @@ class TestWrite:
     )
     def test_round_trip(self, spec):
         run = generate(spec)
-        parsed = parse_bfile(write_bfile(run), "A111273")
+        parsed = parse_bfile(write_bfile(run))
         assert parsed.offset == 1
-        assert parsed.entries == tuple(enumerate(run.a, start=1))
+        assert parsed.values == run.a
 
 
 class TestCompare:
     def test_no_zero_matches_a111273(self, data_dir):
-        bfile = load_fixture(data_dir, "b111273.txt", "A111273")
+        bfile = load_fixture(data_dir, "b111273.txt")
         run = generate(SequenceSpec.no_zero(30))
-        result = compare(run, bfile)
+        result = compare(run.a, bfile)
         assert result.matches and result.compared_length == 30
 
     def test_shifted_matches_a111273_with_shift_1(self, data_dir):
-        bfile = load_fixture(data_dir, "b111273.txt", "A111273")
+        bfile = load_fixture(data_dir, "b111273.txt")
         run = generate(SequenceSpec.shifted(31))
-        result = compare(run, bfile, shift=1)
+        result = compare(run.a, bfile, shift=1)
         assert result.matches
-        assert result.applied_shift == 1
         # n=1 falls before the b-file range, so 30 positions overlap
         assert result.compared_length == 30
 
     def test_shift_matters(self, data_dir):
-        bfile = load_fixture(data_dir, "b111273.txt", "A111273")
+        bfile = load_fixture(data_dir, "b111273.txt")
         run = generate(SequenceSpec.shifted(31))
-        assert not compare(run, bfile, shift=0).matches
+        assert not compare(run.a, bfile, shift=0).matches
 
     def test_no_zero_fixed_points_match_a113659(self, data_dir):
-        bfile = load_fixture(data_dir, "b113659.txt", "A113659")
+        bfile = load_fixture(data_dir, "b113659.txt")
         run = generate(SequenceSpec.no_zero(70))
-        pairs = list(enumerate(fixed_points(run), start=1))
-        result = compare_values(pairs, bfile)
+        points = fixed_points(run)
+        result = compare(points, bfile)
         assert result.matches
-        assert result.compared_length == len(pairs) == 6
+        assert result.compared_length == len(points) == 6
 
     def test_first_mismatch_reported(self):
         bfile = parse_bfile("1 1\n2 7\n3 4\n4 2\n")
         run = generate(SequenceSpec.standard(7, 4))
-        result = compare(run, bfile)
+        result = compare(run.a, bfile)
         assert result.first_mismatch == (3, 4, 3)
         assert not result.matches
 
@@ -124,7 +112,43 @@ class TestCompare:
         bfile = parse_bfile("100 1\n101 2\n")
         run = generate(SequenceSpec.standard(7, 5))
         with pytest.raises(ValueError, match="no overlap"):
-            compare(run, bfile)
+            compare(run.a, bfile)
+
+
+def pairwise_compare(values, bfile, shift):
+    """Reference: walk every index n of values, look up b-file entry
+    n - shift, and count the pairs that exist up to the first mismatch."""
+    compared = 0
+    for n, actual in enumerate(values, start=1):
+        i = n - shift - bfile.offset
+        if 0 <= i < len(bfile.values):
+            compared += 1
+            if bfile.values[i] != actual:
+                return compared, (n, bfile.values[i], actual)
+    return compared, None
+
+
+@given(
+    offset=st.integers(-3, 3),
+    shift=st.integers(-5, 5),
+    entries=st.lists(st.integers(0, 9), max_size=8),
+    length=st.integers(0, 8),
+    mismatched=st.sets(st.integers(1, 8)),
+)
+def test_compare_agrees_with_pairwise_reference(offset, shift, entries, length, mismatched):
+    bfile = BFile(offset, tuple(entries))
+    values = []
+    for n in range(1, length + 1):  # agree with the b-file except at mismatched indices
+        i = n - shift - offset
+        value = entries[i] if 0 <= i < len(entries) else 0
+        values.append(value + 1 if n in mismatched else value)
+    compared, mismatch = pairwise_compare(values, bfile, shift)
+    if compared == 0:
+        with pytest.raises(ValueError, match="^no overlap: "):
+            compare(values, bfile, shift)
+    else:
+        result = compare(values, bfile, shift)
+        assert (result.compared_length, result.first_mismatch) == (compared, mismatch)
 
 
 class TestQSequenceRegistry:
@@ -141,9 +165,8 @@ class TestQSequenceRegistry:
 
     @pytest.mark.parametrize("p, fixture, seq_id", CASES)
     def test_q_values_match(self, p, fixture, seq_id, data_dir):
-        bfile = load_fixture(data_dir, fixture, seq_id)
+        bfile = load_fixture(data_dir, fixture)
         run = generate(SequenceSpec.standard(p, 31))
-        pairs = [(n, run.spec.q(n)) for n in range(1, 32)]
-        result = compare_values(pairs, bfile, shift=1)
+        result = compare([run.spec.q(n) for n in range(1, 32)], bfile, shift=1)
         assert result.matches
         assert result.compared_length == 31
