@@ -13,6 +13,8 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from . import __version__, analysis, oeis, store
@@ -60,36 +62,54 @@ def _spec_from_args(args, term_count: int) -> SequenceSpec:
     return SequenceSpec(variant, term_count)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces: Iterable[str], out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as out:
+            out.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
 # generate
 
 
-def _format_table(run: SequenceRun) -> str:
-    lines = [f"{'n':>6}  {'mult':>10}  {'q(n)':>14}  {'a(n)':>10}  fixed point"]
-    prev_q = 0
-    for n, a in enumerate(run.a, start=1):
-        q = run.spec.q(n)
-        marker = "*" if a == n else ""
-        lines.append(f"{n:>6}  {q - prev_q:>10}  {q:>14}  {a:>10}  {marker}".rstrip())
-        prev_q = q
-    return "\n".join(lines) + "\n"
+def _rows(run: SequenceRun) -> Iterator[tuple[int, int, int, int]]:
+    """(n, q(n) - q(n-1), q(n), a(n)) for every term, with q(n) summed as it
+    goes.  q is increasing, so checking the last q(n) here raises any
+    OverflowError before a row, or a byte of output, exists."""
+    spec = run.spec
+    spec.q(len(run.a))
+    multiplier, offset = spec.multiplier, spec.offset
+
+    def rows():
+        q = 0
+        for n, a in enumerate(run.a, start=1):
+            mult = multiplier * (n + offset - 1)
+            q += mult
+            yield n, mult, q, a
+
+    return rows()
 
 
-def _format_csv(run: SequenceRun) -> str:
-    lines = ["n,mult,q,a,fixed_point"]
-    prev_q = 0
-    for n, a in enumerate(run.a, start=1):
-        q = run.spec.q(n)
-        lines.append(f"{n},{q - prev_q},{q},{a},{str(a == n).lower()}")
-        prev_q = q
-    return "\n".join(lines) + "\n"
+# The formatters return lazy lines, but a generator expression calls
+# _rows(run) when it is built, so an overflow still raises before _emit.
+
+
+def _format_table(run: SequenceRun) -> Iterator[str]:
+    return chain(
+        [f"{'n':>6}  {'mult':>10}  {'q(n)':>14}  {'a(n)':>10}  fixed point\n"],
+        (f"{n:>6}  {mult:>10}  {q:>14}  {a:>10}{'  *' if a == n else ''}\n"
+         for n, mult, q, a in _rows(run)),
+    )
+
+
+def _format_csv(run: SequenceRun) -> Iterator[str]:
+    return chain(
+        ["n,mult,q,a,fixed_point\n"],
+        (f"{n},{mult},{q},{a},{'true' if a == n else 'false'}\n"
+         for n, mult, q, a in _rows(run)),
+    )
 
 
 def _format_json(run: SequenceRun) -> str:
@@ -116,8 +136,8 @@ def _cmd_generate(args) -> int:
     formatter = {
         "table": _format_table,
         "csv": _format_csv,
-        "json": _format_json,
-        "bfile": oeis.write_bfile,
+        "json": lambda run: [_format_json(run)],
+        "bfile": lambda run: [oeis.write_bfile(run)],
     }[args.format]
     _emit(formatter(run), args.out)
     return EXIT_OK
@@ -161,7 +181,7 @@ def _format_report(report: analysis.ClassificationReport, near_list: list[int] |
 
 def _cmd_analyze(args) -> int:
     spec = _spec_from_args(args, args.terms + 1)
-    if args.format == "json" and (args.near_matches or args.filter_small_primes):
+    if args.format == "json" and (args.near_matches or args.filter_small_primes is not None):
         # the JSON report mirrors ClassificationReport field for field
         raise ValueError(
             "--near-matches and --filter-small-primes add to the text report only; "
@@ -170,17 +190,17 @@ def _cmd_analyze(args) -> int:
     run = generate(spec)
     report = analysis.classify(run, args.terms)
     if args.format == "json":
-        _emit(store.report_to_json(report), args.out)
+        _emit([store.report_to_json(report)], args.out)
         return EXIT_OK
 
     near_list = None
     if args.near_matches:
         near_list = [n for n in report.missed_primes if run.a[n] == n]
     small, remaining = None, ()
-    if args.filter_small_primes:
+    if args.filter_small_primes is not None:
         small = _parse_p_list(args.filter_small_primes, "--filter-small-primes")
         remaining = analysis.filter_false_negatives(report, small)
-    _emit(_format_report(report, near_list, small, remaining), args.out)
+    _emit([_format_report(report, near_list, small, remaining)], args.out)
     return EXIT_OK
 
 
@@ -209,7 +229,7 @@ def _cmd_sweep(args) -> int:
     p_list = _parse_p_list(args.p_list)
     cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR)
     sweep = analysis.sweep(p_list, args.terms, jobs=args.jobs, cache_dir=cache_dir)
-    _emit(_format_sweep(sweep), args.out)
+    _emit([_format_sweep(sweep)], args.out)
     if args.export_dir:
         out = Path(args.export_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -262,7 +282,7 @@ def _cmd_conjecture(args) -> int:
             else:
                 results.append(analysis.check_conjecture_3_2(run, n))
     text += "".join(_format_conjecture(r) for r in results)
-    _emit(text, args.out)
+    _emit([text], args.out)
     return EXIT_OK if all(r.holds for r in results) else EXIT_FALSIFIED
 
 
@@ -299,7 +319,7 @@ def _cmd_oeis_check(args) -> int:
     else:
         idx, expected, actual = result.first_mismatch
         verdict = f"MISMATCH at index {idx}: expected {expected}, got {actual}"
-    _emit(f"{spec.label()} [{args.field}] vs {sequence_id} shift {args.shift}: {verdict}\n",
+    _emit([f"{spec.label()} [{args.field}] vs {sequence_id} shift {args.shift}: {verdict}\n"],
           args.out)
     return EXIT_OK
 
@@ -319,7 +339,7 @@ def _cmd_export(args) -> int:
         "table3": store.export_table3,
         "figure2": store.export_figure2,
     }[args.what]
-    _emit(exporter(sweep), args.out)
+    _emit([exporter(sweep)], args.out)
     return EXIT_OK
 
 

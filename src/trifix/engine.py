@@ -165,8 +165,17 @@ class SequenceEngine:
             # by definition, so divisors of 0 are never enumerated.
             a = 1
         else:
-            candidates = divisors(q_exponents(self._p_factors, self._prev_factors, factors).items())
-            a = min(filterfalse(self._used.__contains__, candidates), default=0)
+            # a(n) is usually near n: enumerate only the divisors up to a
+            # bound that starts at 2n and widens x8 on a miss until it
+            # covers q, so a miss at bound >= q means every divisor is used.
+            exponents = q_exponents(self._p_factors, self._prev_factors, factors).items()
+            bound = 2 * n
+            while True:
+                a = min(filterfalse(self._used.__contains__, divisors(exponents, bound)),
+                        default=0)
+                if a or bound >= q:
+                    break
+                bound *= 8
             if a == 0:
                 if n == 2 and self.spec.has_bootstrap:
                     a = 1

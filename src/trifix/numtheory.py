@@ -1,5 +1,5 @@
-"""Integer utilities: smallest-prime-factor sieve, factorization, divisor
-enumeration, primality, and the q(n) = p*(n-1)*n/2 partial-sum formula.
+"""Integer utilities: smallest-prime-factor sieve, factorization, bounded
+divisor enumeration, primality, and the q(n) = p*(n-1)*n/2 partial-sum formula.
 
 Everything here is a pure function of its inputs.
 """
@@ -140,20 +140,24 @@ def factorize_q(p_fact: Factorization, n: int, spf: array) -> Factorization:
     return Factorization(value, tuple(sorted(counts.items())))
 
 
-def divisors(factors) -> list[int]:
-    """All divisors of the product of (prime, exponent) pairs, unordered."""
+def divisors(factors, bound: int) -> list[int]:
+    """The divisors d <= bound (bound >= 1) of the product of (prime,
+    exponent) pairs, unordered."""
     result = [1]
     for p, e in factors:
         block = result
+        cap = bound // p  # d * p <= bound exactly when d <= bound // p
         for _ in range(e):
-            block = [d * p for d in block]
+            block = [d * p for d in block if d <= cap]
+            if not block:
+                break
             result += block
     return result
 
 
 def sorted_divisors(f: Factorization) -> list[int]:
     """All divisors of f.value in ascending order."""
-    return sorted(divisors(f.factors))
+    return sorted(divisors(f.factors, f.value))
 
 
 def q_value(p: int, n: int) -> int:

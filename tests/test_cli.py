@@ -2,7 +2,17 @@ import json
 
 import pytest
 
-from trifix.cli import EXIT_ERROR, EXIT_FALSIFIED, EXIT_OK, main
+from trifix.cli import (
+    EXIT_ERROR,
+    EXIT_FALSIFIED,
+    EXIT_OK,
+    _emit,
+    _format_csv,
+    _format_table,
+    _rows,
+    main,
+)
+from trifix.engine import SequenceRun, SequenceSpec, generate
 
 from test_engine import A7_FIXED_POINTS, A7_PREFIX
 
@@ -80,6 +90,35 @@ class TestGenerate:
         assert first == second
 
 
+class TestRows:
+    @pytest.mark.parametrize("spec", [
+        SequenceSpec.standard(1, 300),
+        SequenceSpec.standard(7, 300),
+        SequenceSpec.standard(199, 300),
+        SequenceSpec.no_zero(300),
+        SequenceSpec.shifted(300),
+    ], ids=lambda s: s.label())
+    def test_summed_q_matches_spec(self, spec):
+        run = generate(spec)
+        rows = list(_rows(run))
+        assert [(n, a) for n, _, _, a in rows] == list(enumerate(run.a, start=1))
+        for n, mult, q, _ in rows:
+            assert q == spec.q(n)
+            assert mult == spec.q(n) - (spec.q(n - 1) if n > 1 else 0)
+
+    @pytest.mark.parametrize("formatter", [_format_table, _format_csv])
+    def test_overflow_raises_before_any_output(self, formatter, capsys, tmp_path):
+        # q(3) = 3 * 2**62 overflows; q(1) and q(2) fit
+        run = SequenceRun(SequenceSpec.standard(2**62, 3), (1, 2, 4))
+        out = tmp_path / "out.txt"
+        with pytest.raises(OverflowError, match=r"^q\(3\) = "):
+            _emit(formatter(run), str(out))
+        assert not out.exists()
+        with pytest.raises(OverflowError):
+            _emit(formatter(run), None)
+        assert capsys.readouterr().out == ""
+
+
 class TestGenerateErrors:
     def test_missing_p(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--terms", "5")
@@ -139,6 +178,7 @@ class TestAnalyze:
         ("3,1", "small primes must be >= 2, got 1"),
         ("x", "--filter-small-primes expects comma-separated integers, got 'x'"),
         (",", "--filter-small-primes is empty"),
+        ("", "--filter-small-primes is empty"),
     ])
     def test_bad_filter_small_primes(self, capsys, value, message):
         code, out, err = run_cli(
@@ -150,6 +190,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("flags", [
         ["--near-matches"],
         ["--filter-small-primes", "3,5"],
+        ["--filter-small-primes", ""],
     ])
     def test_text_only_flags_rejected_with_json(self, capsys, flags):
         # the JSON report has no field for either list, so it would drop them

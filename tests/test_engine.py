@@ -1,5 +1,6 @@
 import pytest
 
+import trifix.engine as engine_module
 from oracle import oracle_fixed_points, oracle_terms, q_of
 from trifix.engine import (
     NO_ZERO,
@@ -11,7 +12,7 @@ from trifix.engine import (
     fixed_points,
     generate,
 )
-from trifix.numtheory import build_spf, factorize_q, factorize_trial, sorted_divisors
+from trifix.numtheory import build_spf, divisors, factorize_q, factorize_trial, sorted_divisors
 
 # Published golden prefix of A(7): (n, mult, q, a), fixed points marked below.
 A7_PREFIX = [
@@ -183,6 +184,44 @@ class TestEngineStepping:
         run = engine.run()
         assert len(run.a) == 10
         assert run == generate(SequenceSpec.standard(7, 10))
+
+
+class TestWideningBound:
+    """a(n) is looked for among the divisors up to 2n first; on a miss the
+    bound grows x8 until it covers q(n)."""
+
+    @staticmethod
+    def bounds_of_term(monkeypatch, spec, n):
+        engine = SequenceEngine(spec)
+        for _ in range(n - 1):
+            engine.next_term()
+        bounds = []
+
+        def recording(factors, bound):
+            bounds.append(bound)
+            return divisors(factors, bound)
+
+        monkeypatch.setattr(engine_module, "divisors", recording)
+        return engine.next_term().a, bounds
+
+    def test_a199_second_term(self, monkeypatch):
+        # q(2) = 199 is prime: 199 > 4 and > 32, found once the bound is 256
+        assert self.bounds_of_term(monkeypatch, SequenceSpec.standard(199, 2), 2) == (
+            199, [4, 32, 256])
+
+    def test_no_zero_term_equal_to_q(self, monkeypatch):
+        spec = SequenceSpec.no_zero(277)
+        assert spec.q(277) == 38503
+        assert self.bounds_of_term(monkeypatch, spec, 277) == (
+            38503, [554, 4432, 35456, 283648])
+
+    def test_term_within_the_first_bound(self, monkeypatch):
+        # A(7): a(11) = 11 <= 22, so one enumeration suffices
+        assert self.bounds_of_term(monkeypatch, SequenceSpec.standard(7, 11), 11) == (11, [22])
+
+    def test_bootstrap_after_the_bound_covers_q(self, monkeypatch):
+        # shifted: q(2) = 1 <= 4 and its one divisor is used, so no widening
+        assert self.bounds_of_term(monkeypatch, SequenceSpec.shifted(2), 2) == (1, [4])
 
 
 ORACLE_SPECS = [

@@ -8,6 +8,7 @@ from trifix.numtheory import (
     CapacityError,
     Factorization,
     build_spf,
+    divisors,
     factorize,
     factorize_q,
     factorize_trial,
@@ -173,6 +174,21 @@ class TestSortedDivisors:
             count *= e + 1
         assert len(divs) == count
         assert divs[0] == 1 and divs[-1] == m
+
+
+class TestBoundedDivisors:
+    @given(
+        # m <= 7**3 * 11**3 * 13**3 ~ 1e9 keeps the sqrt(m) brute force fast
+        st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 3), max_size=3),
+        st.data(),
+    )
+    def test_matches_filtered_brute_force(self, exponents, data):
+        m = 1
+        for p, e in exponents.items():
+            m *= p**e
+        bound = data.draw(st.integers(1, 2 * m), label="bound")
+        expected = [d for d in naive_divisors(m) if d <= bound]
+        assert sorted(divisors(exponents.items(), bound)) == expected
 
 
 class TestQValue:
