@@ -9,7 +9,6 @@ opposite of common machine-learning usage.
 
 from __future__ import annotations
 
-import concurrent.futures
 from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -203,12 +202,17 @@ def check_conjecture_6_1(p_list: tuple[int, ...] = (541,), n_limit: int = 10_000
     return _check_primes_fixed("6.1", runs, n_limit, "eligible prime not a fixed point")
 
 
-def filter_false_negatives(report: ClassificationReport, small_primes: list[int]) -> tuple[int, ...]:
-    """The false negatives not divisible by any of ``small_primes``; the
-    others are cheap to re-test externally.  Each must be >= 2."""
+def check_small_primes(small_primes: list[int]) -> None:
+    """Raise ValueError unless every small prime to filter by is >= 2."""
     for s in small_primes:
         if s < 2:
             raise ValueError(f"small primes must be >= 2, got {s}")
+
+
+def filter_false_negatives(report: ClassificationReport, small_primes: list[int]) -> tuple[int, ...]:
+    """The false negatives not divisible by any of ``small_primes``; the
+    others are cheap to re-test externally.  Each must be >= 2."""
+    check_small_primes(small_primes)
     return tuple(
         v for v in report.false_negative_values
         if not any(v % s == 0 for s in small_primes)
@@ -269,6 +273,8 @@ def sweep(
     distinct = list(dict.fromkeys(p_list))  # a repeated p is classified once
     work = [(p, n_limit, cache_dir) for p in distinct]
     if jobs > 1 and len(work) > 1:
+        import concurrent.futures  # only here: a one-job sweep never pays for it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(_sweep_one, work))
     else:

@@ -9,12 +9,13 @@ conjecture was falsified.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, count, pairwise
 from pathlib import Path
 
 from . import __version__, analysis, oeis, store
@@ -66,8 +67,19 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as out:
             out.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+        return
+    stdout = sys.stdout
+    if not isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        stdout.writelines(pieces)
+        return
+    # Unbuffered stdout (python -u, PYTHONUNBUFFERED) hands each write to the
+    # raw file, which may take only part of it: a reader that exits early
+    # cuts the output short without an error.  A buffered writer retries
+    # short writes, so a closed pipe raises BrokenPipeError instead.
+    stdout.flush()
+    with open(stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors,
+              closefd=False) as out:
+        out.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -75,21 +87,10 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> None:
 
 
 def _rows(run: SequenceRun) -> Iterator[tuple[int, int, int, int]]:
-    """(n, q(n) - q(n-1), q(n), a(n)) for every term, with q(n) summed as it
-    goes.  q is increasing, so checking the last q(n) here raises any
-    OverflowError before a row, or a byte of output, exists."""
-    spec = run.spec
-    spec.q(len(run.a))
-    multiplier, offset = spec.multiplier, spec.offset
-
-    def rows():
-        q = 0
-        for n, a in enumerate(run.a, start=1):
-            mult = multiplier * (n + offset - 1)
-            q += mult
-            yield n, mult, q, a
-
-    return rows()
+    """(n, q(n) - q(n-1), q(n), a(n)) for every term.  q_values raises any
+    OverflowError here, before a row, or a byte of output, exists."""
+    steps = pairwise(chain([0], run.spec.q_values(len(run.a))))
+    return ((n, q - prev, q, a) for n, (prev, q), a in zip(count(1), steps, run.a))
 
 
 # The formatters return lazy lines, but a generator expression calls
@@ -187,6 +188,10 @@ def _cmd_analyze(args) -> int:
             "--near-matches and --filter-small-primes add to the text report only; "
             "they cannot be combined with --format json"
         )
+    small = None
+    if args.filter_small_primes is not None:
+        small = _parse_p_list(args.filter_small_primes, "--filter-small-primes")
+        analysis.check_small_primes(small)  # before the run, which may be long
     run = generate(spec)
     report = analysis.classify(run, args.terms)
     if args.format == "json":
@@ -196,10 +201,7 @@ def _cmd_analyze(args) -> int:
     near_list = None
     if args.near_matches:
         near_list = [n for n in report.missed_primes if run.a[n] == n]
-    small, remaining = None, ()
-    if args.filter_small_primes is not None:
-        small = _parse_p_list(args.filter_small_primes, "--filter-small-primes")
-        remaining = analysis.filter_false_negatives(report, small)
+    remaining = () if small is None else analysis.filter_false_negatives(report, small)
     _emit([_format_report(report, near_list, small, remaining)], args.out)
     return EXIT_OK
 
@@ -309,7 +311,7 @@ def _cmd_oeis_check(args) -> int:
     if args.field == "a":
         values = run.a
     elif args.field == "q":
-        values = [spec.q(n) for n in range(1, len(run.a) + 1)]
+        values = list(spec.q_values(len(run.a)))
     else:  # fixed-points, compared as their own sequence (k-th fixed point)
         values = fixed_points(run)
     result = oeis.compare(values, bfile, args.shift)

@@ -17,8 +17,9 @@ sequences are the prime-candidate signal downstream analysis classifies.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import accumulate, filterfalse
 
 from .numtheory import (
     build_spf,
@@ -94,6 +95,15 @@ class SequenceSpec:
     def q(self, n: int) -> int:
         """q(n) of this sequence; OverflowError past the 63-bit range."""
         return q_value(self.multiplier, n + self.offset)
+
+    def q_values(self, count: int) -> Iterator[int]:
+        """q(1..count) of this sequence, summed lazily from the steps
+        q(n) - q(n-1) = multiplier*(n+offset-1).  q is increasing, so the
+        OverflowError of a q(count) past the 63-bit range is raised here,
+        before any value exists."""
+        self.q(count)
+        m, o = self.multiplier, self.offset
+        return accumulate(range(m * o, m * (count + o), m))
 
     @property
     def has_bootstrap(self) -> bool:

@@ -36,14 +36,20 @@ def build_spf(limit: int) -> array:
         raise CapacityError(
             f"sieve limit {limit} exceeds the ceiling of {SIEVE_CEILING} entries"
         )
-    # bytes(...) zero-fills; spf[m] == 0 marks "not yet assigned"
-    spf = array("i", bytes(4 * (limit + 1)))
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == 0:
-                    spf[j] = i
+    # spf[m] = m until a prime p <= sqrt(m) dividing m claims it.  The
+    # smallest prime factor p of a composite m has p*p <= m, so marking from
+    # the largest prime down leaves the smallest one's write in place.
+    spf = array("i", range(limit + 1))
+    spf[1] = 0
+    root = isqrt(limit)
+    is_root_prime = bytearray([1]) * (root + 1)
+    is_root_prime[:2] = b"\0\0"
+    for i in range(2, isqrt(root) + 1):
+        if is_root_prime[i]:
+            is_root_prime[i * i::i] = bytes(len(range(i * i, root + 1, i)))
+    for p in range(root, 1, -1):
+        if is_root_prime[p]:
+            spf[p * p::p] = array("i", [p]) * len(range(p * p, limit + 1, p))
     return spf
 
 

@@ -22,6 +22,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from operator import mod
 from pathlib import Path
 
 from .analysis import ClassificationReport, SweepReport, percent
@@ -107,6 +108,12 @@ def _cached_values(
     values = bfile.values[:count]
     if values[0] != 1:
         raise ValueError(f"a(1) = {values[0]}, expected 1")
+    # Whole-sequence passes first; the per-term scan below applies the same
+    # rules and runs only to name the first term that breaks one.
+    bootstrap = spec.has_bootstrap and count > 1 and values[1] == 1
+    if (min(values) >= 1 and not any(map(mod, spec.q_values(count), values))
+            and len(set(values)) == count - bootstrap):
+        return values
     seen = set()
     for n, a in enumerate(values, start=1):
         if a < 1 or spec.q(n) % a:

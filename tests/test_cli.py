@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trifix
 from trifix.cli import (
     EXIT_ERROR,
     EXIT_FALSIFIED,
@@ -21,6 +26,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env(**extra):
+    """The environment of a child Python that imports this trifix."""
+    src = str(Path(trifix.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **extra}
 
 
 class TestGenerate:
@@ -119,6 +131,24 @@ class TestRows:
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("fmt", ["bfile", "json", "table"])
+def test_reader_exiting_early_is_an_error_with_unbuffered_stdout(fmt):
+    """A pipe reader that leaves after one line: the output, several pipe
+    buffers long, cannot be written, and that is exit 1, not a short write
+    that exits 0."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "trifix.cli", "generate", "--p", "7", "--terms", "20000",
+         "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(PYTHONUNBUFFERED="1"),
+    )
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == EXIT_ERROR
+    assert err == b""
+
+
 class TestGenerateErrors:
     def test_missing_p(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--terms", "5")
@@ -180,10 +210,11 @@ class TestAnalyze:
         (",", "--filter-small-primes is empty"),
         ("", "--filter-small-primes is empty"),
     ])
-    def test_bad_filter_small_primes(self, capsys, value, message):
-        code, out, err = run_cli(
-            capsys, "analyze", "--p", "3", "--terms", "100", "--filter-small-primes", value
-        )
+    def test_bad_filter_small_primes(self, capsys, time_limit, value, message):
+        # checked before the run: generating 3,000,000 terms would take minutes
+        with time_limit(10):
+            code, out, err = run_cli(capsys, "analyze", "--p", "3", "--terms", "3000000",
+                                     "--filter-small-primes", value)
         assert code == EXIT_ERROR and out == ""
         assert err == f"trifix: error: {message}\n"
 
@@ -330,6 +361,17 @@ class TestSweep:
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_ERROR
         assert out == "" and "jobs must be >= 1" in err
+
+    def test_one_job_does_not_import_a_process_pool(self, tmp_path):
+        code = (
+            "import sys; from trifix.cli import main; "
+            f"main(['sweep', '--p-list', '3,5', '--terms', '50', '--jobs', '1', "
+            f"'--out', {str(tmp_path / 'out.txt')!r}]); "
+            "print('concurrent.futures' in sys.modules)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
     def test_jobs_flag_changes_nothing(self, capsys):
         _, serial, _ = run_cli(capsys, "sweep", "--p-list", "3,5", "--terms", "150")

@@ -60,6 +60,19 @@ class TestSpec:
             qs = [spec.q(n) for n in range(1, 51)]
             assert qs == [q_of(spec.variant, spec.p, n) for n in range(1, 51)]
 
+    @pytest.mark.parametrize("spec", [
+        SequenceSpec.standard(1, 1), SequenceSpec.standard(7, 1), SequenceSpec.standard(199, 1),
+        SequenceSpec.no_zero(1), SequenceSpec.shifted(1),
+    ], ids=lambda s: s.label())
+    def test_q_values_are_the_summed_q(self, spec):
+        for count in (1, 2, 3, 500):
+            assert list(spec.q_values(count)) == [spec.q(n) for n in range(1, count + 1)]
+
+    def test_q_values_overflow_is_eager(self):
+        # q(3) = 3 * 2**62 overflows; the error comes before any value
+        with pytest.raises(OverflowError, match=r"^q\(3\) = "):
+            SequenceSpec.standard(2**62, 3).q_values(3)
+
 
 class TestGoldenPrefixes:
     def test_a7_terms_and_q(self):

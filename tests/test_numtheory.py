@@ -48,6 +48,11 @@ class TestBuildSpf:
         for m in range(2, 2000):
             assert spf_10k[m] == naive_spf(m)
 
+    @pytest.mark.parametrize("limit", range(2, 65))
+    def test_every_small_limit(self, limit):
+        # marks start at p*p and the primes that mark end at sqrt(limit)
+        assert list(build_spf(limit)) == [0, 0] + [naive_spf(m) for m in range(2, limit + 1)]
+
     def test_invariants(self, spf_10k):
         for m in range(2, 3000):
             s = spf_10k[m]

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trifix import store
 from trifix.analysis import classify, sweep
-from trifix.engine import SequenceSpec, generate
+from trifix.engine import SequenceRun, SequenceSpec, generate
 from trifix.store import (
     export_figure2,
     export_table2,
@@ -207,6 +210,77 @@ class TestDamagedEntries:
         run, entry = a7
         rewrite_entry(entry, term_count="25")
         self.assert_absent(run.spec, cache, "term count '25' is not an integer")
+
+
+def first_fault(spec, values):
+    """The per-term rule for a cached a(1..N), stated plainly: the reason
+    the first bad term is bad, or None for a valid run."""
+    if values[0] != 1:
+        return f"a(1) = {values[0]}, expected 1"
+    seen = set()
+    for n, a in enumerate(values, start=1):
+        if a < 1 or spec.q(n) % a:
+            return f"a({n}) = {a} does not divide q({n})"
+        if a in seen and not (n == 2 and spec.has_bootstrap):
+            return f"a({n}) = {a} repeats an earlier value"
+        seen.add(a)
+    return None
+
+
+FAULT_SPECS = [SequenceSpec.standard(1, 300), SequenceSpec.standard(7, 300),
+               SequenceSpec.standard(199, 300), SequenceSpec.no_zero(300),
+               SequenceSpec.shifted(300)]
+FAULT_RUNS = {spec: generate(spec).a for spec in FAULT_SPECS}
+
+
+@st.composite
+def faulted_runs(draw):
+    """A run prefix of 40..300 terms with one or two planted faults: a
+    value below 1, a non-divisor of q(n) or a repeat of an earlier value."""
+    full = draw(st.sampled_from(FAULT_SPECS))
+    count = draw(st.integers(40, 300))
+    spec = SequenceSpec(full.variant, count, full.p)
+    values = list(FAULT_RUNS[full][:count])
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, count))
+        kind = draw(st.sampled_from(["below 1", "non-divisor", "repeat"]))
+        if kind == "below 1":
+            values[n - 1] = draw(st.integers(-3, 0))
+        elif kind == "non-divisor":
+            values[n - 1] = spec.q(n) + draw(st.integers(1, 3))
+        elif n > 1:
+            values[n - 1] = values[draw(st.integers(1, n - 1)) - 1]
+    return spec, FAULT_RUNS[full][:count], tuple(values)
+
+
+class TestWholeSequenceCheck:
+    """The whole-sequence passes of a cache hit accept exactly the runs the
+    per-term rule accepts, and a rejected run is named by its first bad term."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(faulted_runs())
+    def test_names_the_first_bad_term(self, case):
+        spec, valid, values = case
+        with tempfile.TemporaryDirectory() as cache:
+            entry = save_run(SequenceRun(spec, valid), cache)
+            rewrite_entry(entry, "".join(f"{n} {a}\n" for n, a in enumerate(values, start=1)))
+            fault = first_fault(spec, values)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                loaded = load_run(spec, cache)
+        if fault is None:
+            assert caught == [] and loaded == SequenceRun(spec, values)
+        else:
+            assert loaded is None and len(caught) == 1
+            assert str(caught[0].message).endswith(f"invalid: {fault}; treating as absent")
+
+    def test_shifted_bootstrap_loads(self, cache):
+        run = generate(SequenceSpec.shifted(300))
+        assert run.a[:2] == (1, 1)
+        save_run(run, cache)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_run(run.spec, cache) == run
 
 
 def test_concurrent_saves_of_one_key_do_not_collide(cache, monkeypatch):
