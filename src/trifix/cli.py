@@ -113,22 +113,30 @@ def _format_csv(run: SequenceRun) -> Iterator[str]:
     )
 
 
-def _format_json(run: SequenceRun) -> str:
-    doc = {
-        "spec": {"variant": run.spec.variant, "p": run.spec.p, "term_count": run.spec.term_count},
-        "terms": [
-            {
-                "n": t.n,
-                "q": t.q,
-                "a": t.a,
-                "fixed_point": t.is_fixed_point,
-                "near_match": t.is_near_match,
-                "bootstrap_duplicate": t.is_bootstrap_duplicate,
-            }
-            for t in map(run.term, range(1, len(run.a) + 1))
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+_JSON_BOOL = ("false", "true")
+_JSON_SEPARATOR = ("", ",")
+
+
+def _format_json(run: SequenceRun) -> Iterator[str]:
+    """json.dumps(doc, indent=2) of {"spec": ..., "terms": [...]}, one
+    term at a time."""
+    spec = run.spec
+    bootstrap = spec.has_bootstrap
+    return chain(
+        ['{\n  "spec": {\n'
+         f'    "variant": {json.dumps(spec.variant)},\n'
+         f'    "p": {json.dumps(spec.p)},\n'
+         f'    "term_count": {spec.term_count}\n'
+         '  },\n  "terms": ['],
+        (f'{_JSON_SEPARATOR[n > 1]}\n    {{\n'
+         f'      "n": {n},\n      "q": {q},\n      "a": {a},\n'
+         f'      "fixed_point": {_JSON_BOOL[a == n]},\n'
+         f'      "near_match": {_JSON_BOOL[a == n - 1]},\n'
+         f'      "bootstrap_duplicate": {_JSON_BOOL[bootstrap and n == 2 and a == 1]}\n'
+         '    }'
+         for n, _, q, a in _rows(run)),
+        ["\n  ]\n}\n"],
+    )
 
 
 def _cmd_generate(args) -> int:
@@ -137,7 +145,7 @@ def _cmd_generate(args) -> int:
     formatter = {
         "table": _format_table,
         "csv": _format_csv,
-        "json": lambda run: [_format_json(run)],
+        "json": _format_json,
         "bfile": lambda run: [oeis.write_bfile(run)],
     }[args.format]
     _emit(formatter(run), args.out)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, filterfalse
+from itertools import accumulate
 
 from .numtheory import (
     build_spf,
     divisors,
     factorize_trial,
-    q_exponents,
+    halve_even,
     q_value,
     sieve_factors,
 )
@@ -153,6 +153,34 @@ class SequenceRun:
         return TermRecord.of(self.spec, n, self.a[n - 1])
 
 
+def _least_unused_product(used, zs, xs, ys, lo: int, hi: int) -> int:
+    """The least z*x*y in [lo, hi] not in ``used``, with z, x and y drawn
+    from the ascending lists zs, xs and ys, or 0 when there is none.  A
+    product reached twice (zs sharing a prime with xs or ys) is harmless."""
+    if len(xs) > len(ys):
+        xs, ys = ys, xs  # the outer loop runs over the shorter list
+    least = 0
+    for z in zs:
+        if z > hi:
+            break
+        for x in xs:
+            zx = z * x
+            if zx > hi:
+                break
+            # ys ascend, so the first unused product in the window is this
+            # zx's least, and any later hit must lie below it.  The lists
+            # are short: a plain scan beats two bisections here.
+            for y in ys:
+                v = zx * y
+                if v > hi:
+                    break
+                if v >= lo and v not in used:
+                    least = v
+                    hi = v - 1
+                    break
+    return least
+
+
 class SequenceEngine:
     """Strictly sequential term emitter (each term depends on the full
     used-set history).  Distinct engines are independent."""
@@ -160,32 +188,38 @@ class SequenceEngine:
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
         self._spf = build_spf(max(spec.term_count + spec.offset, 2))
-        self._p_factors = factorize_trial(spec.multiplier).factors
-        self._prev_factors: list[tuple[int, int]] = []  # of n + offset - 1, from the last step
+        self._p_divisors = divisors(factorize_trial(spec.multiplier).factors)
+        # ascending divisors of halve_even(n + offset - 1), carried from the
+        # last step; for n = 1 that is halve_even(1) = 1 (no-zero) or unused
+        # (q(1) = 0)
+        self._prev_divisors = [1]
         self._used: set[int] = set()
+        self._mex = 1  # every value below it is used
         self._a: list[int] = []
 
     def _step(self) -> None:
         """Append a(n), the least unused divisor of q(n), for the next n."""
         n = len(self._a) + 1
         q = self.spec.q(n)  # OverflowError before any state changes
-        factors = sieve_factors(n + self.spec.offset, self._spf)
+        m = n + self.spec.offset
+        m_divisors = divisors(sieve_factors(halve_even(m), self._spf))
         if q == 0:
             # n = 1 for standard/shifted: every integer divides 0; a(1) = 1
             # by definition, so divisors of 0 are never enumerated.
             a = 1
         else:
-            # a(n) is usually near n: enumerate only the divisors up to a
-            # bound that starts at 2n and widens x8 on a miss until it
-            # covers q, so a miss at bound >= q means every divisor is used.
-            exponents = q_exponents(self._p_factors, self._prev_factors, factors).items()
-            bound = 2 * n
+            # q = p*halve_even(m-1)*halve_even(m), and every value below the
+            # mex is used, so a(n) is the least unused product of one divisor
+            # of each factor at or above the mex.  a(n) is usually near n:
+            # the first window ends at 2n, and on a miss the next one runs
+            # up to 8 times as far, until a window reaches q.
+            lo, hi = self._mex, 2 * n
             while True:
-                a = min(filterfalse(self._used.__contains__, divisors(exponents, bound)),
-                        default=0)
-                if a or bound >= q:
+                a = _least_unused_product(self._used, self._p_divisors,
+                                          self._prev_divisors, m_divisors, lo, hi)
+                if a or hi >= q:
                     break
-                bound *= 8
+                lo, hi = hi + 1, 8 * hi
             if a == 0:
                 if n == 2 and self.spec.has_bootstrap:
                     a = 1
@@ -193,9 +227,11 @@ class SequenceEngine:
                     raise ExhaustedDivisorsError(
                         f"{self.spec.label()}: all divisors of q({n}) = {q} in use"
                     )
-        self._prev_factors = factors
+        self._prev_divisors = m_divisors
         self._used.add(a)
         self._a.append(a)
+        while self._mex in self._used:
+            self._mex += 1
 
     def next_term(self) -> TermRecord:
         if len(self._a) >= self.spec.term_count:

@@ -1,5 +1,5 @@
-"""Integer utilities: smallest-prime-factor sieve, factorization, bounded
-divisor enumeration, primality, and the q(n) = p*(n-1)*n/2 partial-sum formula.
+"""Integer utilities: smallest-prime-factor sieve, factorization, sorted
+divisor lists, primality, and the q(n) = p*(n-1)*n/2 partial-sum formula.
 
 Everything here is a pure function of its inputs.
 """
@@ -118,21 +118,15 @@ def factorize_trial(m: int) -> Factorization:
     return Factorization(value, tuple(factors))
 
 
-def q_exponents(p_factors, prev_factors, factors) -> dict[int, int]:
-    """{prime: exponent} of q = p*(m-1)*m/2 from the factor pairs of p, m-1
-    and m, unchecked.  m-1 and m are coprime: only p's primes can overlap."""
-    counts = dict(prev_factors + factors)
-    for p, e in p_factors:
-        counts[p] = counts.get(p, 0) + e
-    counts[2] -= 1  # (m-1)*m is even, so the exponent of 2 is >= 1
-    if counts[2] == 0:
-        del counts[2]
-    return counts
+def halve_even(k: int) -> int:
+    """k // 2 for even k, k itself for odd k: q(m) = p*(m-1)*m/2 is
+    p*halve_even(m-1)*halve_even(m), whose last two factors are coprime."""
+    return k >> 1 if k % 2 == 0 else k
 
 
 def factorize_q(p_fact: Factorization, n: int, spf: array) -> Factorization:
     """Factorization of q(n) = p*(n-1)*n/2 composed from the factorizations
-    of p, n-1 and n, dropping one factor of 2.
+    of p, halve_even(n-1) and halve_even(n).
 
     q(n) itself can be far larger than any sieve; composing keeps the sieve
     sized to the term index n.  Requires n >= 2 (q(1) = 0 has no
@@ -140,30 +134,30 @@ def factorize_q(p_fact: Factorization, n: int, spf: array) -> Factorization:
     """
     if n < 2:
         raise ValueError(f"q({n}) has no factorization (need n >= 2)")
-    counts = q_exponents(p_fact.factors, factorize(n - 1, spf).factors,
-                         factorize(n, spf).factors)
+    # the two halves are coprime: only p's primes can overlap
+    counts = dict(factorize(halve_even(n - 1), spf).factors
+                  + factorize(halve_even(n), spf).factors)
+    for prime, e in p_fact.factors:
+        counts[prime] = counts.get(prime, 0) + e
     value = p_fact.value * (n - 1) * n // 2
     return Factorization(value, tuple(sorted(counts.items())))
 
 
-def divisors(factors, bound: int) -> list[int]:
-    """The divisors d <= bound (bound >= 1) of the product of (prime,
-    exponent) pairs, unordered."""
+def divisors(factors) -> list[int]:
+    """The divisors of the product of (prime, exponent) pairs, ascending."""
     result = [1]
     for p, e in factors:
         block = result
-        cap = bound // p  # d * p <= bound exactly when d <= bound // p
         for _ in range(e):
-            block = [d * p for d in block if d <= cap]
-            if not block:
-                break
+            block = [d * p for d in block]
             result += block
+    result.sort()
     return result
 
 
 def sorted_divisors(f: Factorization) -> list[int]:
     """All divisors of f.value in ascending order."""
-    return sorted(divisors(f.factors, f.value))
+    return divisors(f.factors)
 
 
 def q_value(p: int, n: int) -> int:

@@ -109,10 +109,12 @@ def _cached_values(
     if values[0] != 1:
         raise ValueError(f"a(1) = {values[0]}, expected 1")
     # Whole-sequence passes first; the per-term scan below applies the same
-    # rules and runs only to name the first term that breaks one.
+    # rules and runs only to name the first term that breaks one.  The
+    # distinct values are counted as dict keys: at 10^4 terms the table is
+    # about half a set's, and this transient sets a warm sweep's peak RSS.
     bootstrap = spec.has_bootstrap and count > 1 and values[1] == 1
     if (min(values) >= 1 and not any(map(mod, spec.q_values(count), values))
-            and len(set(values)) == count - bootstrap):
+            and len(dict.fromkeys(values)) == count - bootstrap):
         return values
     seen = set()
     for n, a in enumerate(values, start=1):

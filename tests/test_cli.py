@@ -13,6 +13,7 @@ from trifix.cli import (
     EXIT_OK,
     _emit,
     _format_csv,
+    _format_json,
     _format_table,
     _rows,
     main,
@@ -118,7 +119,7 @@ class TestRows:
             assert q == spec.q(n)
             assert mult == spec.q(n) - (spec.q(n - 1) if n > 1 else 0)
 
-    @pytest.mark.parametrize("formatter", [_format_table, _format_csv])
+    @pytest.mark.parametrize("formatter", [_format_table, _format_csv, _format_json])
     def test_overflow_raises_before_any_output(self, formatter, capsys, tmp_path):
         # q(3) = 3 * 2**62 overflows; q(1) and q(2) fit
         run = SequenceRun(SequenceSpec.standard(2**62, 3), (1, 2, 4))
@@ -129,6 +130,37 @@ class TestRows:
         with pytest.raises(OverflowError):
             _emit(formatter(run), None)
         assert capsys.readouterr().out == ""
+
+
+def json_document(run: SequenceRun) -> str:
+    """The JSON output as one json.dumps of the whole document."""
+    doc = {
+        "spec": {"variant": run.spec.variant, "p": run.spec.p, "term_count": run.spec.term_count},
+        "terms": [
+            {
+                "n": t.n,
+                "q": t.q,
+                "a": t.a,
+                "fixed_point": t.is_fixed_point,
+                "near_match": t.is_near_match,
+                "bootstrap_duplicate": t.is_bootstrap_duplicate,
+            }
+            for t in map(run.term, range(1, len(run.a) + 1))
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("spec", [
+    SequenceSpec.standard(7, 300),
+    SequenceSpec.standard(199, 300),
+    SequenceSpec.no_zero(300),
+    SequenceSpec.shifted(300),
+    SequenceSpec.standard(7, 1),
+], ids=lambda s: f"{s.label()}-{s.term_count}")
+def test_streamed_json_equals_one_dumped_document(spec):
+    run = generate(spec)
+    assert "".join(_format_json(run)) == json_document(run)
 
 
 @pytest.mark.parametrize("fmt", ["bfile", "json", "table"])

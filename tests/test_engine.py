@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trifix.engine as engine_module
-from oracle import oracle_fixed_points, oracle_terms, q_of
+from oracle import naive_divisors, oracle_fixed_points, oracle_terms, q_of
 from trifix.engine import (
     NO_ZERO,
     SHIFTED,
@@ -12,7 +14,7 @@ from trifix.engine import (
     fixed_points,
     generate,
 )
-from trifix.numtheory import build_spf, divisors, factorize_q, factorize_trial, sorted_divisors
+from trifix.numtheory import build_spf, factorize_q, factorize_trial, is_prime, sorted_divisors
 
 # Published golden prefix of A(7): (n, mult, q, a), fixed points marked below.
 A7_PREFIX = [
@@ -199,42 +201,85 @@ class TestEngineStepping:
         assert run == generate(SequenceSpec.standard(7, 10))
 
 
-class TestWideningBound:
-    """a(n) is looked for among the divisors up to 2n first; on a miss the
-    bound grows x8 until it covers q(n)."""
+class TestWindowSearch:
+    """a(n) is looked for between the mex and 2n first; on a miss the
+    window moves on to [hi + 1, 8 hi] until hi covers q(n)."""
 
     @staticmethod
-    def bounds_of_term(monkeypatch, spec, n):
+    def windows_of_term(monkeypatch, spec, n):
         engine = SequenceEngine(spec)
         for _ in range(n - 1):
             engine.next_term()
-        bounds = []
+        windows = []
+        search = engine_module._least_unused_product
 
-        def recording(factors, bound):
-            bounds.append(bound)
-            return divisors(factors, bound)
+        def recording(used, zs, xs, ys, lo, hi):
+            windows.append((lo, hi))
+            return search(used, zs, xs, ys, lo, hi)
 
-        monkeypatch.setattr(engine_module, "divisors", recording)
-        return engine.next_term().a, bounds
+        monkeypatch.setattr(engine_module, "_least_unused_product", recording)
+        return engine.next_term().a, windows
 
     def test_a199_second_term(self, monkeypatch):
-        # q(2) = 199 is prime: 199 > 4 and > 32, found once the bound is 256
-        assert self.bounds_of_term(monkeypatch, SequenceSpec.standard(199, 2), 2) == (
-            199, [4, 32, 256])
+        # q(2) = 199 is prime: 199 > 4 and > 32, found in the window up to 256
+        assert self.windows_of_term(monkeypatch, SequenceSpec.standard(199, 2), 2) == (
+            199, [(2, 4), (5, 32), (33, 256)])
 
     def test_no_zero_term_equal_to_q(self, monkeypatch):
         spec = SequenceSpec.no_zero(277)
         assert spec.q(277) == 38503
-        assert self.bounds_of_term(monkeypatch, spec, 277) == (
-            38503, [554, 4432, 35456, 283648])
+        # 140 is the least value unused after a(276)
+        assert self.windows_of_term(monkeypatch, spec, 277) == (
+            38503, [(140, 554), (555, 4432), (4433, 35456), (35457, 283648)])
 
-    def test_term_within_the_first_bound(self, monkeypatch):
-        # A(7): a(11) = 11 <= 22, so one enumeration suffices
-        assert self.bounds_of_term(monkeypatch, SequenceSpec.standard(7, 11), 11) == (11, [22])
+    def test_term_within_the_first_window(self, monkeypatch):
+        # A(7): 8 is the least value unused after a(10), and a(11) = 11 <= 22
+        assert self.windows_of_term(monkeypatch, SequenceSpec.standard(7, 11), 11) == (
+            11, [(8, 22)])
 
-    def test_bootstrap_after_the_bound_covers_q(self, monkeypatch):
+    def test_bootstrap_after_the_window_covers_q(self, monkeypatch):
         # shifted: q(2) = 1 <= 4 and its one divisor is used, so no widening
-        assert self.bounds_of_term(monkeypatch, SequenceSpec.shifted(2), 2) == (1, [4])
+        assert self.windows_of_term(monkeypatch, SequenceSpec.shifted(2), 2) == (1, [(2, 4)])
+
+
+class TestMex:
+    @staticmethod
+    def assert_mex_is_a_lower_bound(engine):
+        assert all(v in engine._used for v in range(1, engine._mex))
+
+    @pytest.mark.parametrize("spec", [SequenceSpec.standard(7, 300), SequenceSpec.no_zero(300),
+                                      SequenceSpec.shifted(300)], ids=lambda s: s.label())
+    def test_mex_is_the_least_unused_value(self, spec):
+        engine = SequenceEngine(spec)
+        for _ in range(spec.term_count):
+            engine.next_term()
+            assert engine._mex not in engine._used
+            self.assert_mex_is_a_lower_bound(engine)
+
+    @given(st.sampled_from([SequenceSpec.standard(p, 150) for p in (1, 3, 7, 12, 199)]
+                           + [SequenceSpec.no_zero(150)]),
+           st.dictionaries(st.integers(1, 149), st.sets(st.integers(1, 300), max_size=4),
+                           max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_values_used_by_hand_keep_the_mex_a_lower_bound(self, spec, planted):
+        # values added to _used between steps: the mex may now be used
+        # itself, yet each step still takes the least unused divisor
+        engine = SequenceEngine(spec)
+        used = set()
+        for n in range(1, spec.term_count + 1):
+            for value in planted.get(n - 1, ()):
+                engine._used.add(value)
+                used.add(value)
+            self.assert_mex_is_a_lower_bound(engine)
+            q = spec.q(n)
+            free = [d for d in naive_divisors(q) if d not in used] if q else [1]
+            if not free and not (n == 2 and spec.has_bootstrap):
+                with pytest.raises(ExhaustedDivisorsError):
+                    engine.next_term()
+                return
+            a = free[0] if free else 1
+            assert engine.next_term().a == a
+            used.add(a)
 
 
 ORACLE_SPECS = [
@@ -284,6 +329,24 @@ REFERENCE_SPECS = [SequenceSpec.standard(p, 10_000) for p in (1, 2, 9, 12, 199)]
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.label())
 def test_matches_sorted_scan_reference(spec):
+    assert generate(spec).a == sorted_scan_greedy(spec)
+
+
+# p = 2^a 3^b 5^c shares primes with (n-1)n/2, so the window search meets the
+# same product more than once; a prime p up to 2000 pushes a(2) past windows.
+# N starts at 2, the least sieve sorted_scan_greedy can build.
+SMOOTH_P = st.builds(lambda a, b, c: 2**a * 3**b * 5**c,
+                     st.integers(0, 6), st.integers(0, 4), st.integers(0, 3))
+PRIME_P = st.integers(2, 2000).filter(is_prime)
+
+
+@given(st.one_of(
+    st.builds(SequenceSpec.standard, st.one_of(SMOOTH_P, PRIME_P), st.integers(2, 400)),
+    st.builds(SequenceSpec.no_zero, st.integers(2, 400)),
+    st.builds(SequenceSpec.shifted, st.integers(2, 400)),
+))
+@settings(max_examples=150, deadline=None)
+def test_matches_sorted_scan_reference_on_drawn_specs(spec):
     assert generate(spec).a == sorted_scan_greedy(spec)
 
 

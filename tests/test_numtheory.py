@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from trifix.numtheory import (
     factorize,
     factorize_q,
     factorize_trial,
+    halve_even,
     is_prime,
     q_value,
     sorted_divisors,
@@ -181,19 +184,24 @@ class TestSortedDivisors:
         assert divs[0] == 1 and divs[-1] == m
 
 
-class TestBoundedDivisors:
+class TestDivisors:
     @given(
         # m <= 7**3 * 11**3 * 13**3 ~ 1e9 keeps the sqrt(m) brute force fast
         st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 3), max_size=3),
-        st.data(),
     )
-    def test_matches_filtered_brute_force(self, exponents, data):
+    def test_ascending_list_matches_brute_force(self, exponents):
         m = 1
         for p, e in exponents.items():
             m *= p**e
-        bound = data.draw(st.integers(1, 2 * m), label="bound")
-        expected = [d for d in naive_divisors(m) if d <= bound]
-        assert sorted(divisors(exponents.items(), bound)) == expected
+        assert divisors(sorted(exponents.items())) == naive_divisors(m)
+
+
+class TestHalveEven:
+    @given(st.integers(2, 10**6))
+    def test_q_splits_into_coprime_halves(self, m):
+        lower, upper = halve_even(m - 1), halve_even(m)
+        assert lower * upper == (m - 1) * m // 2
+        assert gcd(lower, upper) == 1
 
 
 class TestQValue:
