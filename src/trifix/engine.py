@@ -13,6 +13,11 @@ the (multiplier m, index offset o) that :class:`SequenceSpec` owns:
 
 A term index n with a(n) = n is a fixed point; fixed points of these
 sequences are the prime-candidate signal downstream analysis classifies.
+
+The step reads q(n) off its divisor lists: q(n) = m*h(n+o-1)*h(n+o) with
+h(k) = k/2 for even k and k for odd, a(n) is searched among products of
+one divisor of each factor, and the largest such product is q(n).  Only
+q(N) can pass the 63-bit ceiling; the engine checks it once, when built.
 """
 
 from __future__ import annotations
@@ -188,10 +193,9 @@ class SequenceEngine:
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
         self._spf = build_spf(max(spec.term_count + spec.offset, 2))
+        spec.q(spec.term_count)  # q increases: only q(N) can overflow
         self._p_divisors = divisors(factorize_trial(spec.multiplier).factors)
-        # ascending divisors of halve_even(n + offset - 1), carried from the
-        # last step; for n = 1 that is halve_even(1) = 1 (no-zero) or unused
-        # (q(1) = 0)
+        # divisors of halve_even(n + offset - 1), carried; n = 1 never reads it
         self._prev_divisors = [1]
         self._used: set[int] = set()
         self._mex = 1  # every value below it is used
@@ -200,23 +204,18 @@ class SequenceEngine:
     def _step(self) -> None:
         """Append a(n), the least unused divisor of q(n), for the next n."""
         n = len(self._a) + 1
-        q = self.spec.q(n)  # OverflowError before any state changes
-        m = n + self.spec.offset
-        m_divisors = divisors(sieve_factors(halve_even(m), self._spf))
-        if q == 0:
-            # n = 1 for standard/shifted: every integer divides 0; a(1) = 1
-            # by definition, so divisors of 0 are never enumerated.
-            a = 1
+        zs, xs = self._p_divisors, self._prev_divisors
+        ys = divisors(sieve_factors(halve_even(n + self.spec.offset), self._spf))
+        if n == 1:
+            a = 1  # by definition; q(1) is 0, or 1 for no-zero
         else:
-            # q = p*halve_even(m-1)*halve_even(m), and every value below the
-            # mex is used, so a(n) is the least unused product of one divisor
-            # of each factor at or above the mex.  a(n) is usually near n:
-            # the first window ends at 2n, and on a miss the next one runs
-            # up to 8 times as far, until a window reaches q.
+            # Every value below the mex is used.  a(n) is usually near n, so
+            # the first window is [mex, 2n]; on a miss the next one runs up to
+            # 8 times as far, until a window reaches q(n), the largest product.
+            q = zs[-1] * xs[-1] * ys[-1]
             lo, hi = self._mex, 2 * n
             while True:
-                a = _least_unused_product(self._used, self._p_divisors,
-                                          self._prev_divisors, m_divisors, lo, hi)
+                a = _least_unused_product(self._used, zs, xs, ys, lo, hi)
                 if a or hi >= q:
                     break
                 lo, hi = hi + 1, 8 * hi
@@ -227,7 +226,7 @@ class SequenceEngine:
                     raise ExhaustedDivisorsError(
                         f"{self.spec.label()}: all divisors of q({n}) = {q} in use"
                     )
-        self._prev_divisors = m_divisors
+        self._prev_divisors = ys
         self._used.add(a)
         self._a.append(a)
         while self._mex in self._used:

@@ -208,6 +208,17 @@ class TestConjecture61:
         ]
 
 
+def test_a3_fixes_every_prime_3_mod_4_and_misses_only_1_mod_4():
+    # a prime n > 3 is missed only for a free divisor of 3(n-1)/2 strictly
+    # between (n-1)/2 and n; the only one is 3(n-1)/4, which needs 4 | n - 1
+    run = generate(SequenceSpec.standard(3, 10_000))
+    primes = [n for n in range(5, 10_001) if naive_is_prime(n)]
+    assert all(run.a[n - 1] == n for n in primes if n % 4 == 3)
+    missed = [n for n in primes if run.a[n - 1] != n]
+    assert missed[:3] == [17, 193, 257]
+    assert all(n % 4 == 1 for n in missed)
+
+
 class TestFilterFalseNegatives:
     def test_a3_filter(self, a3_report):
         remaining = filter_false_negatives(a3_report, [3, 5])

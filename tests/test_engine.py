@@ -14,7 +14,7 @@ from trifix.engine import (
     fixed_points,
     generate,
 )
-from trifix.numtheory import build_spf, factorize_q, factorize_trial, is_prime, sorted_divisors
+from trifix.numtheory import CapacityError, build_spf, factorize_q, factorize_trial, is_prime, sorted_divisors
 
 # Published golden prefix of A(7): (n, mult, q, a), fixed points marked below.
 A7_PREFIX = [
@@ -177,12 +177,18 @@ class TestEngineStepping:
         assert (second.n, second.q, second.a, second.is_bootstrap_duplicate) == (2, 1, 1, True)
         assert not first.is_bootstrap_duplicate and not third.is_bootstrap_duplicate
 
-    def test_overflow_leaves_the_engine_unchanged(self):
-        engine = SequenceEngine(SequenceSpec.standard(2**62, 4))
-        assert [engine.next_term().a for _ in range(2)] == [1, 2]
-        for step in (engine.next_term, engine.run, engine.next_term):
-            with pytest.raises(OverflowError, match=r"^q\(3\) = "):
-                step()
+    def test_overflow_is_raised_before_any_term(self):
+        # q increases, so q(N) alone is checked, once, when the engine is
+        # built: q(4) = 6 * 2**62 overflows though q(2) and q(3) fit
+        spec = SequenceSpec.standard(2**62, 4)
+        for build in (SequenceEngine, generate):
+            with pytest.raises(OverflowError, match=r"^q\(4\) = "):
+                build(spec)
+        assert generate(SequenceSpec.standard(2**62, 2)).a == (1, 2)
+
+    def test_sieve_ceiling_is_checked_before_overflow(self):
+        with pytest.raises(CapacityError, match=r"^sieve limit 50000001 exceeds"):
+            SequenceEngine(SequenceSpec.standard(2**62, 50_000_001))
 
     def test_exhausted_divisors_leave_the_engine_unchanged(self):
         engine = SequenceEngine(SequenceSpec.standard(7, 5))
@@ -348,6 +354,29 @@ PRIME_P = st.integers(2, 2000).filter(is_prime)
 @settings(max_examples=150, deadline=None)
 def test_matches_sorted_scan_reference_on_drawn_specs(spec):
     assert generate(spec).a == sorted_scan_greedy(spec)
+
+
+# Mex lemma: h(2v) = v divides q(2v), and by induction every u < v is used
+# by step 2u <= 2v - 2, so an unused v is the least unused divisor at step
+# 2v.  It keeps the mex above (n - 1)/2, so the first window [mex, 2n] is short.
+COMPOSITE_P = st.builds(lambda a, b: a * b, PRIME_P, PRIME_P)
+
+
+@given(st.one_of(
+    st.builds(SequenceSpec.standard,
+              st.one_of(st.integers(1, 30), SMOOTH_P, PRIME_P, COMPOSITE_P,
+                        st.sampled_from([403, 541, 10**9 + 7])),
+              st.integers(1, 2000)),
+    st.builds(SequenceSpec.no_zero, st.integers(1, 2000)),
+    st.builds(SequenceSpec.shifted, st.integers(1, 2000)),
+))
+@settings(max_examples=40, deadline=None)
+def test_each_value_v_is_among_the_first_2v_terms(spec):
+    first = {}
+    for n, a in enumerate(generate(spec).a, start=1):
+        first.setdefault(a, n)
+    late = [v for v in range(1, spec.term_count // 2 + 1) if first.get(v, 2 * v + 1) > 2 * v]
+    assert late == []
 
 
 def test_oracle_fixed_points_agree():
