@@ -273,6 +273,9 @@ def _cmd_conjecture(args) -> int:
     results = []
     text = ""
     if args.id == "5.1":
+        if args.p_list is not None:
+            raise ValueError("--p-list does not apply to --id 5.1, "
+                             "which checks the shifted sequence")
         result = analysis.check_conjecture_5_1(n)
         results.append(result)
         total = result.primes_checked

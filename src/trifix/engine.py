@@ -172,7 +172,7 @@ def _least_unused_product(used, zs, xs, ys, lo: int, hi: int) -> int:
             zx = z * x
             if zx > hi:
                 break
-            # ys ascend, so the first unused product in the window is this
+            # ys ascend, so the first unused product in [lo, hi] is this
             # zx's least, and any later hit must lie below it.  The lists
             # are short: a plain scan beats two bisections here.
             for y in ys:
@@ -209,16 +209,9 @@ class SequenceEngine:
         if n == 1:
             a = 1  # by definition; q(1) is 0, or 1 for no-zero
         else:
-            # Every value below the mex is used.  a(n) is usually near n, so
-            # the first window is [mex, 2n]; on a miss the next one runs up to
-            # 8 times as far, until a window reaches q(n), the largest product.
+            # every value below the mex is used; q(n) is the largest product
             q = zs[-1] * xs[-1] * ys[-1]
-            lo, hi = self._mex, 2 * n
-            while True:
-                a = _least_unused_product(self._used, zs, xs, ys, lo, hi)
-                if a or hi >= q:
-                    break
-                lo, hi = hi + 1, 8 * hi
+            a = _least_unused_product(self._used, zs, xs, ys, self._mex, q)
             if a == 0:
                 if n == 2 and self.spec.has_bootstrap:
                     a = 1

@@ -102,6 +102,8 @@ def _cached_values(
     count = spec.term_count
     if held < count:
         return None
+    if held > count:  # the checksum covered every line; parse only those served
+        payload = "\n".join(payload.split("\n", count)[:count])
     bfile = parse_bfile(payload)
     if bfile.offset != 1 or len(bfile.values) < count:
         raise ValueError(f"payload does not hold terms 1..{count}")

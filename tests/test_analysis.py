@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import naive_is_prime, oracle_terms
+from oracle import naive_divisors, naive_is_prime, oracle_terms
 from trifix import analysis
 from trifix.analysis import (
     check_conjecture_3_1,
@@ -217,6 +217,26 @@ def test_a3_fixes_every_prime_3_mod_4_and_misses_only_1_mod_4():
     missed = [n for n in primes if run.a[n - 1] != n]
     assert missed[:3] == [17, 193, 257]
     assert all(n % 4 == 1 for n in missed)
+
+
+PRIMES_TO_10_4 = [n for n in range(3, 10_001) if naive_is_prime(n)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 41, 97, 199])
+def test_miss_criterion_gives_a_at_every_prime(p):
+    # miss criterion: at a prime n with n ∤ p, a(n) is the least divisor of
+    # p(n-1)/2 strictly between (n-1)/2 and n not among a(1..n-1), else n
+    run = generate(SequenceSpec.standard(p, 10_000))
+    first = {}
+    for n, a in enumerate(run.a, start=1):
+        first.setdefault(a, n)
+    for n in PRIMES_TO_10_4:
+        if p % n == 0:
+            continue
+        half = (n - 1) // 2
+        free = [d for z in naive_divisors(p) for e in naive_divisors(half)
+                if half < (d := z * e) < n and first.get(d, n) >= n]
+        assert run.a[n - 1] == min(free, default=n), n
 
 
 class TestFilterFalseNegatives:

@@ -345,6 +345,18 @@ class TestConjecture:
         code, _, err = run_cli(capsys, "conjecture", "--id", "3.1", "--p-list", "3,oops")
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("p_list", ["abc", "3", ""])
+    def test_5_1_rejects_p_list_before_the_run(self, capsys, monkeypatch, p_list):
+        def no_run(n):
+            raise AssertionError("5.1 must not run with --p-list")
+
+        monkeypatch.setattr(trifix.analysis, "check_conjecture_5_1", no_run)
+        code, out, err = run_cli(
+            capsys, "conjecture", "--id", "5.1", "--p-list", p_list, "--terms", "100"
+        )
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith("trifix: error: ") and "--p-list" in err and "5.1" in err
+
 
 class TestSweep:
     def test_summary_and_exports(self, capsys, tmp_path):

@@ -207,45 +207,43 @@ class TestEngineStepping:
         assert run == generate(SequenceSpec.standard(7, 10))
 
 
-class TestWindowSearch:
-    """a(n) is looked for between the mex and 2n first; on a miss the
-    window moves on to [hi + 1, 8 hi] until hi covers q(n)."""
+class TestSearchRange:
+    """a(n) is looked for once, between the mex and q(n)."""
 
     @staticmethod
-    def windows_of_term(monkeypatch, spec, n):
+    def searches_of_term(monkeypatch, spec, n):
         engine = SequenceEngine(spec)
         for _ in range(n - 1):
             engine.next_term()
-        windows = []
+        searches = []
         search = engine_module._least_unused_product
 
         def recording(used, zs, xs, ys, lo, hi):
-            windows.append((lo, hi))
+            searches.append((lo, hi))
             return search(used, zs, xs, ys, lo, hi)
 
         monkeypatch.setattr(engine_module, "_least_unused_product", recording)
-        return engine.next_term().a, windows
+        return engine.next_term().a, searches
 
     def test_a199_second_term(self, monkeypatch):
-        # q(2) = 199 is prime: 199 > 4 and > 32, found in the window up to 256
-        assert self.windows_of_term(monkeypatch, SequenceSpec.standard(199, 2), 2) == (
-            199, [(2, 4), (5, 32), (33, 256)])
+        # q(2) = 199 is prime: its one unused divisor is q itself
+        assert self.searches_of_term(monkeypatch, SequenceSpec.standard(199, 2), 2) == (
+            199, [(2, 199)])
 
     def test_no_zero_term_equal_to_q(self, monkeypatch):
         spec = SequenceSpec.no_zero(277)
         assert spec.q(277) == 38503
         # 140 is the least value unused after a(276)
-        assert self.windows_of_term(monkeypatch, spec, 277) == (
-            38503, [(140, 554), (555, 4432), (4433, 35456), (35457, 283648)])
+        assert self.searches_of_term(monkeypatch, spec, 277) == (38503, [(140, 38503)])
 
-    def test_term_within_the_first_window(self, monkeypatch):
-        # A(7): 8 is the least value unused after a(10), and a(11) = 11 <= 22
-        assert self.windows_of_term(monkeypatch, SequenceSpec.standard(7, 11), 11) == (
-            11, [(8, 22)])
+    def test_term_far_below_q(self, monkeypatch):
+        # A(7): 8 is the least value unused after a(10), q(11) = 385 = 7*5*11
+        assert self.searches_of_term(monkeypatch, SequenceSpec.standard(7, 11), 11) == (
+            11, [(8, 385)])
 
-    def test_bootstrap_after_the_window_covers_q(self, monkeypatch):
-        # shifted: q(2) = 1 <= 4 and its one divisor is used, so no widening
-        assert self.windows_of_term(monkeypatch, SequenceSpec.shifted(2), 2) == (1, [(2, 4)])
+    def test_bootstrap_after_a_search_that_finds_nothing(self, monkeypatch):
+        # shifted: q(2) = 1 is below the mex 2 and its one divisor is used
+        assert self.searches_of_term(monkeypatch, SequenceSpec.shifted(2), 2) == (1, [(2, 1)])
 
 
 class TestMex:
@@ -338,8 +336,9 @@ def test_matches_sorted_scan_reference(spec):
     assert generate(spec).a == sorted_scan_greedy(spec)
 
 
-# p = 2^a 3^b 5^c shares primes with (n-1)n/2, so the window search meets the
-# same product more than once; a prime p up to 2000 pushes a(2) past windows.
+# p = 2^a 3^b 5^c shares primes with (n-1)n/2, so the search meets the same
+# product more than once; a prime p up to 2000 makes a(2) = q(2) = p, far
+# above n.
 # N starts at 2, the least sieve sorted_scan_greedy can build.
 SMOOTH_P = st.builds(lambda a, b, c: 2**a * 3**b * 5**c,
                      st.integers(0, 6), st.integers(0, 4), st.integers(0, 3))
@@ -358,7 +357,7 @@ def test_matches_sorted_scan_reference_on_drawn_specs(spec):
 
 # Mex lemma: h(2v) = v divides q(2v), and by induction every u < v is used
 # by step 2u <= 2v - 2, so an unused v is the least unused divisor at step
-# 2v.  It keeps the mex above (n - 1)/2, so the first window [mex, 2n] is short.
+# 2v.  It keeps the mex above (n - 1)/2, the lower end of the step's search.
 COMPOSITE_P = st.builds(lambda a, b: a * b, PRIME_P, PRIME_P)
 
 

@@ -112,6 +112,21 @@ class TestRunCache:
             assert sweep([3], 120, cache_dir=cache).reports[0] == classify(generate(spec), 120)
         assert sorted(f.name for f in (cache / "standard").iterdir()) == entry_files
 
+    def test_shorter_request_parses_only_its_lines(self, cache, monkeypatch):
+        """Lines past N are covered by the checksum but not parsed."""
+        save_run(generate(SequenceSpec.standard(7, 50)), cache)
+        parsed = []
+        parse = store.parse_bfile
+
+        def recording(text):
+            parsed.append(len(text.splitlines()))
+            return parse(text)
+
+        monkeypatch.setattr(store, "parse_bfile", recording)
+        spec = SequenceSpec.standard(7, 25)
+        assert load_run(spec, cache) == generate(spec)
+        assert parsed == [25]
+
     def test_per_n_entries_are_not_read(self, cache):
         """Entries named by term count (p7_n25_v1.*) are never read."""
         entry = save_run(generate(SequenceSpec.standard(7, 25)), cache)
