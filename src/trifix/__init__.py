@@ -13,30 +13,18 @@ from .engine import (
     fixed_points,
     generate,
 )
-from .numtheory import (
-    Factorization,
-    build_spf,
-    factorize,
-    factorize_q,
-    is_prime,
-    q_value,
-    sorted_divisors,
-)
+from .numtheory import build_spf, is_prime, q_value
 
 __all__ = [
     "NO_ZERO",
     "SHIFTED",
     "STANDARD",
-    "Factorization",
     "SequenceRun",
     "SequenceSpec",
     "TermRecord",
     "build_spf",
-    "factorize",
-    "factorize_q",
     "fixed_points",
     "generate",
     "is_prime",
     "q_value",
-    "sorted_divisors",
 ]

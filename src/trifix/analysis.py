@@ -9,7 +9,6 @@ opposite of common machine-learning usage.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -174,32 +173,37 @@ def check_conjecture_3_2(run: SequenceRun, n_limit: int | None = None) -> Conjec
     return ConjectureResult("3.2", (label,), report.n_limit, bad)
 
 
-def _check_primes_fixed(conjecture_id: str, runs: Iterable[SequenceRun], n_limit: int,
+def _check_primes_fixed(conjecture_id: str, specs: list[SequenceSpec], n_limit: int,
                         detail: str) -> ConjectureResult:
-    """Every eligible prime n <= n_limit is a fixed point of each run; a
-    prime that is not is described by ``detail`` formatted with n and a(n)."""
-    labels, bad, checked = [], [], 0
-    for run in runs:  # may be a generator: one run in memory at a time
+    """Every eligible prime n <= n_limit is a fixed point of each spec's run;
+    a prime that is not is described by ``detail`` formatted with n and
+    a(n).  A repeated spec is generated and checked once, and one run is in
+    memory at a time."""
+    checked, bad = {}, {}
+    for spec in dict.fromkeys(specs):
+        run = generate(spec)
         report = classify(run, n_limit)
-        labels.append(run.spec.label())
-        checked += report.total_eligible_primes
-        bad += (Counterexample(labels[-1], n, detail.format(n=n, a=run.a[n - 1]))
-                for n in report.missed_primes)
-    return ConjectureResult(conjecture_id, tuple(labels), n_limit, tuple(bad), checked)
+        checked[spec] = report.total_eligible_primes
+        bad[spec] = [Counterexample(spec.label(), n, detail.format(n=n, a=run.a[n - 1]))
+                     for n in report.missed_primes]
+        del run  # one run in memory at a time
+    return ConjectureResult(conjecture_id, tuple(spec.label() for spec in specs), n_limit,
+                            tuple(c for spec in specs for c in bad[spec]),
+                            sum(checked[spec] for spec in specs))
 
 
 def check_conjecture_5_1(n_limit: int) -> ConjectureResult:
     """The shifted sequence detects every odd prime <= n_limit as a fixed
     point (generates n_limit + 1 terms itself)."""
-    return _check_primes_fixed("5.1", [generate(SequenceSpec.shifted(n_limit + 1))], n_limit,
+    return _check_primes_fixed("5.1", [SequenceSpec.shifted(n_limit + 1)], n_limit,
                                "odd prime not a fixed point; a({n}) = {a}")
 
 
 def check_conjecture_6_1(p_list: tuple[int, ...] = (541,), n_limit: int = 10_000) -> ConjectureResult:
     """For each listed p, every eligible prime <= n_limit is a fixed point
     of A(p) (the large-p perfect-detection claim; default p = 541)."""
-    runs = (generate(SequenceSpec.standard(p, n_limit + 1)) for p in p_list)
-    return _check_primes_fixed("6.1", runs, n_limit, "eligible prime not a fixed point")
+    specs = [SequenceSpec.standard(p, n_limit + 1) for p in p_list]
+    return _check_primes_fixed("6.1", specs, n_limit, "eligible prime not a fixed point")
 
 
 def check_small_primes(small_primes: list[int]) -> None:

@@ -51,6 +51,11 @@ def _parse_p_list(text: str, flag: str = "--p-list") -> list[int]:
     return values
 
 
+def _cache_dir(args) -> str | None:
+    """--cache, else $TRIFIX_CACHE_DIR; an empty value counts as unset."""
+    return args.cache or os.environ.get(CACHE_ENV_VAR) or None
+
+
 def _spec_from_args(args, term_count: int) -> SequenceSpec:
     variant = getattr(args, "variant", None)
     p = getattr(args, "p", None)
@@ -237,8 +242,7 @@ def _format_sweep(sweep: analysis.SweepReport) -> str:
 
 def _cmd_sweep(args) -> int:
     p_list = _parse_p_list(args.p_list)
-    cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR)
-    sweep = analysis.sweep(p_list, args.terms, jobs=args.jobs, cache_dir=cache_dir)
+    sweep = analysis.sweep(p_list, args.terms, jobs=args.jobs, cache_dir=_cache_dir(args))
     _emit([_format_sweep(sweep)], args.out)
     if args.export_dir:
         out = Path(args.export_dir)
@@ -284,16 +288,17 @@ def _cmd_conjecture(args) -> int:
             f"as fixed points of the shifted sequence\n"
         )
     elif args.id == "6.1":
-        p_list = _parse_p_list(args.p_list) if args.p_list else [541]
-        results.append(analysis.check_conjecture_6_1(tuple(p_list), n))
+        if args.p_list is None:
+            results.append(analysis.check_conjecture_6_1(n_limit=n))
+        else:
+            results.append(analysis.check_conjecture_6_1(tuple(_parse_p_list(args.p_list)), n))
     else:
-        p_list = _parse_p_list(args.p_list) if args.p_list else list(DEFAULT_FAMILY)
-        for p in p_list:
-            run = generate(SequenceSpec.standard(p, n + 1))
-            if args.id == "3.1":
-                results.append(analysis.check_conjecture_3_1(run, n))
-            else:
-                results.append(analysis.check_conjecture_3_2(run, n))
+        p_list = DEFAULT_FAMILY if args.p_list is None else _parse_p_list(args.p_list)
+        check = analysis.check_conjecture_3_1 if args.id == "3.1" else analysis.check_conjecture_3_2
+        # every p is validated before the first run; a repeated p runs once
+        specs = {p: SequenceSpec.standard(p, n + 1) for p in p_list}
+        result_of = {p: check(generate(spec), n) for p, spec in specs.items()}
+        results += (result_of[p] for p in p_list)
     text += "".join(_format_conjecture(r) for r in results)
     _emit([text], args.out)
     return EXIT_OK if all(r.holds for r in results) else EXIT_FALSIFIED
@@ -343,7 +348,7 @@ def _cmd_oeis_check(args) -> int:
 
 def _cmd_export(args) -> int:
     p_list = _parse_p_list(args.p_list)
-    cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR)
+    cache_dir = _cache_dir(args)
     if cache_dir is None:
         raise ValueError(f"export needs --cache or ${CACHE_ENV_VAR}")
     sweep = analysis.sweep(p_list, args.terms, jobs=args.jobs, cache_dir=cache_dir)
@@ -364,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_spec_flags(p, with_terms_default=10_000):
+    def add_spec_flags(p):
         p.add_argument("--p", type=int, default=None, help="multiplier for the standard variant")
         p.add_argument(
             "--variant",
@@ -372,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="sequence variant (default standard, which requires --p)",
         )
-        p.add_argument("--terms", type=int, default=with_terms_default, metavar="N",
+        p.add_argument("--terms", type=int, default=10_000, metavar="N",
                        help="number of term indices (default %(default)s)")
 
     g = sub.add_parser("generate", help="generate a sequence and print its terms")

@@ -194,7 +194,7 @@ class SequenceEngine:
         self.spec = spec
         self._spf = build_spf(max(spec.term_count + spec.offset, 2))
         spec.q(spec.term_count)  # q increases: only q(N) can overflow
-        self._p_divisors = divisors(factorize_trial(spec.multiplier).factors)
+        self._p_divisors = divisors(factorize_trial(spec.multiplier))
         # divisors of halve_even(n + offset - 1), carried; n = 1 never reads it
         self._prev_divisors = [1]
         self._used: set[int] = set()

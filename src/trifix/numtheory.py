@@ -1,13 +1,14 @@
 """Integer utilities: smallest-prime-factor sieve, factorization, sorted
 divisor lists, primality, and the q(n) = p*(n-1)*n/2 partial-sum formula.
 
-Everything here is a pure function of its inputs.
+A factorization is a list of (prime, exponent) pairs in ascending prime
+order; 1 factors as the empty list.  Everything here is a pure function of
+its inputs.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from math import isqrt
 
 # Values (q-values, terms) are guaranteed to fit a signed 64-bit word so that
@@ -53,24 +54,6 @@ def build_spf(limit: int) -> array:
     return spf
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
-    """Prime-power decomposition: value = prod(p**e for p, e in factors).
-
-    ``factors`` is sorted by prime; 1 factors as the empty product.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prev = 1
-        for p, e in self.factors:
-            if p <= prev or e < 1:
-                raise ValueError(f"malformed factorization of {self.value}: {self.factors}")
-            prev = p
-
-
 def sieve_factors(m: int, spf: array) -> list[tuple[int, int]]:
     """Ascending (prime, exponent) pairs of 1 <= m < len(spf), unchecked."""
     factors = []
@@ -85,22 +68,12 @@ def sieve_factors(m: int, spf: array) -> list[tuple[int, int]]:
     return factors
 
 
-def factorize(m: int, spf: array) -> Factorization:
-    """Factor m using the sieve. Requires 1 <= m < len(spf)."""
-    if m < 1:
-        raise ValueError(f"cannot factorize {m}")
-    if m >= len(spf):
-        raise ValueError(f"m={m} exceeds sieve limit {len(spf) - 1}")
-    return Factorization(m, tuple(sieve_factors(m, spf)))
-
-
-def factorize_trial(m: int) -> Factorization:
+def factorize_trial(m: int) -> list[tuple[int, int]]:
     """Factor m by trial division (no sieve). Intended for the single
     multiplier p of a sequence, which may exceed any term-sized sieve.
     Stops at a prime cofactor, so only two prime factors above ~1e8 are slow."""
     if m < 1:
         raise ValueError(f"cannot factorize {m}")
-    value = m
     factors = []
     p = 2
     limit = 1 if is_prime(m) else isqrt(m)
@@ -115,7 +88,7 @@ def factorize_trial(m: int) -> Factorization:
         p += 1
     if m > 1:
         factors.append((m, 1))
-    return Factorization(value, tuple(factors))
+    return factors
 
 
 def halve_even(k: int) -> int:
@@ -124,23 +97,25 @@ def halve_even(k: int) -> int:
     return k >> 1 if k % 2 == 0 else k
 
 
-def factorize_q(p_fact: Factorization, n: int, spf: array) -> Factorization:
+# Kept only because bench/tracer.py's TARGETS wraps it by name.
+def factorize_q(p_factors: list[tuple[int, int]], n: int, spf: array) -> list[tuple[int, int]]:
     """Factorization of q(n) = p*(n-1)*n/2 composed from the factorizations
     of p, halve_even(n-1) and halve_even(n).
 
     q(n) itself can be far larger than any sieve; composing keeps the sieve
     sized to the term index n.  Requires n >= 2 (q(1) = 0 has no
-    factorization).
+    factorization) and both halves within the sieve.
     """
     if n < 2:
         raise ValueError(f"q({n}) has no factorization (need n >= 2)")
+    halves = halve_even(n - 1), halve_even(n)
+    if max(halves) >= len(spf):
+        raise ValueError(f"q({n}) needs {max(halves)}, past the sieve limit {len(spf) - 1}")
     # the two halves are coprime: only p's primes can overlap
-    counts = dict(factorize(halve_even(n - 1), spf).factors
-                  + factorize(halve_even(n), spf).factors)
-    for prime, e in p_fact.factors:
+    counts = dict(sieve_factors(halves[0], spf) + sieve_factors(halves[1], spf))
+    for prime, e in p_factors:
         counts[prime] = counts.get(prime, 0) + e
-    value = p_fact.value * (n - 1) * n // 2
-    return Factorization(value, tuple(sorted(counts.items())))
+    return sorted(counts.items())
 
 
 def divisors(factors) -> list[int]:
@@ -155,9 +130,10 @@ def divisors(factors) -> list[int]:
     return result
 
 
-def sorted_divisors(f: Factorization) -> list[int]:
-    """All divisors of f.value in ascending order."""
-    return divisors(f.factors)
+# Kept only because bench/tracer.py's TARGETS wraps it by name (hence no alias).
+def sorted_divisors(factors: list[tuple[int, int]]) -> list[int]:
+    """All divisors of the product of (prime, exponent) pairs, ascending."""
+    return divisors(factors)
 
 
 def q_value(p: int, n: int) -> int:

@@ -357,6 +357,54 @@ class TestConjecture:
         assert code == EXIT_ERROR and out == ""
         assert err.startswith("trifix: error: ") and "--p-list" in err and "5.1" in err
 
+    @staticmethod
+    def count_generated(monkeypatch):
+        """The p of every run generated, wherever conjecture generates it."""
+        generated = []
+
+        def counting(spec):
+            generated.append(spec.p)
+            return generate(spec)
+
+        monkeypatch.setattr(trifix.cli, "generate", counting)
+        monkeypatch.setattr(trifix.analysis, "generate", counting)
+        return generated
+
+    @pytest.mark.parametrize("cid", ["3.1", "3.2"])
+    def test_repeated_p_is_generated_once_and_reported_per_copy(self, capsys, monkeypatch, cid):
+        once = {p: run_cli(capsys, "conjecture", "--id", cid, "--p-list", p, "--terms", "300")
+                for p in ("2", "3")}
+        generated = self.count_generated(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "conjecture", "--id", cid, "--p-list", "3,2,3,3", "--terms", "300"
+        )
+        assert generated == [3, 2]
+        assert out == "".join(once[p][1] for p in ("3", "2", "3", "3")) and err == ""
+        assert code == max(once[p][0] for p in once)
+
+    def test_6_1_generates_a_repeated_p_once(self, capsys, monkeypatch):
+        generated = self.count_generated(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "conjecture", "--id", "6.1", "--p-list", "3,541,97,3", "--terms", "2000"
+        )
+        assert generated == [3, 541, 97]
+        assert code == EXIT_FALSIFIED and "[A(3), A(541), A(97), A(3)]" in out
+
+    @pytest.mark.parametrize("cid", ["3.1", "3.2", "6.1"])
+    def test_empty_p_list_is_an_error(self, capsys, monkeypatch, cid):
+        generated = self.count_generated(monkeypatch)
+        code, out, err = run_cli(capsys, "conjecture", "--id", cid, "--p-list", "", "--terms", "100")
+        assert (code, out, err) == (EXIT_ERROR, "", "trifix: error: --p-list is empty\n")
+        assert generated == []
+
+    @pytest.mark.parametrize("cid", ["3.1", "3.2", "6.1"])
+    def test_bad_p_is_rejected_before_any_run(self, capsys, monkeypatch, cid):
+        generated = self.count_generated(monkeypatch)
+        code, out, err = run_cli(capsys, "conjecture", "--id", cid, "--p-list", "3,0",
+                                 "--terms", "100")
+        assert (code, out) == (EXIT_ERROR, "") and err.startswith("trifix: error: ")
+        assert generated == []
+
 
 class TestSweep:
     def test_summary_and_exports(self, capsys, tmp_path):
@@ -416,6 +464,13 @@ class TestSweep:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=child_env(), timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+    def test_empty_cache_env_var_means_no_cache(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TRIFIX_CACHE_DIR", "")
+        code, out, _ = run_cli(capsys, "sweep", "--p-list", "3", "--terms", "50")
+        assert code == EXIT_OK and out.startswith("sweep over p = 3 at N = 50\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_jobs_flag_changes_nothing(self, capsys):
         _, serial, _ = run_cli(capsys, "sweep", "--p-list", "3,5", "--terms", "150")
@@ -524,3 +579,13 @@ class TestExport:
         )
         assert code == EXIT_ERROR
         assert "TRIFIX_CACHE_DIR" in err
+
+    def test_empty_cache_env_var_counts_as_unset(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TRIFIX_CACHE_DIR", "")
+        code, out, err = run_cli(
+            capsys, "export", "--what", "table2", "--p-list", "3", "--terms", "50"
+        )
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "trifix: error: export needs --cache or $TRIFIX_CACHE_DIR\n"
+        assert list(tmp_path.iterdir()) == []

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trifix.engine as engine_module
-from oracle import naive_divisors, oracle_fixed_points, oracle_terms, q_of
+from oracle import naive_divisors, naive_factorize, oracle_fixed_points, oracle_terms, q_of
 from trifix.engine import (
     NO_ZERO,
     SHIFTED,
@@ -14,7 +14,7 @@ from trifix.engine import (
     fixed_points,
     generate,
 )
-from trifix.numtheory import CapacityError, build_spf, factorize_q, factorize_trial, is_prime, sorted_divisors
+from trifix.numtheory import CapacityError, is_prime
 
 # Published golden prefix of A(7): (n, mult, q, a), fixed points marked below.
 A7_PREFIX = [
@@ -310,16 +310,17 @@ def test_matches_brute_force_oracle(spec):
 
 
 def sorted_scan_greedy(spec: SequenceSpec) -> tuple[int, ...]:
-    """The greedy rule stepped as the package once did it: factorize q(n)
-    with the public ``factorize_q``, list its divisors ascending with
-    ``sorted_divisors`` and take the first unused one (1 when none is left,
-    which only the bootstrap at n = 2 needs)."""
-    table = build_spf(spec.term_count + spec.offset)
-    p_fact = factorize_trial(spec.multiplier)
+    """The greedy rule stepped on the oracle alone: factor q(n) by trial
+    division, list every product of its prime powers in ascending order and
+    take the first unused one (1 when none is left, which only the bootstrap
+    at n = 2 needs).  ``naive_divisors`` would scan up to sqrt(q(n)), about
+    10^5 here."""
     values, used = [1], {1}  # a(1) = 1: q(1) is 0, or 1 for no-zero
     for n in range(2, spec.term_count + 1):
-        q_fact = factorize_q(p_fact, n + spec.offset, table)
-        a = next((d for d in sorted_divisors(q_fact) if d not in used), 1)
+        products = [1]
+        for prime, e in naive_factorize(q_of(spec.variant, spec.p, n)):
+            products = [d * prime**k for d in products for k in range(e + 1)]
+        a = next((d for d in sorted(products) if d not in used), 1)
         values.append(a)
         used.add(a)
     return tuple(values)
@@ -339,7 +340,6 @@ def test_matches_sorted_scan_reference(spec):
 # p = 2^a 3^b 5^c shares primes with (n-1)n/2, so the search meets the same
 # product more than once; a prime p up to 2000 makes a(2) = q(2) = p, far
 # above n.
-# N starts at 2, the least sieve sorted_scan_greedy can build.
 SMOOTH_P = st.builds(lambda a, b, c: 2**a * 3**b * 5**c,
                      st.integers(0, 6), st.integers(0, 4), st.integers(0, 3))
 PRIME_P = st.integers(2, 2000).filter(is_prime)

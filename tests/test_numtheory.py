@@ -8,15 +8,14 @@ from oracle import naive_divisors, naive_factorize, naive_is_prime, naive_spf
 from trifix.numtheory import (
     MAX_SUPPORTED_VALUE,
     CapacityError,
-    Factorization,
     build_spf,
     divisors,
-    factorize,
     factorize_q,
     factorize_trial,
     halve_even,
     is_prime,
     q_value,
+    sieve_factors,
     sorted_divisors,
 )
 
@@ -79,106 +78,90 @@ class TestBuildSpf:
 
 class TestFactorize:
     def test_one_has_empty_factorization(self, spf_10k):
-        assert factorize(1, spf_10k).factors == ()
+        assert sieve_factors(1, spf_10k) == []
 
     def test_84(self, spf_10k):
-        assert factorize(84, spf_10k).factors == ((2, 2), (3, 1), (7, 1))
+        assert sieve_factors(84, spf_10k) == [(2, 2), (3, 1), (7, 1)]
 
     def test_prime(self, spf_10k):
-        assert factorize(9973, spf_10k).factors == ((9973, 1),)
-
-    def test_domain_errors(self, spf_10k):
-        with pytest.raises(ValueError):
-            factorize(0, spf_10k)
-        with pytest.raises(ValueError):
-            factorize(10_001, spf_10k)
+        assert sieve_factors(9973, spf_10k) == [(9973, 1)]
 
     def test_matches_trial_division_oracle(self, spf_10k):
         for m in range(2, 10_001, 7):
-            f = factorize(m, spf_10k)
-            assert list(f.factors) == naive_factorize(m)
+            assert sieve_factors(m, spf_10k) == naive_factorize(m)
 
     def test_product_and_primality_invariants(self, spf_10k):
         for m in range(2, 10_001):
-            f = factorize(m, spf_10k)
             product = 1
-            for p, e in f.factors:
+            for p, e in sieve_factors(m, spf_10k):
                 assert is_prime(p)
                 product *= p**e
             assert product == m
 
     def test_trial_variant_agrees(self, spf_10k):
         for m in (1, 2, 84, 541, 9409, 9973):
-            assert factorize_trial(m) == factorize(m, spf_10k)
+            assert factorize_trial(m) == sieve_factors(m, spf_10k)
 
     @pytest.mark.parametrize("m, factors", [
-        (10**18 + 3, ((10**18 + 3, 1),)),
-        (2 * (10**18 + 3), ((2, 1), (10**18 + 3, 1))),
-        (9 * (10**9 + 7), ((3, 2), (10**9 + 7, 1))),
+        (10**18 + 3, [(10**18 + 3, 1)]),
+        (2 * (10**18 + 3), [(2, 1), (10**18 + 3, 1)]),
+        (9 * (10**9 + 7), [(3, 2), (10**9 + 7, 1)]),
     ])
     def test_trial_stops_at_a_prime_cofactor(self, m, factors, time_limit):
         # dividing up to isqrt(m) would take ~1e9 steps for the first two
         with time_limit(5):
-            assert factorize_trial(m).factors == factors
+            assert factorize_trial(m) == factors
 
     @given(st.integers(min_value=1, max_value=10**7))
     def test_trial_matches_oracle(self, m):
-        assert list(factorize_trial(m).factors) == naive_factorize(m)
-
-    def test_malformed_factorization_rejected(self):
-        with pytest.raises(ValueError):
-            Factorization(12, ((3, 1), (2, 2)))  # primes out of order
-        with pytest.raises(ValueError):
-            Factorization(2, ((2, 0),))  # zero exponent
+        assert factorize_trial(m) == naive_factorize(m)
 
 
 class TestFactorizeQ:
     def test_table_values(self, spf_10k):
         p7 = factorize_trial(7)
-        f = factorize_q(p7, 5, spf_10k)
-        assert f.value == 70
-        assert f.factors == ((2, 1), (5, 1), (7, 1))
-        f2 = factorize_q(p7, 2, spf_10k)
-        assert f2.value == 7
-        assert f2.factors == ((7, 1),)
+        assert factorize_q(p7, 5, spf_10k) == [(2, 1), (5, 1), (7, 1)]  # q(5) = 70
+        assert factorize_q(p7, 2, spf_10k) == [(7, 1)]  # q(2) = 7
 
     def test_sum_of_multiples_of_3(self, spf_10k):
         # 0 + 3 + 6 + ... + 27 = 135 = 3^3 * 5
         assert sum(3 * k for k in range(10)) == 135
-        f = factorize_q(factorize_trial(3), 10, spf_10k)
-        assert f.value == 135
-        assert f.factors == ((3, 3), (5, 1))
+        assert factorize_q(factorize_trial(3), 10, spf_10k) == [(3, 3), (5, 1)]
 
     def test_rejects_n_below_2(self, spf_10k):
         with pytest.raises(ValueError):
             factorize_q(factorize_trial(7), 1, spf_10k)
 
+    def test_rejects_n_past_the_sieve(self, spf_10k):
+        # q(10000) needs 9999 and 5000; q(10001) needs 10001, past the sieve
+        assert factorize_q([], 10_000, spf_10k) == naive_factorize(9999 * 5000)
+        with pytest.raises(ValueError, match=r"^q\(10001\) needs 10001, past the sieve limit 10000$"):
+            factorize_q([], 10_001, spf_10k)
+
     @pytest.mark.parametrize("p", [1, 2, 3, 7])
     def test_matches_direct_factorization(self, p, spf_10k, big_table):
         p_fact = factorize_trial(p)
         for n in range(2, 1001):
-            composed = factorize_q(p_fact, n, spf_10k)
-            direct = factorize(q_value(p, n), big_table)
-            assert composed == direct
+            assert factorize_q(p_fact, n, spf_10k) == sieve_factors(q_value(p, n), big_table)
 
 
 class TestSortedDivisors:
     def test_21(self, spf_10k):
-        assert sorted_divisors(factorize(21, spf_10k)) == [1, 3, 7, 21]
+        assert sorted_divisors(sieve_factors(21, spf_10k)) == [1, 3, 7, 21]
 
     def test_identity_case(self, spf_10k):
-        assert sorted_divisors(factorize(1, spf_10k)) == [1]
+        assert sorted_divisors(sieve_factors(1, spf_10k)) == [1]
 
     def test_105(self, spf_10k):
-        assert sorted_divisors(factorize(105, spf_10k)) == [1, 3, 5, 7, 15, 21, 35, 105]
+        assert sorted_divisors(sieve_factors(105, spf_10k)) == [1, 3, 5, 7, 15, 21, 35, 105]
 
     @given(st.integers(min_value=1, max_value=10_000))
     def test_matches_brute_force(self, m):
-        f = factorize_trial(m)
-        divs = sorted_divisors(f)
+        factors = factorize_trial(m)
+        divs = sorted_divisors(factors)
         assert divs == naive_divisors(m)
         count = 1
-        for _, e in f.factors:
+        for _, e in factors:
             count *= e + 1
         assert len(divs) == count
         assert divs[0] == 1 and divs[-1] == m
