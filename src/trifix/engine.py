@@ -26,14 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .numtheory import (
-    build_spf,
-    divisors,
-    factorize_trial,
-    halve_even,
-    q_value,
-    sieve_factors,
-)
+from .numtheory import divisors, factorize_trial, halved_divisor_lists, q_value
 
 STANDARD = "standard"
 NO_ZERO = "no-zero"
@@ -158,82 +151,101 @@ class SequenceRun:
         return TermRecord.of(self.spec, n, self.a[n - 1])
 
 
-def _least_unused_product(used, zs, xs, ys, lo: int, hi: int) -> int:
-    """The least z*x*y in [lo, hi] not in ``used``, with z, x and y drawn
-    from the ascending lists zs, xs and ys, or 0 when there is none.  A
-    product reached twice (zs sharing a prime with xs or ys) is harmless."""
-    if len(xs) > len(ys):
-        xs, ys = ys, xs  # the outer loop runs over the shorter list
-    least = 0
-    for z in zs:
-        if z > hi:
-            break
-        for x in xs:
-            zx = z * x
-            if zx > hi:
-                break
-            # ys ascend, so the first unused product in [lo, hi] is this
-            # zx's least, and any later hit must lie below it.  The lists
-            # are short: a plain scan beats two bisections here.
-            for y in ys:
-                v = zx * y
-                if v > hi:
-                    break
-                if v >= lo and v not in used:
-                    least = v
-                    hi = v - 1
-                    break
-    return least
-
-
 class SequenceEngine:
     """Strictly sequential term emitter (each term depends on the full
     used-set history).  Distinct engines are independent."""
 
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
-        self._spf = build_spf(max(spec.term_count + spec.offset, 2))
+        start = 1 + spec.offset
+        # one generator for the engine's life: the divisors of h(n + offset)
+        self._lists = halved_divisor_lists(start, start + spec.term_count)
         spec.q(spec.term_count)  # q increases: only q(N) can overflow
         self._p_divisors = divisors(factorize_trial(spec.multiplier))
-        # divisors of halve_even(n + offset - 1), carried; n = 1 never reads it
-        self._prev_divisors = [1]
-        self._used: set[int] = set()
+        # ascending divisors of h(n + offset - 1) and h(n + offset) for the
+        # next n; n = 1 never reads the first
+        self._xs, self._ys = [1], next(self._lists)
+        # _used[v] marks a used v below 4N + 8, _spill holds the larger ones
+        self._used = bytearray(4 * spec.term_count + 8)
+        self._spill: set[int] = set()
         self._mex = 1  # every value below it is used
         self._a: list[int] = []
 
-    def _step(self) -> None:
-        """Append a(n), the least unused divisor of q(n), for the next n."""
-        n = len(self._a) + 1
-        zs, xs = self._p_divisors, self._prev_divisors
-        ys = divisors(sieve_factors(halve_even(n + self.spec.offset), self._spf))
-        if n == 1:
-            a = 1  # by definition; q(1) is 0, or 1 for no-zero
-        else:
-            # every value below the mex is used; q(n) is the largest product
-            q = zs[-1] * xs[-1] * ys[-1]
-            a = _least_unused_product(self._used, zs, xs, ys, self._mex, q)
-            if a == 0:
-                if n == 2 and self.spec.has_bootstrap:
-                    a = 1
+    def _extend(self, count: int) -> None:
+        """Append the next ``count`` terms: a(n) is the least unused divisor
+        of q(n).  On an error the engine keeps the terms before it."""
+        zs, xs, ys, lists = self._p_divisors, self._xs, self._ys, self._lists
+        used, spill, mex, a = self._used, self._spill, self._mex, self._a
+        size = len(used)
+        first = len(a) + 1
+        try:
+            for n in range(first, first + count):
+                if n == 1:
+                    v = 1  # by definition; q(1) is 0, or 1 for no-zero
                 else:
-                    raise ExhaustedDivisorsError(
-                        f"{self.spec.label()}: all divisors of q({n}) = {q} in use"
-                    )
-        self._prev_divisors = ys
-        self._used.add(a)
-        self._a.append(a)
-        while self._mex in self._used:
-            self._mex += 1
+                    # The least unused z*x*y in [mex, q(n)], z, x and y drawn
+                    # from the divisors of m, h(n+o-1) and h(n+o); q(n) is
+                    # the largest such product.  Each hit lowers hi to just
+                    # below itself.  A product reached twice (zs sharing a
+                    # prime with xs or ys) is harmless.
+                    lo = mex
+                    hi = q = zs[-1] * xs[-1] * ys[-1]
+                    short, long = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
+                    v = 0
+                    for z in zs:
+                        if z > hi:
+                            break
+                        for x in short:
+                            zx = z * x
+                            if zx > hi:
+                                break
+                            if zx * zx < lo:
+                                # a y with zx*y >= lo is above sqrt(lo), near
+                                # the top of the list: scan down, keeping
+                                # the last unused product
+                                for y in reversed(long):
+                                    w = zx * y
+                                    if w < lo:
+                                        break
+                                    if w <= hi and not (used[w] if w < size else w in spill):
+                                        v = w
+                                        hi = w - 1
+                            else:
+                                # the first unused product is this zx's least
+                                for y in long:
+                                    w = zx * y
+                                    if w > hi:
+                                        break
+                                    if w >= lo and not (used[w] if w < size else w in spill):
+                                        v = w
+                                        hi = w - 1
+                                        break
+                    if v == 0:
+                        if n == 2 and self.spec.has_bootstrap:
+                            v = 1
+                        else:
+                            raise ExhaustedDivisorsError(
+                                f"{self.spec.label()}: all divisors of q({n}) = {q} in use"
+                            )
+                if v < size:
+                    used[v] = 1
+                else:
+                    spill.add(v)
+                a.append(v)
+                while used[mex]:
+                    mex += 1
+                xs, ys = ys, next(lists, None)
+        finally:
+            self._xs, self._ys, self._mex = xs, ys, mex
 
     def next_term(self) -> TermRecord:
         if len(self._a) >= self.spec.term_count:
             raise IndexError(f"all {self.spec.term_count} terms already emitted")
-        self._step()
+        self._extend(1)
         return TermRecord.of(self.spec, len(self._a), self._a[-1])
 
     def run(self) -> SequenceRun:
-        for _ in range(len(self._a), self.spec.term_count):
-            self._step()
+        self._extend(self.spec.term_count - len(self._a))
         return SequenceRun(self.spec, tuple(self._a))
 
 

@@ -1,5 +1,6 @@
 """Integer utilities: smallest-prime-factor sieve, factorization, sorted
-divisor lists, primality, and the q(n) = p*(n-1)*n/2 partial-sum formula.
+divisor lists (one number at a time, or sieved in blocks of consecutive
+numbers), primality, and the q(n) = p*(n-1)*n/2 partial-sum formula.
 
 A factorization is a list of (prime, exponent) pairs in ascending prime
 order; 1 factors as the empty list.  Everything here is a pure function of
@@ -9,6 +10,7 @@ its inputs.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 from math import isqrt
 
 # Values (q-values, terms) are guaranteed to fit a signed 64-bit word so that
@@ -24,6 +26,13 @@ class CapacityError(Exception):
     """Requested sieve limit exceeds SIEVE_CEILING."""
 
 
+def _check_sieve_limit(limit: int) -> None:
+    if limit > SIEVE_CEILING:
+        raise CapacityError(
+            f"sieve limit {limit} exceeds the ceiling of {SIEVE_CEILING} entries"
+        )
+
+
 def build_spf(limit: int) -> array:
     """Smallest prime factors of 0..limit: ``spf[m]`` is the smallest prime
     factor of m (m itself exactly when m is prime); ``spf[0] == spf[1] == 0``.
@@ -33,10 +42,7 @@ def build_spf(limit: int) -> array:
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit > SIEVE_CEILING:
-        raise CapacityError(
-            f"sieve limit {limit} exceeds the ceiling of {SIEVE_CEILING} entries"
-        )
+    _check_sieve_limit(limit)
     # spf[m] = m until a prime p <= sqrt(m) dividing m claims it.  The
     # smallest prime factor p of a composite m has p*p <= m, so marking from
     # the largest prime down leaves the smallest one's write in place.
@@ -116,6 +122,53 @@ def factorize_q(p_factors: list[tuple[int, int]], n: int, spf: array) -> list[tu
     for prime, e in p_factors:
         counts[prime] = counts.get(prime, 0) + e
     return sorted(counts.items())
+
+
+def halved_divisor_lists(start: int, stop: int) -> Iterator[list[int]]:
+    """The ascending divisors of halve_even(m) for m = start, ..., stop - 1.
+
+    They are sieved a block of about max(1024, 4*isqrt(stop)) consecutive m
+    at a time, so no factorization is stored.  Raises CapacityError, before
+    any work, when stop - 1 exceeds SIEVE_CEILING.
+    """
+    if start < 1:
+        raise ValueError(f"divisor lists start at m >= 1, got {start}")
+    _check_sieve_limit(stop - 1)
+    return _halved_divisor_blocks(start, stop, max(1024, 4 * isqrt(stop)))
+
+
+def _halved_divisor_blocks(start: int, stop: int, size: int) -> Iterator[list[int]]:
+    for lo in range(start, stop, size):
+        hi = min(lo + size, stop)
+        block = [None] * (hi - lo)
+        # odd m give the odd k = m and even m the consecutive k = m/2: two
+        # progressions, each sieved on its own
+        for m in range(lo, min(lo + 2, hi)):
+            odd = m & 1
+            count = len(range(m, hi, 2))
+            block[m - lo::2] = _sieved_divisors(m if odd else m >> 1, count, 1 + odd)
+        yield from block
+
+
+def _sieved_divisors(first: int, count: int, step: int) -> list[list[int]]:
+    """The ascending divisors of k = first + step*i for 0 <= i < count, with
+    step 1, or step 2 and first odd."""
+    small = [[] for _ in range(count)]
+    # An odd k has only odd divisors.  d marks its multiples from d*d on:
+    # the first is the least k >= max(first, d*d) with k % d == 0 (and
+    # k % 2d == d when step is 2), and either way the next is d places on.
+    for d in range(1, isqrt(first + step * (count - 1)) + 1, step):
+        k = max(first, d * d)
+        k += ((step - 1) * d - k) % (step * d)
+        for ds in small[(k - first) // step::d]:
+            ds.append(d)
+    # small[i] now holds the divisors up to sqrt(k); their co-divisors follow
+    k = first
+    for ds in small:
+        root = ds[-1]
+        ds += [k // d for d in reversed(ds[:-1] if root * root == k else ds)]
+        k += step
+    return small
 
 
 def divisors(factors) -> list[int]:

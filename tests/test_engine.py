@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import trifix.engine as engine_module
+import trifix.numtheory as numtheory_module
 from oracle import naive_divisors, naive_factorize, oracle_fixed_points, oracle_terms, q_of
 from trifix.engine import (
     NO_ZERO,
@@ -193,10 +193,31 @@ class TestEngineStepping:
     def test_exhausted_divisors_leave_the_engine_unchanged(self):
         engine = SequenceEngine(SequenceSpec.standard(7, 5))
         engine.next_term()
-        engine._used.add(7)  # q(2) = 7: both of its divisors now taken
+        engine._used[7] = 1  # q(2) = 7: both of its divisors now taken
         for _ in range(2):
             with pytest.raises(ExhaustedDivisorsError, match=r"q\(2\) = 7"):
                 engine.next_term()
+
+    @pytest.mark.parametrize("spec", [SequenceSpec.shifted(3000), SequenceSpec.no_zero(3000),
+                                      SequenceSpec.standard(199, 3000)], ids=lambda s: s.label())
+    def test_stepping_across_a_sieved_block_then_run_equals_generate(self, spec, monkeypatch):
+        # divisor lists come in blocks of 1024 or more: 1030 single steps
+        # cross the first block's end, and still sieve each block once
+        calls = []
+        sieve = numtheory_module._sieved_divisors
+
+        def counting(*args):
+            calls.append(args)
+            return sieve(*args)
+
+        monkeypatch.setattr(numtheory_module, "_sieved_divisors", counting)
+        engine = SequenceEngine(spec)
+        records = [engine.next_term() for _ in range(1030)]
+        run = engine.run()
+        stepped = len(calls)
+        assert run == generate(spec)
+        assert stepped == len(calls) - stepped
+        assert records == [run.term(n) for n in range(1, 1031)]
 
     def test_run_after_manual_stepping_keeps_all_terms(self):
         engine = SequenceEngine(SequenceSpec.standard(7, 10))
@@ -208,48 +229,47 @@ class TestEngineStepping:
 
 
 class TestSearchRange:
-    """a(n) is looked for once, between the mex and q(n)."""
+    """a(n) is looked for between the mex and q(n), the product of the
+    largest divisors of m, h(n+o-1) and h(n+o) that the engine carries."""
 
     @staticmethod
-    def searches_of_term(monkeypatch, spec, n):
+    def search_of_term(spec, n):
+        """((mex, q(n)) before step n, read off the engine, and a(n))."""
         engine = SequenceEngine(spec)
         for _ in range(n - 1):
             engine.next_term()
-        searches = []
-        search = engine_module._least_unused_product
+        top = engine._p_divisors[-1] * engine._xs[-1] * engine._ys[-1]
+        assert top == spec.q(n)
+        return (engine._mex, top), engine.next_term().a
 
-        def recording(used, zs, xs, ys, lo, hi):
-            searches.append((lo, hi))
-            return search(used, zs, xs, ys, lo, hi)
-
-        monkeypatch.setattr(engine_module, "_least_unused_product", recording)
-        return engine.next_term().a, searches
-
-    def test_a199_second_term(self, monkeypatch):
+    def test_a199_second_term(self):
         # q(2) = 199 is prime: its one unused divisor is q itself
-        assert self.searches_of_term(monkeypatch, SequenceSpec.standard(199, 2), 2) == (
-            199, [(2, 199)])
+        assert self.search_of_term(SequenceSpec.standard(199, 2), 2) == ((2, 199), 199)
 
-    def test_no_zero_term_equal_to_q(self, monkeypatch):
+    def test_no_zero_term_equal_to_q(self):
         spec = SequenceSpec.no_zero(277)
         assert spec.q(277) == 38503
         # 140 is the least value unused after a(276)
-        assert self.searches_of_term(monkeypatch, spec, 277) == (38503, [(140, 38503)])
+        assert self.search_of_term(spec, 277) == ((140, 38503), 38503)
 
-    def test_term_far_below_q(self, monkeypatch):
+    def test_term_far_below_q(self):
         # A(7): 8 is the least value unused after a(10), q(11) = 385 = 7*5*11
-        assert self.searches_of_term(monkeypatch, SequenceSpec.standard(7, 11), 11) == (
-            11, [(8, 385)])
+        assert self.search_of_term(SequenceSpec.standard(7, 11), 11) == ((8, 385), 11)
 
-    def test_bootstrap_after_a_search_that_finds_nothing(self, monkeypatch):
+    def test_bootstrap_after_a_search_that_finds_nothing(self):
         # shifted: q(2) = 1 is below the mex 2 and its one divisor is used
-        assert self.searches_of_term(monkeypatch, SequenceSpec.shifted(2), 2) == (1, [(2, 1)])
+        assert self.search_of_term(SequenceSpec.shifted(2), 2) == ((2, 1), 1)
+
+
+def is_used(engine, value):
+    """Whether the engine has marked ``value`` used."""
+    return engine._used[value] if value < len(engine._used) else value in engine._spill
 
 
 class TestMex:
     @staticmethod
     def assert_mex_is_a_lower_bound(engine):
-        assert all(v in engine._used for v in range(1, engine._mex))
+        assert all(is_used(engine, v) for v in range(1, engine._mex))
 
     @pytest.mark.parametrize("spec", [SequenceSpec.standard(7, 300), SequenceSpec.no_zero(300),
                                       SequenceSpec.shifted(300)], ids=lambda s: s.label())
@@ -257,7 +277,7 @@ class TestMex:
         engine = SequenceEngine(spec)
         for _ in range(spec.term_count):
             engine.next_term()
-            assert engine._mex not in engine._used
+            assert not is_used(engine, engine._mex)
             self.assert_mex_is_a_lower_bound(engine)
 
     @given(st.sampled_from([SequenceSpec.standard(p, 150) for p in (1, 3, 7, 12, 199)]
@@ -266,13 +286,14 @@ class TestMex:
                            max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_values_used_by_hand_keep_the_mex_a_lower_bound(self, spec, planted):
-        # values added to _used between steps: the mex may now be used
-        # itself, yet each step still takes the least unused divisor
+        # values marked used between steps (all below the 4N + 8 = 608 of
+        # the used map): the mex may now be used itself, yet each step
+        # still takes the least unused divisor
         engine = SequenceEngine(spec)
         used = set()
         for n in range(1, spec.term_count + 1):
             for value in planted.get(n - 1, ()):
-                engine._used.add(value)
+                engine._used[value] = 1
                 used.add(value)
             self.assert_mex_is_a_lower_bound(engine)
             q = spec.q(n)
@@ -284,6 +305,14 @@ class TestMex:
             a = free[0] if free else 1
             assert engine.next_term().a == a
             used.add(a)
+
+    def test_values_past_the_used_map_are_kept_aside(self):
+        # A(199): a(2) = 199 is past the 4N + 8 = 16 bytes of a 2-term
+        # engine's used map
+        engine = SequenceEngine(SequenceSpec.standard(199, 2))
+        engine.run()
+        assert len(engine._used) == 16 and engine._spill == {199}
+        assert is_used(engine, 199) and not is_used(engine, 198)
 
 
 ORACLE_SPECS = [

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from oracle import naive_divisors, naive_factorize, naive_is_prime, naive_spf
 from trifix.numtheory import (
     MAX_SUPPORTED_VALUE,
+    SIEVE_CEILING,
     CapacityError,
     build_spf,
     divisors,
     factorize_q,
     factorize_trial,
     halve_even,
+    halved_divisor_lists,
     is_prime,
     q_value,
     sieve_factors,
@@ -177,6 +179,37 @@ class TestDivisors:
         for p, e in exponents.items():
             m *= p**e
         assert divisors(sorted(exponents.items())) == naive_divisors(m)
+
+
+class TestHalvedDivisorLists:
+    # Blocks hold max(1024, 4*isqrt(stop)) values of m; every window below
+    # spans more than two of them.
+    @pytest.mark.parametrize("start", [1, 2, 1601, 1800])
+    def test_lists_match_the_oracle_across_blocks(self, start):
+        stop = start + 2 * 1024 + 301
+        lists = list(halved_divisor_lists(start, stop))
+        assert lists == [naive_divisors(halve_even(m)) for m in range(start, stop)]
+
+    def test_lists_match_the_oracle_in_larger_blocks(self):
+        # 4*isqrt(stop) = 4016 here
+        start = 10**6 - 7
+        stop = start + 2 * 4016 + 3
+        lists = list(halved_divisor_lists(start, stop))
+        assert lists == [naive_divisors(halve_even(m)) for m in range(start, stop)]
+
+    @pytest.mark.parametrize("start, stop", [(1, 2), (2, 3), (1, 4), (1024, 1026), (1025, 1026)])
+    def test_short_ranges(self, start, stop):
+        assert list(halved_divisor_lists(start, stop)) == [
+            naive_divisors(halve_even(m)) for m in range(start, stop)]
+
+    def test_ceiling_is_checked_before_any_block(self):
+        with pytest.raises(CapacityError, match=r"^sieve limit 50000001 exceeds the ceiling"):
+            halved_divisor_lists(1, SIEVE_CEILING + 2)
+        halved_divisor_lists(2, SIEVE_CEILING + 1)  # nothing is sieved until read
+
+    def test_start_below_1_is_rejected(self):
+        with pytest.raises(ValueError):
+            halved_divisor_lists(0, 10)
 
 
 class TestHalveEven:
