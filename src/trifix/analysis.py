@@ -14,7 +14,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .engine import SequenceRun, SequenceSpec, fixed_points, generate
-from .numtheory import build_spf
+from .numtheory import prime_flags
 
 
 def percent(rate: Fraction) -> str:
@@ -63,11 +63,11 @@ def classify(run: SequenceRun, n_limit: int | None = None) -> ClassificationRepo
             f"needs {n_limit + 1} (near matches at n={n_limit} are undecidable)"
         )
 
-    spf = build_spf(max(n_limit, 2))
+    prime = prime_flags(n_limit)
 
     p = run.spec.multiplier  # 1 outside the standard variant: never prime
     excluded = [2]
-    if p != 2 and p <= n_limit and spf[p] == p:
+    if p != 2 and p <= n_limit and prime[p]:
         excluded.append(p)
     excluded_set = set(excluded)
 
@@ -79,7 +79,7 @@ def classify(run: SequenceRun, n_limit: int | None = None) -> ClassificationRepo
     prime_count = 0
     for n in range(2, n_limit + 1):
         a_n = a[n - 1]
-        if spf[n] == n:
+        if prime[n]:
             prime_count += 1
             if n in excluded_set:
                 continue

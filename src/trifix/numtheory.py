@@ -1,6 +1,7 @@
-"""Integer utilities: smallest-prime-factor sieve, factorization, sorted
-divisor lists (one number at a time, or sieved in blocks of consecutive
-numbers), primality, and the q(n) = p*(n-1)*n/2 partial-sum formula.
+"""Integer utilities: prime flag and smallest-prime-factor sieves,
+factorization, sorted divisor lists (one number at a time, or sieved in
+blocks of consecutive numbers), primality, and the q(n) = p*(n-1)*n/2
+partial-sum formula.
 
 A factorization is a list of (prime, exponent) pairs in ascending prime
 order; 1 factors as the empty list.  Everything here is a pure function of
@@ -18,7 +19,8 @@ from math import isqrt
 # ceiling is enforced explicitly: exceeding it is a loud OverflowError.
 MAX_SUPPORTED_VALUE = 2**63 - 1
 
-# Sieve entries are 32-bit; the ceiling keeps a sieve under ~200 MB.
+# The ceiling keeps a prime flag table (one byte per entry) near 50 MB and a
+# smallest-prime-factor table (four bytes per entry) near 200 MB.
 SIEVE_CEILING = 50_000_000
 
 
@@ -33,6 +35,23 @@ def _check_sieve_limit(limit: int) -> None:
         )
 
 
+def prime_flags(limit: int) -> bytearray:
+    """One byte per m in 0..limit: ``flags[m]`` is 1 when m is prime, else 0.
+
+    Requires limit >= 1; raises CapacityError when limit exceeds
+    SIEVE_CEILING.
+    """
+    _check_sieve_limit(limit)
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for i in range(2, isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytearray(len(range(i * i, limit + 1, i)))
+    return flags
+
+
+# Kept only for factorize_q, the tests and bench/tracer.py's TARGETS, which
+# wraps it by name: classify reads prime_flags instead.
 def build_spf(limit: int) -> array:
     """Smallest prime factors of 0..limit: ``spf[m]`` is the smallest prime
     factor of m (m itself exactly when m is prime); ``spf[0] == spf[1] == 0``.
@@ -49,11 +68,7 @@ def build_spf(limit: int) -> array:
     spf = array("i", range(limit + 1))
     spf[1] = 0
     root = isqrt(limit)
-    is_root_prime = bytearray([1]) * (root + 1)
-    is_root_prime[:2] = b"\0\0"
-    for i in range(2, isqrt(root) + 1):
-        if is_root_prime[i]:
-            is_root_prime[i * i::i] = bytes(len(range(i * i, root + 1, i)))
+    is_root_prime = prime_flags(root)
     for p in range(root, 1, -1):
         if is_root_prime[p]:
             spf[p * p::p] = array("i", [p]) * len(range(p * p, limit + 1, p))

@@ -16,6 +16,7 @@ from trifix.numtheory import (
     halve_even,
     halved_divisor_lists,
     is_prime,
+    prime_flags,
     q_value,
     sieve_factors,
     sorted_divisors,
@@ -31,6 +32,23 @@ def big_table():
 def sieved_primes(spf):
     """The primes < len(spf): the m whose smallest factor is m itself."""
     return [m for m in range(2, len(spf)) if spf[m] == m]
+
+
+class TestPrimeFlags:
+    @pytest.mark.parametrize("limit", range(1, 65))
+    def test_every_small_limit(self, limit):
+        # marks start at i*i and the sieving i end at sqrt(limit)
+        assert list(prime_flags(limit)) == [naive_is_prime(m) for m in range(limit + 1)]
+
+    def test_agrees_with_the_factor_table_at_10k(self, spf_10k):
+        flags = prime_flags(10_000)
+        assert len(flags) == len(spf_10k)
+        assert [m for m in range(len(flags)) if flags[m]] == sieved_primes(spf_10k)
+
+    def test_rejects_limit_over_ceiling_before_any_work(self):
+        with pytest.raises(CapacityError, match=r"^sieve limit 50000001 exceeds the ceiling "
+                                                r"of 50000000 entries$"):
+            prime_flags(SIEVE_CEILING + 1)
 
 
 class TestBuildSpf:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifix import store
+from trifix import oeis, store
 from trifix.analysis import classify, sweep
 from trifix.engine import SequenceRun, SequenceSpec, generate
+from trifix.oeis import write_bfile
 from trifix.store import (
     export_figure2,
     export_table2,
@@ -127,6 +128,18 @@ class TestRunCache:
         assert load_run(spec, cache) == generate(spec)
         assert parsed == [25]
 
+    def test_served_prefix_parses_in_bulk(self, cache, monkeypatch):
+        """A prefix served from a longer entry keeps write_bfile's layout,
+        its last newline included, so it never parses line by line."""
+        save_run(generate(SequenceSpec.standard(7, 3000)), cache)
+
+        def line_by_line(text):
+            raise AssertionError("parsed line by line")
+
+        monkeypatch.setattr(oeis, "_parse_lines", line_by_line)
+        spec = SequenceSpec.standard(7, 1000)
+        assert load_run(spec, cache) == generate(spec)
+
     def test_per_n_entries_are_not_read(self, cache):
         """Entries named by term count (p7_n25_v1.*) are never read."""
         entry = save_run(generate(SequenceSpec.standard(7, 25)), cache)
@@ -225,6 +238,43 @@ class TestDamagedEntries:
         run, entry = a7
         rewrite_entry(entry, term_count="25")
         self.assert_absent(run.spec, cache, "term count '25' is not an integer")
+
+
+@pytest.fixture(scope="module")
+def a199_10k():
+    return generate(SequenceSpec.standard(199, 10_001))
+
+
+class TestDamagePastTheFirstChunk:
+    """A 10,001-term A(199) entry damaged only at line 9,000, with its
+    checksum recomputed: the bulk parser's later chunks meet the damage."""
+
+    @pytest.fixture
+    def entry(self, cache, a199_10k):
+        return save_run(a199_10k, cache)
+
+    def damage_line_9000(self, entry, line):
+        lines = entry.payload_path.read_text().splitlines(keepends=True)
+        lines[8999] = line
+        rewrite_entry(entry, "".join(lines))
+
+    def test_wrong_value_is_warned_about_and_regenerated(self, cache, a199_10k, entry):
+        q = a199_10k.spec.q(9000)
+        self.damage_line_9000(entry, f"9000 {q + 1}\n")
+        with pytest.warns(UserWarning, match=rf"invalid: a\(9000\) = {q + 1} does not "
+                                             rf"divide q\(9000\); treating as absent$"):
+            report = sweep([199], 10_000, cache_dir=cache).reports[0]
+        assert report == classify(a199_10k, 10_000)
+        assert entry.payload_path.read_text() == write_bfile(a199_10k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_run(a199_10k.spec, cache) == a199_10k
+
+    def test_skipped_index_names_line_9000(self, cache, a199_10k, entry):
+        self.damage_line_9000(entry, f"9001 {a199_10k.a[8999]}\n")
+        with pytest.warns(UserWarning, match=r"invalid: line 9000: index 9001 does not "
+                                             r"follow 8999; treating as absent$"):
+            assert load_run(a199_10k.spec, cache) is None
 
 
 def first_fault(spec, values):
