@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, count, pairwise
-from pathlib import Path
 
-from . import __version__, analysis, oeis, store
+# Only what every subcommand uses is imported here.  The rest is imported by
+# the commands that use it, so `generate` never loads the analysis and cache
+# layers (nor hashlib, json, decimal or fractions with them).
+from . import __version__
 from .engine import NO_ZERO, SHIFTED, STANDARD, SequenceRun, SequenceSpec, fixed_points, generate
 from .numtheory import CapacityError
 
@@ -101,12 +102,16 @@ def _rows(run: SequenceRun) -> Iterator[tuple[int, int, int, int]]:
 # The formatters return lazy lines, but a generator expression calls
 # _rows(run) when it is built, so an overflow still raises before _emit.
 
+# %d pads an int as {:>width} does, and widens the column the same way for
+# a value wider than it; it formats a row tuple without unpacking it.
+_TABLE_ROW = "%6d  %10d  %14d  %10d\n"
+_TABLE_FIXED_POINT = "%6d  %10d  %14d  %10d  *\n"
+
 
 def _format_table(run: SequenceRun) -> Iterator[str]:
     return chain(
         [f"{'n':>6}  {'mult':>10}  {'q(n)':>14}  {'a(n)':>10}  fixed point\n"],
-        (f"{n:>6}  {mult:>10}  {q:>14}  {a:>10}{'  *' if a == n else ''}\n"
-         for n, mult, q, a in _rows(run)),
+        ((_TABLE_FIXED_POINT if row[0] == row[3] else _TABLE_ROW) % row for row in _rows(run)),
     )
 
 
@@ -125,6 +130,8 @@ _JSON_SEPARATOR = ("", ",")
 def _format_json(run: SequenceRun) -> Iterator[str]:
     """json.dumps(doc, indent=2) of {"spec": ..., "terms": [...]}, one
     term at a time."""
+    import json
+
     spec = run.spec
     bootstrap = spec.has_bootstrap
     return chain(
@@ -147,13 +154,14 @@ def _format_json(run: SequenceRun) -> Iterator[str]:
 def _cmd_generate(args) -> int:
     spec = _spec_from_args(args, args.terms)
     run = generate(spec)
-    formatter = {
-        "table": _format_table,
-        "csv": _format_csv,
-        "json": _format_json,
-        "bfile": lambda run: [oeis.write_bfile(run)],
-    }[args.format]
-    _emit(formatter(run), args.out)
+    if args.format == "bfile":
+        from .oeis import write_bfile
+
+        pieces = [write_bfile(run)]
+    else:
+        formatter = {"table": _format_table, "csv": _format_csv, "json": _format_json}
+        pieces = formatter[args.format](run)
+    _emit(pieces, args.out)
     return EXIT_OK
 
 
@@ -163,22 +171,24 @@ def _cmd_generate(args) -> int:
 
 def _format_report(report: analysis.ClassificationReport, near_list: list[int] | None,
                    small_primes: list[int] | None, remaining: tuple[int, ...]) -> str:
-    matrix = analysis.classification_matrix(report)
+    from .analysis import classification_matrix, percent
+
+    matrix = classification_matrix(report)
     lines = [
         f"sequence {report.spec.label()}, classified n <= {report.n_limit}",
         f"excluded primes: {', '.join(map(str, report.excluded_primes))}",
         f"A) matches n=a(n):    {report.detected}",
         f"B) matches n=a(n+1):  {report.near_matches}",
         f"C) total primes:      {report.total_eligible_primes}",
-        f"success rate (A/C):   {analysis.percent(report.success_rate)}",
+        f"success rate (A/C):   {percent(report.success_rate)}",
         f"false negatives:      {report.false_negatives}",
         f"total nonprimes:      {report.total_nonprimes}",
-        f"false negative rate:  {analysis.percent(report.false_negative_rate)}",
+        f"false negative rate:  {percent(report.false_negative_rate)}",
         f"missed primes ({len(report.missed_primes)}): "
         + (", ".join(map(str, report.missed_primes)) if report.missed_primes else "none"),
         "classification matrix (columns prime, nonprime):",
-        f"  detect:        {analysis.percent(matrix[0][0]):>8}  {analysis.percent(matrix[0][1]):>8}",
-        f"  don't detect:  {analysis.percent(matrix[1][0]):>8}  {analysis.percent(matrix[1][1]):>8}",
+        f"  detect:        {percent(matrix[0][0]):>8}  {percent(matrix[0][1]):>8}",
+        f"  don't detect:  {percent(matrix[1][0]):>8}  {percent(matrix[1][1]):>8}",
     ]
     if near_list is not None:
         lines.append(
@@ -194,6 +204,8 @@ def _format_report(report: analysis.ClassificationReport, near_list: list[int] |
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis
+
     spec = _spec_from_args(args, args.terms + 1)
     if args.format == "json" and (args.near_matches or args.filter_small_primes is not None):
         # the JSON report mirrors ClassificationReport field for field
@@ -208,7 +220,9 @@ def _cmd_analyze(args) -> int:
     run = generate(spec)
     report = analysis.classify(run, args.terms)
     if args.format == "json":
-        _emit([store.report_to_json(report)], args.out)
+        from .store import report_to_json
+
+        _emit([report_to_json(report)], args.out)
         return EXIT_OK
 
     near_list = None
@@ -224,6 +238,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _format_sweep(sweep: analysis.SweepReport) -> str:
+    from .analysis import percent
+
     lines = [
         f"sweep over p = {', '.join(map(str, sweep.p_list))} at N = {sweep.n_limit}",
         f"{'p':>6}  {'detected':>8}  {'near':>5}  {'total':>6}  {'success':>8}  "
@@ -232,8 +248,8 @@ def _format_sweep(sweep: analysis.SweepReport) -> str:
     for p, r in zip(sweep.p_list, sweep.reports):
         lines.append(
             f"{p:>6}  {r.detected:>8}  {r.near_matches:>5}  {r.total_eligible_primes:>6}  "
-            f"{analysis.percent(r.success_rate):>8}  {r.false_negatives:>9}  "
-            f"{analysis.percent(r.false_negative_rate):>8}  {len(r.missed_primes):>6}"
+            f"{percent(r.success_rate):>8}  {r.false_negatives:>9}  "
+            f"{percent(r.false_negative_rate):>8}  {len(r.missed_primes):>6}"
         )
     union = ", ".join(map(str, sweep.union_missed)) if sweep.union_missed else "none"
     lines.append(f"primes missed by every sequence: {union}")
@@ -241,10 +257,14 @@ def _format_sweep(sweep: analysis.SweepReport) -> str:
 
 
 def _cmd_sweep(args) -> int:
+    from . import analysis, store
+
     p_list = _parse_p_list(args.p_list)
     sweep = analysis.sweep(p_list, args.terms, jobs=args.jobs, cache_dir=_cache_dir(args))
     _emit([_format_sweep(sweep)], args.out)
     if args.export_dir:
+        from pathlib import Path
+
         out = Path(args.export_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "table2.csv").write_text(store.export_table2(sweep), encoding="utf-8")
@@ -271,6 +291,8 @@ def _format_conjecture(result: analysis.ConjectureResult) -> str:
 
 
 def _cmd_conjecture(args) -> int:
+    from . import analysis
+
     n = args.terms
     if n < 1:
         raise ValueError(f"--terms must be >= 1, got {n}")
@@ -313,6 +335,10 @@ _OEIS_ID = re.compile(r"A\d{6}")
 
 
 def _cmd_oeis_check(args) -> int:
+    from pathlib import Path
+
+    from . import oeis
+
     path = Path(args.bfile)
     bfile = oeis.parse_bfile(path.read_text(encoding="utf-8"))
     sequence_id = args.sequence_id
@@ -347,6 +373,8 @@ def _cmd_oeis_check(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import analysis, store
+
     p_list = _parse_p_list(args.p_list)
     cache_dir = _cache_dir(args)
     if cache_dir is None:

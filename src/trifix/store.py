@@ -17,10 +17,9 @@ import hashlib
 import io
 import json
 import os
-import secrets
+import time
 import warnings
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from operator import mod
 from pathlib import Path
@@ -48,7 +47,7 @@ def _paths(spec: SequenceSpec, cache_dir: str | os.PathLike) -> tuple[Path, Path
 def _write_atomic(path: Path, data: str) -> None:
     """Write through a temporary file of this call's own, next to path, then
     rename it over path: concurrent writers of one entry never share it."""
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as f:
             f.write(data)
@@ -70,13 +69,30 @@ def save_run(run: SequenceRun, cache_dir: str | os.PathLike) -> CacheEntry:
         "format_version": FORMAT_VERSION,
         "engine_version": __version__,
         "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
-        "created_at": datetime.now(timezone.utc).isoformat(),
+        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
     payload_path, manifest_path = _paths(run.spec, cache_dir)
     payload_path.parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(payload_path, payload)
     _write_atomic(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return CacheEntry(payload_path, manifest)
+
+
+def _first_lines(text: str, count: int) -> str:
+    """text through its count-th newline, or text + "\n" when it has fewer,
+    as "\n".join(text.split("\n", count)[:count]) + "\n" gives.  Whole 4 KiB
+    slices are skipped by counting their newlines, so only the prefix is
+    copied."""
+    start, step = 0, 4096
+    while start + step < len(text) and (k := text.count("\n", start, start + step)) < count:
+        count -= k
+        start += step
+    end = start - 1
+    for _ in range(count):
+        end = text.find("\n", end + 1)
+        if end < 0:
+            return text + "\n"
+    return text[:end + 1]
 
 
 def _cached_values(
@@ -104,7 +120,7 @@ def _cached_values(
         return None
     if held > count:  # the checksum covered every line; parse only those served,
         # with the last one's newline, which keeps write_bfile's layout
-        payload = "\n".join(payload.split("\n", count)[:count]) + "\n"
+        payload = _first_lines(payload, count)
     bfile = parse_bfile(payload)
     if bfile.offset != 1 or len(bfile.values) < count:
         raise ValueError(f"payload does not hold terms 1..{count}")

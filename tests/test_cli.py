@@ -132,6 +132,30 @@ class TestRows:
         assert capsys.readouterr().out == ""
 
 
+def table_document(run: SequenceRun) -> str:
+    """The table output, one f-string per row."""
+    lines = [f"{'n':>6}  {'mult':>10}  {'q(n)':>14}  {'a(n)':>10}  fixed point\n"]
+    prev = 0
+    for t in map(run.term, range(1, len(run.a) + 1)):
+        marker = "  *" if t.is_fixed_point else ""
+        lines.append(f"{t.n:>6}  {t.q - prev:>10}  {t.q:>14}  {t.a:>10}{marker}\n")
+        prev = t.q
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("spec", [
+    SequenceSpec.standard(7, 300),
+    SequenceSpec.standard(199, 300),
+    SequenceSpec.no_zero(300),
+    SequenceSpec.shifted(300),
+    # q(n) reaches 19 digits and mult 18, wider than their 14- and 10-character columns
+    SequenceSpec.standard(10**15 + 37, 130),
+], ids=lambda s: f"{s.label()}-{s.term_count}")
+def test_table_equals_f_string_rows(spec):
+    run = generate(spec)
+    assert "".join(_format_table(run)) == table_document(run)
+
+
 def json_document(run: SequenceRun) -> str:
     """The JSON output as one json.dumps of the whole document."""
     doc = {
@@ -179,6 +203,46 @@ def test_reader_exiting_early_is_an_error_with_unbuffered_stdout(fmt):
     child.stderr.close()
     assert child.wait(timeout=60) == EXIT_ERROR
     assert err == b""
+
+
+def modules_loaded_by(code: str, names: list[str]) -> list[str]:
+    """Which of names a child Python loads while it runs code, on top of
+    what it had loaded before importing trifix."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        f"print(*sorted(set({names!r}) & set(sys.modules) - before))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout.splitlines()[-1].split()  # the lines above are main's output
+
+
+class TestImports:
+    """Each subcommand loads only the layers it uses."""
+
+    @pytest.mark.parametrize("fmt, loaded", [
+        ("table", []), ("csv", []), ("bfile", ["trifix.oeis"]), ("json", ["json"]),
+    ])
+    def test_generate_loads_the_engine_only(self, fmt, loaded):
+        """The default table, and csv, load none of these; bfile and json
+        each load only what their format needs."""
+        argv = ["generate", "--p", "7", "--terms", "3"]
+        if fmt != "table":
+            argv += ["--format", fmt]
+        names = ["trifix.analysis", "trifix.store", "trifix.oeis", "hashlib", "json"]
+        assert modules_loaded_by(f"from trifix.cli import main; main({argv!r})", names) == loaded
+
+    def test_cold_sweep_loads_neither_secrets_nor_datetime(self, tmp_path):
+        cache = tmp_path / "cache"
+        code = ("from trifix.cli import main; "
+                f"main(['sweep', '--p-list', '3,5', '--terms', '50', '--cache', {str(cache)!r}])")
+        names = ["secrets", "datetime", "trifix.store"]
+        assert modules_loaded_by(code, names) == ["trifix.store"]
+        assert sorted(f.name for f in (cache / "standard").iterdir()) == [
+            "p3_v1.bfile.txt", "p3_v1.manifest.json", "p5_v1.bfile.txt", "p5_v1.manifest.json"]
 
 
 class TestGenerateErrors:

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import tempfile
+import tracemalloc
 import warnings
 
 import pytest
@@ -277,6 +279,72 @@ class TestDamagePastTheFirstChunk:
             assert load_run(a199_10k.spec, cache) is None
 
 
+@st.composite
+def lined_texts(draw):
+    """Texts of 0..600 lines of 0..40 characters, about 12 KiB on average,
+    so they span several of _first_lines's 4 KiB slices; the last line may
+    lack its newline."""
+    lines = ["x" * n + "\n" for n in draw(st.lists(st.integers(0, 40), max_size=600))]
+    return "".join(lines) + draw(st.sampled_from(["", "tail"]))
+
+
+class TestServedPrefix:
+    """A longer entry serves a request through the count-th newline of its
+    payload, and only that prefix is copied."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lined_texts(), st.integers(1, 610))
+    def test_first_lines_equals_split_and_join(self, text, count):
+        assert store._first_lines(text, count) == \
+            "\n".join(text.split("\n", count)[:count]) + "\n"
+
+    def test_every_count_of_a_multi_slice_payload(self):
+        payload = write_bfile(generate(SequenceSpec.standard(7, 2000)))  # about 19 KiB
+        for count in range(1, 2003):
+            assert store._first_lines(payload, count) == \
+                "\n".join(payload.split("\n", count)[:count]) + "\n"
+
+    def test_prefix_is_the_only_copy(self):
+        """20,001 lines serving 10,001: the traced peak is the prefix itself
+        (about 97 KiB), where splitting the payload took 843 KiB."""
+        payload = write_bfile(generate(SequenceSpec.standard(199, 20_001)))
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            prefix = store._first_lines(payload, 10_001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert prefix == write_bfile(generate(SequenceSpec.standard(199, 10_001)))
+        assert peak < len(prefix) + 4096
+
+    @pytest.fixture
+    def entry(self, cache):
+        return save_run(generate(SequenceSpec.standard(199, 3000)), cache)
+
+    def damage(self, entry, n):
+        lines = entry.payload_path.read_text().splitlines(keepends=True)
+        lines[n - 1] = f"{n} 0\n"
+        rewrite_entry(entry, "".join(lines))
+
+    def test_damage_past_the_prefix_is_not_parsed(self, cache, entry):
+        self.damage(entry, 2800)
+        spec = SequenceSpec.standard(199, 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_run(spec, cache) == generate(spec)
+
+    def test_damage_inside_the_prefix_is_warned_about_and_regenerated(self, cache, entry):
+        self.damage(entry, 1500)
+        with pytest.warns(UserWarning, match=r"invalid: a\(1500\) = 0 does not divide"):
+            report = sweep([199], 1999, cache_dir=cache).reports[0]
+        spec = SequenceSpec.standard(199, 2000)
+        assert report == classify(generate(spec), 1999)
+        assert entry.payload_path.read_text() == write_bfile(generate(spec))
+
+
 def first_fault(spec, values):
     """The per-term rule for a cached a(1..N), stated plainly: the reason
     the first bad term is bad, or None for a valid run."""
@@ -368,6 +436,29 @@ def test_concurrent_saves_of_one_key_do_not_collide(cache, monkeypatch):
     assert len(calls) == 4
     assert load_run(run.spec, cache) == run
     assert list(cache.rglob("*.tmp")) == []
+
+
+def test_temporary_file_is_named_at_random_and_removed(cache, monkeypatch):
+    """Each write goes through <name>.<16 hex digits>.tmp, renamed over the
+    entry, and no temporary file is left behind."""
+    real_replace = store.os.replace
+    sources = []
+
+    def recording(src, dst):
+        sources.append(src.name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(store.os, "replace", recording)
+    save_run(generate(SequenceSpec.standard(7, 25)), cache)
+    assert len(sources) == 2
+    for name, entry in zip(sources, ["p7_v1.bfile.txt", "p7_v1.manifest.json"]):
+        assert re.fullmatch(re.escape(entry) + r"\.[0-9a-f]{16}\.tmp", name)
+    assert list(cache.rglob("*.tmp")) == []
+
+
+def test_created_at_is_utc_to_the_second(cache):
+    manifest = save_run(generate(SequenceSpec.standard(7, 25)), cache).manifest
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", manifest["created_at"])
 
 
 @pytest.fixture(scope="module")
