@@ -136,74 +136,77 @@ class ConjectureResult:
     sequences: tuple[str, ...]
     n_limit: int
     counterexamples: tuple[Counterexample, ...]
-    primes_checked: int = 0  # eligible primes tested over all sequences (5.1, 6.1)
+    primes_checked: int = 0  # eligible primes tested over all sequences (3.2, 5.1, 6.1)
 
     @property
     def holds(self) -> bool:
         return not self.counterexamples
 
 
-def check_conjecture_3_1(run: SequenceRun, n_limit: int | None = None) -> ConjectureResult:
-    """All fixed points n <= n_limit (default: every term) are odd.  Reports
-    raw facts: sequences outside the conjecture's odd-p scope (e.g. p = 2)
-    simply fail."""
-    if n_limit is None:
-        n_limit = len(run.a)
-    if len(run.a) < n_limit:
-        raise ValueError(f"checking up to n={n_limit} needs {n_limit} terms")
-    label = run.spec.label()
-    bad = tuple(
-        Counterexample(label, n, f"even fixed point a({n}) = {n}")
-        for n in fixed_points(run)
-        if n % 2 == 0 and n <= n_limit
-    )
-    return ConjectureResult("3.1", (label,), n_limit, bad)
+# Each conjecture's default p list: the paper's family for 3.1/3.2 and
+# p = 541 for 6.1; 5.1 is stated for the shifted sequence alone.
+_PAPER_FAMILY = (3, 5, 7, 11, 41, 97, 199)
+_DEFAULT_P_LISTS = {"3.1": _PAPER_FAMILY, "3.2": _PAPER_FAMILY, "5.1": None, "6.1": (541,)}
 
 
-def check_conjecture_3_2(run: SequenceRun, n_limit: int | None = None) -> ConjectureResult:
-    """Every eligible prime n appears as a(n) or as a(n+1)."""
-    report = classify(run, n_limit)
-    label = run.spec.label()
+def _check_conjecture_id(conjecture_id: str) -> None:
+    if conjecture_id not in _DEFAULT_P_LISTS:
+        raise ValueError(f"unknown conjecture {conjecture_id!r}")
+
+
+def check_conjecture(conjecture_id: str, run: SequenceRun,
+                     n_limit: int | None = None) -> ConjectureResult:
+    """Check one run at indices 1..n_limit for conjecture 3.1 (every fixed
+    point is odd; n_limit defaults to every term), 3.2 (every eligible
+    prime n is a(n) or a(n+1)), or 5.1 and 6.1 (every eligible prime is a
+    fixed point, for the shifted sequence and for a large p).  3.2, 5.1 and
+    6.1 need term n_limit + 1.  Reports raw facts: a run outside a
+    conjecture's scope (e.g. A(2) for 3.1) simply fails."""
+    _check_conjecture_id(conjecture_id)
     a = run.a
-    bad = tuple(
-        Counterexample(label, n, f"a({n}) = {a[n - 1]}, a({n + 1}) = {a[n]}")
-        for n in report.missed_primes
-        if a[n] != n
-    )
-    return ConjectureResult("3.2", (label,), report.n_limit, bad)
-
-
-def _check_primes_fixed(conjecture_id: str, specs: list[SequenceSpec], n_limit: int,
-                        detail: str) -> ConjectureResult:
-    """Every eligible prime n <= n_limit is a fixed point of each spec's run;
-    a prime that is not is described by ``detail`` formatted with n and
-    a(n).  A repeated spec is generated and checked once, and one run is in
-    memory at a time."""
-    checked, bad = {}, {}
-    for spec in dict.fromkeys(specs):
-        run = generate(spec)
+    if conjecture_id == "3.1":
+        n_limit = len(a) if n_limit is None else n_limit
+        if len(a) < n_limit:
+            raise ValueError(f"checking up to n={n_limit} needs {n_limit} terms")
+        bad = {n: f"even fixed point a({n}) = {n}"
+               for n in fixed_points(run) if n % 2 == 0 and n <= n_limit}
+        checked = 0
+    else:
         report = classify(run, n_limit)
-        checked[spec] = report.total_eligible_primes
-        bad[spec] = [Counterexample(spec.label(), n, detail.format(n=n, a=run.a[n - 1]))
-                     for n in report.missed_primes]
-        del run  # one run in memory at a time
-    return ConjectureResult(conjecture_id, tuple(spec.label() for spec in specs), n_limit,
-                            tuple(c for spec in specs for c in bad[spec]),
-                            sum(checked[spec] for spec in specs))
+        n_limit, checked, missed = report.n_limit, report.total_eligible_primes, report.missed_primes
+        if conjecture_id == "3.2":
+            bad = {n: f"a({n}) = {a[n - 1]}, a({n + 1}) = {a[n]}" for n in missed if a[n] != n}
+        elif conjecture_id == "5.1":
+            bad = {n: f"odd prime not a fixed point; a({n}) = {a[n - 1]}" for n in missed}
+        else:
+            bad = dict.fromkeys(missed, "eligible prime not a fixed point")
+    label = run.spec.label()
+    return ConjectureResult(conjecture_id, (label,), n_limit,
+                            tuple(Counterexample(label, n, d) for n, d in bad.items()), checked)
 
 
-def check_conjecture_5_1(n_limit: int) -> ConjectureResult:
-    """The shifted sequence detects every odd prime <= n_limit as a fixed
-    point (generates n_limit + 1 terms itself)."""
-    return _check_primes_fixed("5.1", [SequenceSpec.shifted(n_limit + 1)], n_limit,
-                               "odd prime not a fixed point; a({n}) = {a}")
+def run_conjecture(conjecture_id: str, n_limit: int,
+                   p_list: list[int] | tuple[int, ...] | None = None) -> tuple[ConjectureResult, ...]:
+    """Check a conjecture at indices 1..n_limit on A(p) for each p in p_list
+    (default: the conjecture's own list), or on the shifted sequence for
+    5.1, which takes no p list.  3.1 and 3.2 give one result per listed p;
+    5.1 and 6.1 give one result over every listed sequence."""
+    from functools import partial
 
-
-def check_conjecture_6_1(p_list: tuple[int, ...] = (541,), n_limit: int = 10_000) -> ConjectureResult:
-    """For each listed p, every eligible prime <= n_limit is a fixed point
-    of A(p) (the large-p perfect-detection claim; default p = 541)."""
-    specs = [SequenceSpec.standard(p, n_limit + 1) for p in p_list]
-    return _check_primes_fixed("6.1", specs, n_limit, "eligible prime not a fixed point")
+    _check_conjecture_id(conjecture_id)
+    if conjecture_id == "5.1":
+        if p_list is not None:
+            raise ValueError("conjecture 5.1 checks the shifted sequence and takes no p list")
+        specs = [SequenceSpec.shifted(n_limit + 1)]
+    else:
+        p_list = _DEFAULT_P_LISTS[conjecture_id] if p_list is None else p_list
+        specs = [SequenceSpec.standard(p, n_limit + 1) for p in p_list]
+    results = _each_run(specs, partial(check_conjecture, conjecture_id, n_limit=n_limit))
+    if conjecture_id in ("3.1", "3.2"):
+        return tuple(results)
+    return (ConjectureResult(conjecture_id, tuple(spec.label() for spec in specs), n_limit,
+                             tuple(c for r in results for c in r.counterexamples),
+                             sum(r.primes_checked for r in results)),)
 
 
 def check_small_primes(small_primes: list[int]) -> None:
@@ -241,17 +244,39 @@ class SweepReport:
         return self.reports[self.p_list.index(p)]
 
 
-def _sweep_one(args: tuple[int, int, str | None]) -> ClassificationReport:
+def _checked_run(work: tuple[SequenceSpec, Callable[[SequenceRun], object], str | None]) -> object:
+    """check(run) on spec's run, read from the cache or generated into it."""
+    spec, check, cache_dir = work
+    if cache_dir is None:
+        return check(generate(spec))
     from . import store
 
-    p, n_limit, cache_dir = args
-    spec = SequenceSpec.standard(p, n_limit + 1)
-    run = None if cache_dir is None else store.load_run(spec, cache_dir)
+    run = store.load_run(spec, cache_dir)
     if run is None:
         run = generate(spec)
-        if cache_dir is not None:
-            store.save_run(run, cache_dir)
-    return classify(run, n_limit)
+        store.save_run(run, cache_dir)
+    return check(run)
+
+
+def _each_run(specs: list[SequenceSpec], check: Callable[[SequenceRun], object], *,
+              jobs: int = 1, cache_dir: str | None = None) -> list:
+    """check(run) on the run of each spec, in spec order, after checking
+    every q(N) against the 63-bit ceiling.  A repeated spec is run once and
+    each run is dropped once checked: one is in memory at a time.  jobs > 1
+    runs them in a pool of at most one process per distinct spec."""
+    for spec in specs:
+        spec.q(spec.term_count)
+    distinct = list(dict.fromkeys(specs))
+    work = [(spec, check, cache_dir) for spec in distinct]
+    if jobs > 1 and len(work) > 1:
+        import concurrent.futures  # only here: a one-job loop never pays for it
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+            done = list(pool.map(_checked_run, work))
+    else:
+        done = [_checked_run(w) for w in work]
+    result_of = dict(zip(distinct, done))
+    return [result_of[spec] for spec in specs]
 
 
 def sweep(
@@ -274,26 +299,18 @@ def sweep(
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
 
-    distinct = list(dict.fromkeys(p_list))  # a repeated p is classified once
-    work = [(p, n_limit, cache_dir) for p in distinct]
-    if jobs > 1 and len(work) > 1:
-        import concurrent.futures  # only here: a one-job sweep never pays for it
+    from functools import partial
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_sweep_one, work))
-    else:
-        done = [_sweep_one(w) for w in work]
-    report_of = dict(zip(distinct, done))
-    reports = tuple(report_of[p] for p in p_list)
+    specs = [SequenceSpec.standard(p, n_limit + 1) for p in p_list]
+    reports = tuple(_each_run(specs, partial(classify, n_limit=n_limit),
+                              jobs=jobs, cache_dir=cache_dir))
 
-    union: set[int] | None = None
-    for r in reports:
-        missed = set(r.missed_primes)
-        union = missed if union is None else union & missed
+    missed = [set(r.missed_primes) for r in reports]
+    union = set.intersection(*missed) if missed else set()
     return SweepReport(
         p_list=tuple(p_list),
         n_limit=n_limit,
         reports=reports,
-        union_missed=tuple(sorted(union or ())),
+        union_missed=tuple(sorted(union)),
         figure2_series=tuple((p, r.success_rate) for p, r in zip(p_list, reports)),
     )

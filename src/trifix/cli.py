@@ -30,7 +30,6 @@ EXIT_FALSIFIED = 2
 CACHE_ENV_VAR = "TRIFIX_CACHE_DIR"
 
 CONJECTURE_IDS = ("3.1", "3.2", "5.1", "6.1")
-DEFAULT_FAMILY = (3, 5, 7, 11, 41, 97, 199)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -293,35 +292,18 @@ def _format_conjecture(result: analysis.ConjectureResult) -> str:
 def _cmd_conjecture(args) -> int:
     from . import analysis
 
-    n = args.terms
-    if n < 1:
-        raise ValueError(f"--terms must be >= 1, got {n}")
-    results = []
-    text = ""
+    if args.terms < 1:
+        raise ValueError(f"--terms must be >= 1, got {args.terms}")
+    if args.id == "5.1" and args.p_list is not None:
+        raise ValueError("--p-list does not apply to --id 5.1, "
+                         "which checks the shifted sequence")
+    p_list = None if args.p_list is None else _parse_p_list(args.p_list)
+    results = analysis.run_conjecture(args.id, args.terms, p_list)
+    text = "".join(map(_format_conjecture, results))
     if args.id == "5.1":
-        if args.p_list is not None:
-            raise ValueError("--p-list does not apply to --id 5.1, "
-                             "which checks the shifted sequence")
-        result = analysis.check_conjecture_5_1(n)
-        results.append(result)
-        total = result.primes_checked
-        text += (
-            f"{total - len(result.counterexamples)}/{total} odd primes detected "
-            f"as fixed points of the shifted sequence\n"
-        )
-    elif args.id == "6.1":
-        if args.p_list is None:
-            results.append(analysis.check_conjecture_6_1(n_limit=n))
-        else:
-            results.append(analysis.check_conjecture_6_1(tuple(_parse_p_list(args.p_list)), n))
-    else:
-        p_list = DEFAULT_FAMILY if args.p_list is None else _parse_p_list(args.p_list)
-        check = analysis.check_conjecture_3_1 if args.id == "3.1" else analysis.check_conjecture_3_2
-        # every p is validated before the first run; a repeated p runs once
-        specs = {p: SequenceSpec.standard(p, n + 1) for p in p_list}
-        result_of = {p: check(generate(spec), n) for p, spec in specs.items()}
-        results += (result_of[p] for p in p_list)
-    text += "".join(_format_conjecture(r) for r in results)
+        total = results[0].primes_checked
+        text = (f"{total - len(results[0].counterexamples)}/{total} odd primes detected "
+                f"as fixed points of the shifted sequence\n") + text
     _emit([text], args.out)
     return EXIT_OK if all(r.holds for r in results) else EXIT_FALSIFIED
 

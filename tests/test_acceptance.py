@@ -205,7 +205,7 @@ def test_criterion_9_prefix_stability(family_runs):
 
 def test_criterion_9_fixed_points_are_odd(family_runs):
     for p, run in family_runs.items():
-        result = analysis.check_conjecture_3_1(run)
+        result = analysis.check_conjecture("3.1", run)
         assert result.holds, f"A({p}): {result.counterexamples[:3]}"
     note("9.parity", "PASS — all fixed points odd across the family at N=10,001")
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,7 @@ import pytest
 from oracle import naive_divisors, naive_is_prime, oracle_terms
 from trifix import analysis
 from trifix.analysis import (
-    check_conjecture_3_1,
-    check_conjecture_3_2,
-    check_conjecture_5_1,
-    check_conjecture_6_1,
+    check_conjecture,
     classification_matrix,
     classify,
     filter_false_negatives,
@@ -121,33 +119,41 @@ class TestClassificationMatrix:
         assert matrix[0][0] == 1 and matrix[1][0] == 0
 
 
+def shifted_run(n_limit):
+    return generate(SequenceSpec.shifted(n_limit + 1))
+
+
+def standard_run(p, n_limit):
+    return generate(SequenceSpec.standard(p, n_limit + 1))
+
+
 class TestConjecture31:
     def test_holds_for_a7(self):
-        result = check_conjecture_3_1(generate(SequenceSpec.standard(7, 25)))
+        result = check_conjecture("3.1", generate(SequenceSpec.standard(7, 25)))
         assert result.holds and result.counterexamples == ()
 
     def test_identity_sequence_fails(self):
-        result = check_conjecture_3_1(generate(SequenceSpec.standard(2, 100)))
+        result = check_conjecture("3.1", generate(SequenceSpec.standard(2, 100)))
         assert not result.holds
         assert [c.n for c in result.counterexamples[:3]] == [2, 4, 6]
 
     def test_n_limit_bounds_the_check(self):
         run = generate(SequenceSpec.standard(2, 100))  # a(n) = n for every n
-        assert check_conjecture_3_1(run).n_limit == 100
-        result = check_conjecture_3_1(run, 7)
+        assert check_conjecture("3.1", run).n_limit == 100
+        result = check_conjecture("3.1", run, 7)
         assert result.n_limit == 7
         assert [c.n for c in result.counterexamples] == [2, 4, 6]
         with pytest.raises(ValueError, match="needs 101 terms"):
-            check_conjecture_3_1(run, 101)
+            check_conjecture("3.1", run, 101)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_family_at_moderate_depth(self, p):
-        assert check_conjecture_3_1(generate(SequenceSpec.standard(p, 500))).holds
+        assert check_conjecture("3.1", generate(SequenceSpec.standard(p, 500))).holds
 
 
 class TestConjecture32:
     def test_a3_holds(self, a3_run, a3_report):
-        result = check_conjecture_3_2(a3_run, 200)
+        result = check_conjecture("3.2", a3_run, 200)
         assert result.holds
         assert a3_report.detected + a3_report.near_matches == a3_report.total_eligible_primes
 
@@ -156,33 +162,32 @@ class TestConjecture32:
         report = classify(run, 24)
         assert report.near_matches == 0
         assert report.detected == report.total_eligible_primes == 7
-        assert check_conjecture_3_2(run, 25).holds
+        assert check_conjecture("3.2", run, 25).holds
 
     def test_requires_one_extra_term(self):
         with pytest.raises(ValueError):
-            check_conjecture_3_2(generate(SequenceSpec.standard(3, 100)), 100)
+            check_conjecture("3.2", generate(SequenceSpec.standard(3, 100)), 100)
 
 
 class TestConjecture51:
     def test_small(self):
-        assert check_conjecture_5_1(7).holds
+        assert check_conjecture("5.1", shifted_run(7)).holds
 
     def test_vacuous(self):
-        assert check_conjecture_5_1(1).holds
+        assert check_conjecture("5.1", shifted_run(1)).holds
 
     def test_moderate(self):
-        result = check_conjecture_5_1(500)
+        result = check_conjecture("5.1", shifted_run(500))
         assert result.holds and result.n_limit == 500
 
     @pytest.mark.parametrize("n_limit, odd_primes", [(1, 0), (2, 0), (3, 1), (100, 24), (500, 94)])
     def test_counts_the_odd_primes_checked(self, n_limit, odd_primes):
-        assert check_conjecture_5_1(n_limit).primes_checked == odd_primes
+        assert check_conjecture("5.1", shifted_run(n_limit)).primes_checked == odd_primes
 
-    def test_counterexample_detail(self, monkeypatch):
-        good = generate(SequenceSpec.shifted(101))
+    def test_counterexample_detail(self):
+        good = shifted_run(100)
         broken = SequenceRun(good.spec, good.a[:16] + (999,) + good.a[17:])  # a(17) = 999
-        monkeypatch.setattr(analysis, "generate", lambda spec: broken)
-        result = check_conjecture_5_1(100)
+        result = check_conjecture("5.1", broken)
         assert not result.holds and result.sequences == ("shifted",)
         assert [(c.sequence, c.n, c.detail) for c in result.counterexamples] == [
             ("shifted", 17, "odd prime not a fixed point; a(17) = 999")
@@ -191,21 +196,97 @@ class TestConjecture51:
 
 class TestConjecture61:
     def test_large_p_small_range_holds(self):
-        assert check_conjecture_6_1((541,), 100).holds
+        assert check_conjecture("6.1", standard_run(541, 100)).holds
 
     def test_small_p_fails_at_17(self):
-        result = check_conjecture_6_1((3,), 100)
+        result = check_conjecture("6.1", standard_run(3, 100))
         assert not result.holds
         assert result.counterexamples[0].n == 17
 
     def test_counts_the_eligible_primes_of_each_sequence(self):
         # 25 primes <= 100: A(3) excludes 2 and 3, A(541) only 2
-        result = check_conjecture_6_1((3, 541), 100)
+        (result,) = analysis.run_conjecture("6.1", 100, [3, 541])
         assert result.sequences == ("A(3)", "A(541)")
         assert result.primes_checked == 23 + 24
         assert [(c.sequence, c.n, c.detail) for c in result.counterexamples] == [
             ("A(3)", 17, "eligible prime not a fixed point")
         ]
+
+
+class TestCheckConjecture:
+    @pytest.mark.parametrize("cid", ["3.1", "3.2", "5.1", "6.1"])
+    def test_checks_the_given_run_without_generating(self, monkeypatch, a3_run, cid):
+        def no_generate(spec):
+            raise AssertionError("check_conjecture must not generate")
+
+        monkeypatch.setattr(analysis, "generate", no_generate)
+        result = check_conjecture(cid, a3_run, 200)
+        assert (result.conjecture_id, result.sequences, result.n_limit) == (cid, ("A(3)",), 200)
+
+    def test_unknown_id(self, a3_run):
+        with pytest.raises(ValueError, match="unknown conjecture '7.1'"):
+            check_conjecture("7.1", a3_run)
+        with pytest.raises(ValueError, match="unknown conjecture '7.1'"):
+            analysis.run_conjecture("7.1", 100, [3])
+
+
+def generated_specs(monkeypatch):
+    """The spec of every run that analysis generates, in order."""
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return generate(spec)
+
+    monkeypatch.setattr(analysis, "generate", counting)
+    return calls
+
+
+class TestRunConjecture:
+    @pytest.mark.parametrize("cid, specs", [
+        ("3.1", [SequenceSpec.standard(p, 101) for p in (3, 5, 7, 11, 41, 97, 199)]),
+        ("3.2", [SequenceSpec.standard(p, 101) for p in (3, 5, 7, 11, 41, 97, 199)]),
+        ("5.1", [SequenceSpec.shifted(101)]),
+        ("6.1", [SequenceSpec.standard(541, 101)]),
+    ])
+    def test_default_runs(self, monkeypatch, cid, specs):
+        calls = generated_specs(monkeypatch)
+        results = analysis.run_conjecture(cid, 100)
+        assert calls == specs
+        labels = [(spec.label(),) for spec in specs]
+        if cid in ("5.1", "6.1"):  # one result over every sequence
+            labels = [sum(labels, ())]
+        assert [r.sequences for r in results] == labels
+
+    @pytest.mark.parametrize("cid", ["3.1", "3.2"])
+    def test_one_result_per_listed_p(self, monkeypatch, cid):
+        calls = generated_specs(monkeypatch)
+        results = analysis.run_conjecture(cid, 300, [3, 2, 3, 3])
+        assert calls == [SequenceSpec.standard(3, 301), SequenceSpec.standard(2, 301)]
+        by_p = {p: check_conjecture(cid, generate(SequenceSpec.standard(p, 301)), 300)
+                for p in (2, 3)}
+        assert results == tuple(by_p[p] for p in (3, 2, 3, 3))
+
+    def test_6_1_repeats_the_label_and_counterexamples_of_a_repeated_p(self, monkeypatch):
+        calls = generated_specs(monkeypatch)
+        (result,) = analysis.run_conjecture("6.1", 100, [3, 541, 3])
+        assert [spec.p for spec in calls] == [3, 541]
+        assert result.sequences == ("A(3)", "A(541)", "A(3)")
+        assert [(c.sequence, c.n) for c in result.counterexamples] == [("A(3)", 17), ("A(3)", 17)]
+        assert result.primes_checked == 23 + 24 + 23
+
+    def test_5_1_takes_no_p_list(self, monkeypatch):
+        calls = generated_specs(monkeypatch)
+        with pytest.raises(ValueError, match="takes no p list"):
+            analysis.run_conjecture("5.1", 100, [3])
+        assert calls == []
+
+    @pytest.mark.parametrize("cid", ["3.1", "6.1"])
+    def test_overflow_is_refused_before_the_first_run(self, monkeypatch, cid):
+        calls = generated_specs(monkeypatch)
+        with pytest.raises(OverflowError, match=r"^q\(3001\) = .* for p=1000000000000000003 "):
+            analysis.run_conjecture(cid, 3000, [199, 10**18 + 3])
+        assert calls == []
 
 
 def test_a3_fixes_every_prime_3_mod_4_and_misses_only_1_mod_4():
@@ -298,6 +379,40 @@ class TestSweep:
         assert result.reports == (a199, a5, a199, a199)
         assert result.union_missed == alone.union_missed
         assert [p for p, _ in result.figure2_series] == [199, 5, 199, 199]
+
+    @pytest.mark.parametrize("p_list, jobs, workers", [
+        ([3, 5, 3], 64, 2), ([3, 5, 7], 2, 2), ([3, 5, 7, 11], 3, 3),
+    ])
+    def test_pool_has_at_most_one_worker_per_distinct_p(self, monkeypatch, p_list, jobs,
+                                                         workers):
+        made = []
+
+        class InProcessPool:
+            """Records max_workers and maps in this process."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        assert sweep(p_list, 100, jobs=jobs) == sweep(p_list, 100)
+        assert made == [workers]
+        sweep([3, 3], 100, jobs=jobs)  # one distinct p: no pool
+        assert made == [workers]
+
+    def test_overflow_is_refused_before_the_first_run(self, monkeypatch, tmp_path):
+        calls = generated_specs(monkeypatch)
+        with pytest.raises(OverflowError, match=r"^q\(3001\) = .* for p=1000000000000000003 "):
+            sweep([199, 10**18 + 3], 3000, cache_dir=str(tmp_path / "cache"))
+        assert calls == [] and list(tmp_path.iterdir()) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):

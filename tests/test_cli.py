@@ -235,6 +235,20 @@ class TestImports:
         names = ["trifix.analysis", "trifix.store", "trifix.oeis", "hashlib", "json"]
         assert modules_loaded_by(f"from trifix.cli import main; main({argv!r})", names) == loaded
 
+    @pytest.mark.parametrize("argv", [
+        ["conjecture", "--id", "3.1", "--terms", "50"],
+        ["conjecture", "--id", "3.2", "--p-list", "3,5", "--terms", "50"],
+        ["conjecture", "--id", "5.1", "--terms", "50"],
+        ["conjecture", "--id", "6.1", "--p-list", "3,541", "--terms", "50"],
+        ["analyze", "--p", "3", "--terms", "50"],
+    ], ids=" ".join)
+    def test_conjecture_and_analyze_load_neither_cache_nor_pool(self, argv):
+        """Sharing sweep's run loop pulls in neither the cache layer nor the
+        process pool."""
+        names = ["trifix.analysis", "trifix.store", "hashlib", "json", "concurrent.futures"]
+        code = f"from trifix.cli import main; main({argv!r})"
+        assert modules_loaded_by(code, names) == ["trifix.analysis"]
+
     def test_cold_sweep_loads_neither_secrets_nor_datetime(self, tmp_path):
         cache = tmp_path / "cache"
         code = ("from trifix.cli import main; "
@@ -352,6 +366,58 @@ class TestConjecture:
         (["--id", "3.2", "--p-list", "3,2", "--terms", "300"],
          "conjecture 3.2 [A(3)]: HOLDS up to N=300\n"
          "conjecture 3.2 [A(2)]: HOLDS up to N=300\n"),
+        # each id's default p list: the paper family for 3.1/3.2, 541 for 6.1
+        (["--id", "3.1", "--terms", "300"],
+         "conjecture 3.1 [A(3)]: HOLDS up to N=300\n"
+         "conjecture 3.1 [A(5)]: HOLDS up to N=300\n"
+         "conjecture 3.1 [A(7)]: HOLDS up to N=300\n"
+         "conjecture 3.1 [A(11)]: HOLDS up to N=300\n"
+         "conjecture 3.1 [A(41)]: HOLDS up to N=300\n"
+         "conjecture 3.1 [A(97)]: HOLDS up to N=300\n"
+         "conjecture 3.1 [A(199)]: HOLDS up to N=300\n"),
+        (["--id", "3.2", "--terms", "300"],
+         "conjecture 3.2 [A(3)]: HOLDS up to N=300\n"
+         "conjecture 3.2 [A(5)]: HOLDS up to N=300\n"
+         "conjecture 3.2 [A(7)]: HOLDS up to N=300\n"
+         "conjecture 3.2 [A(11)]: HOLDS up to N=300\n"
+         "conjecture 3.2 [A(41)]: HOLDS up to N=300\n"
+         "conjecture 3.2 [A(97)]: HOLDS up to N=300\n"
+         "conjecture 3.2 [A(199)]: HOLDS up to N=300\n"),
+        (["--id", "5.1", "--terms", "300"],
+         "61/61 odd primes detected as fixed points of the shifted sequence\n"
+         "conjecture 5.1 [shifted]: HOLDS up to N=300\n"),
+        (["--id", "6.1", "--terms", "300"],
+         "conjecture 6.1 [A(541)]: HOLDS up to N=300\n"),
+        (["--id", "3.1", "--terms", "1"],
+         "conjecture 3.1 [A(3)]: HOLDS up to N=1\n"
+         "conjecture 3.1 [A(5)]: HOLDS up to N=1\n"
+         "conjecture 3.1 [A(7)]: HOLDS up to N=1\n"
+         "conjecture 3.1 [A(11)]: HOLDS up to N=1\n"
+         "conjecture 3.1 [A(41)]: HOLDS up to N=1\n"
+         "conjecture 3.1 [A(97)]: HOLDS up to N=1\n"
+         "conjecture 3.1 [A(199)]: HOLDS up to N=1\n"),
+        (["--id", "3.2", "--terms", "1"],
+         "conjecture 3.2 [A(3)]: HOLDS up to N=1\n"
+         "conjecture 3.2 [A(5)]: HOLDS up to N=1\n"
+         "conjecture 3.2 [A(7)]: HOLDS up to N=1\n"
+         "conjecture 3.2 [A(11)]: HOLDS up to N=1\n"
+         "conjecture 3.2 [A(41)]: HOLDS up to N=1\n"
+         "conjecture 3.2 [A(97)]: HOLDS up to N=1\n"
+         "conjecture 3.2 [A(199)]: HOLDS up to N=1\n"),
+        (["--id", "6.1", "--terms", "1"],
+         "conjecture 6.1 [A(541)]: HOLDS up to N=1\n"),
+        # a repeated p: one line per listed copy
+        (["--id", "3.1", "--p-list", "3,2,3,3", "--terms", "300"],
+         "conjecture 3.1 [A(3)]: HOLDS up to N=300\n"
+         "conjecture 3.1 [A(2)]: FALSIFIED, 150 counterexample(s); "
+         "first: A(2) n=2 (even fixed point a(2) = 2)\n"
+         "conjecture 3.1 [A(3)]: HOLDS up to N=300\n"
+         "conjecture 3.1 [A(3)]: HOLDS up to N=300\n"),
+        (["--id", "3.2", "--p-list", "3,2,3,3", "--terms", "300"],
+         "conjecture 3.2 [A(3)]: HOLDS up to N=300\n"
+         "conjecture 3.2 [A(2)]: HOLDS up to N=300\n"
+         "conjecture 3.2 [A(3)]: HOLDS up to N=300\n"
+         "conjecture 3.2 [A(3)]: HOLDS up to N=300\n"),
     ])
     def test_exact_output(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, "conjecture", *argv)
@@ -411,10 +477,10 @@ class TestConjecture:
 
     @pytest.mark.parametrize("p_list", ["abc", "3", ""])
     def test_5_1_rejects_p_list_before_the_run(self, capsys, monkeypatch, p_list):
-        def no_run(n):
+        def no_run(*args):
             raise AssertionError("5.1 must not run with --p-list")
 
-        monkeypatch.setattr(trifix.analysis, "check_conjecture_5_1", no_run)
+        monkeypatch.setattr(trifix.analysis, "run_conjecture", no_run)
         code, out, err = run_cli(
             capsys, "conjecture", "--id", "5.1", "--p-list", p_list, "--terms", "100"
         )
@@ -423,15 +489,19 @@ class TestConjecture:
 
     @staticmethod
     def count_generated(monkeypatch):
-        """The p of every run generated, wherever conjecture generates it."""
+        """The p of every run generated by the one loop that runs them; the
+        CLI itself generates none."""
         generated = []
 
         def counting(spec):
             generated.append(spec.p)
             return generate(spec)
 
-        monkeypatch.setattr(trifix.cli, "generate", counting)
+        def not_here(spec):
+            raise AssertionError("the CLI generates no run for conjecture, sweep or export")
+
         monkeypatch.setattr(trifix.analysis, "generate", counting)
+        monkeypatch.setattr(trifix.cli, "generate", not_here)
         return generated
 
     @pytest.mark.parametrize("cid", ["3.1", "3.2"])
@@ -468,6 +538,16 @@ class TestConjecture:
                                  "--terms", "100")
         assert (code, out) == (EXIT_ERROR, "") and err.startswith("trifix: error: ")
         assert generated == []
+
+
+    @pytest.mark.parametrize("cid", ["3.1", "3.2", "6.1"])
+    def test_overflowing_p_is_refused_before_the_first_run(self, capsys, monkeypatch, cid):
+        generated = self.count_generated(monkeypatch)
+        code, out, err = run_cli(capsys, "conjecture", "--id", cid,
+                                 "--p-list", "199,1000000000000000003", "--terms", "3000")
+        assert (code, out, generated) == (EXIT_ERROR, "", [])
+        assert err == ("trifix: error: q(3001) = 4501500000000000013504500 for "
+                       "p=1000000000000000003 exceeds the supported value range (2**63 - 1)\n")
 
 
 class TestSweep:
@@ -517,6 +597,22 @@ class TestSweep:
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_ERROR
         assert out == "" and "jobs must be >= 1" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["sweep", "export"])
+    def test_overflowing_p_is_refused_before_the_first_run(self, capsys, monkeypatch, tmp_path,
+                                                           command, jobs):
+        generated = TestConjecture.count_generated(monkeypatch)
+        cache = tmp_path / "cache"
+        argv = [command, "--p-list", "199,1000000000000000003", "--terms", "3000",
+                "--jobs", jobs, "--cache", str(cache)]
+        if command == "export":
+            argv += ["--what", "table2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, generated) == (EXIT_ERROR, "", [])
+        assert err == ("trifix: error: q(3001) = 4501500000000000013504500 for "
+                       "p=1000000000000000003 exceeds the supported value range (2**63 - 1)\n")
+        assert not cache.exists()
 
     def test_one_job_does_not_import_a_process_pool(self, tmp_path):
         code = (
