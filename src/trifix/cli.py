@@ -15,6 +15,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, count, pairwise
+from typing import TYPE_CHECKING
 
 # Only what every subcommand uses is imported here.  The rest is imported by
 # the commands that use it, so `generate` never loads the analysis and cache
@@ -22,6 +23,9 @@ from itertools import chain, count, pairwise
 from . import __version__
 from .engine import NO_ZERO, SHIFTED, STANDARD, SequenceRun, SequenceSpec, fixed_points, generate
 from .numtheory import CapacityError
+
+if TYPE_CHECKING:  # annotations only: the commands import it when they run
+    from . import analysis
 
 EXIT_OK = 0
 EXIT_ERROR = 1

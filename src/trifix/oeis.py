@@ -7,7 +7,6 @@ b-files come from local paths.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -30,52 +29,9 @@ class BFile:
     values: tuple[int, ...]
 
 
-# The layout write_bfile writes: "index value\n" lines and nothing else.
-_WRITTEN_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*) [0-9]+\n)+")
-# A chunk's match and tokens are transient: bounding the chunk bounds them,
-# where one match or split() over a whole cached payload holds megabytes.
-_CHUNK_CHARS = 4096
-
-
 def parse_bfile(text: str) -> BFile:
-    """Parse b-file text into its first index and its values.
-
-    Text laid out as write_bfile writes it is parsed in bulk; any other
-    layout, and any damage, is parsed line by line, so the result (or the
-    error and its message, which names the bad line) is the same either way.
-    """
-    try:
-        bfile = _parse_written(text)
-    except ValueError:  # an integer past int()'s digit limit
-        bfile = None
-    return _parse_lines(text) if bfile is None else bfile
-
-
-def _parse_written(text: str) -> BFile | None:
-    """The BFile of text in write_bfile's exact layout, or None for any
-    other text.  Walks chunks of about _CHUNK_CHARS, each cut at a newline."""
-    offset = 0
-    values: list[int] = []
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
-        chunk = text[start:end]
-        if _WRITTEN_LINES.fullmatch(chunk) is None:
-            return None
-        tokens = chunk.split()
-        if not values:
-            offset = int(tokens[0])
-        first = offset + len(values)
-        if tokens[::2] != list(map(str, range(first, first + len(tokens) // 2))):
-            return None
-        values.extend(map(int, tokens[1::2]))
-        start = end
-    return BFile(offset, tuple(values)) if values else None
-
-
-def _parse_lines(text: str) -> BFile:
-    """The line-by-line parser: the one parser of comments, blank lines and
-    every other layout, and the reference that parse_bfile agrees with."""
+    """Parse b-file text into its first index and its values, line by line.
+    Raises BFileParseError or BFileStructureError naming the first bad line."""
     offset = 0
     values: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -78,21 +79,36 @@ def save_run(run: SequenceRun, cache_dir: str | os.PathLike) -> CacheEntry:
     return CacheEntry(payload_path, manifest)
 
 
-def _first_lines(text: str, count: int) -> str:
-    """text through its count-th newline, or text + "\n" when it has fewer,
-    as "\n".join(text.split("\n", count)[:count]) + "\n" gives.  Whole 4 KiB
-    slices are skipped by counting their newlines, so only the prefix is
-    copied."""
-    start, step = 0, 4096
-    while start + step < len(text) and (k := text.count("\n", start, start + step)) < count:
-        count -= k
-        start += step
-    end = start - 1
-    for _ in range(count):
-        end = text.find("\n", end + 1)
-        if end < 0:
-            return text + "\n"
-    return text[:end + 1]
+# The layout write_bfile writes: "index value\n" lines and nothing else.
+_PAYLOAD_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*) [0-9]+\n)+")
+
+
+def _payload_values(payload: str, count: int) -> tuple[int, ...] | None:
+    """a(1..count) from the first count lines of a payload, or None unless
+    those lines are in write_bfile's exact layout.  Reads chunks of about
+    4 KiB, each cut at a newline, and stops at the one holding line count:
+    a chunk's match and tokens are transient, where one match or split()
+    over a whole payload holds megabytes, and later lines are never read."""
+    values: list[int] = []
+    start = 0
+    try:
+        while len(values) < count:
+            end = payload.find("\n", start + 4095) + 1 or len(payload)
+            lines = _PAYLOAD_LINES.match(payload, start, end)
+            if lines is None:
+                return None
+            tokens = lines[0].split()
+            del tokens[2 * (count - len(values)):]  # the lines past line count
+            first = len(values) + 1
+            if tokens[::2] != list(map(str, range(first, first + len(tokens) // 2))):
+                return None
+            values.extend(map(int, tokens[1::2]))
+            if lines.end() < end and len(values) < count:
+                return None  # a line before line count is in another layout
+            start = end
+    except ValueError:  # an integer past int()'s digit limit
+        return None
+    return tuple(values)
 
 
 def _cached_values(
@@ -118,20 +134,20 @@ def _cached_values(
     count = spec.term_count
     if held < count:
         return None
-    if held > count:  # the checksum covered every line; parse only those served,
-        # with the last one's newline, which keeps write_bfile's layout
-        payload = _first_lines(payload, count)
-    bfile = parse_bfile(payload)
-    if bfile.offset != 1 or len(bfile.values) < count:
-        raise ValueError(f"payload does not hold terms 1..{count}")
-    values = bfile.values[:count]
+    values = _payload_values(payload, count)
+    if values is None:  # any other layout: served, or its bad line named, line by line
+        bfile = parse_bfile(payload)
+        if bfile.offset != 1 or len(bfile.values) < count:
+            raise ValueError(f"payload does not hold terms 1..{count}")
+        values = bfile.values[:count]
+    del payload  # held through the checks below, it would raise their traced peak
     if values[0] != 1:
         raise ValueError(f"a(1) = {values[0]}, expected 1")
     # Whole-sequence passes first; the per-term scan below applies the same
     # rules and runs only to name the first term that breaks one.  The
     # distinct values are counted as dict keys: at 10^4 terms the table is
     # about two thirds of a set's (430 against 640 KiB), and this transient,
-    # not the chunked parse, sets a warm sweep's traced peak.
+    # not the chunked read, sets a warm sweep's traced peak.
     bootstrap = spec.has_bootstrap and count > 1 and values[1] == 1
     if (min(values) >= 1 and not any(map(mod, spec.q_values(count), values))
             and len(dict.fromkeys(values)) == count - bootstrap):

@@ -259,6 +259,42 @@ class TestImports:
             "p3_v1.bfile.txt", "p3_v1.manifest.json", "p5_v1.bfile.txt", "p5_v1.manifest.json"]
 
 
+ANNOTATION_CHECK = """
+import importlib, inspect, pkgutil, typing
+typing.TYPE_CHECKING = True
+import trifix
+checked, failed = 0, []
+for info in pkgutil.iter_modules(trifix.__path__):
+    module = importlib.import_module(f"trifix.{info.name}")
+    for obj in list(vars(module).values()):
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = vars(obj).values() if inspect.isclass(obj) else ()
+        members = [getattr(m, "__func__", getattr(m, "fget", m)) for m in members]
+        for target in [obj, *members]:
+            if inspect.isclass(target) or inspect.isfunction(target):
+                checked += 1
+                try:
+                    typing.get_type_hints(target)
+                except Exception as exc:
+                    failed.append(f"{module.__name__}.{target.__qualname__}: {exc!r}")
+print(checked, failed)
+"""
+
+
+def test_every_annotation_resolves():
+    """typing.get_type_hints resolves the annotations of every function,
+    class and method in trifix.  The child Python sets TYPE_CHECKING first,
+    as documentation tools do, so a name imported for annotations only
+    resolves as well."""
+    done = subprocess.run([sys.executable, "-c", ANNOTATION_CHECK], capture_output=True,
+                          text=True, env=child_env(), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    checked, failed = done.stdout.split(" ", 1)
+    assert int(checked) > 100
+    assert failed == "[]\n"
+
+
 class TestGenerateErrors:
     def test_missing_p(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--terms", "5")

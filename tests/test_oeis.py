@@ -1,16 +1,12 @@
-import random
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from trifix import oeis
 from trifix.engine import SequenceSpec, fixed_points, generate
 from trifix.oeis import (
     BFile,
     BFileParseError,
     BFileStructureError,
-    _parse_lines,
     compare,
     parse_bfile,
     write_bfile,
@@ -51,91 +47,6 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(BFileParseError):
             parse_bfile("# only comments\n")
-
-
-def outcome(parse, text):
-    """What parse makes of text: its BFile, or its error's class and message."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-def first_chunk_lines(text):
-    """The number of lines in the first chunk that the bulk parser reads."""
-    return text[:text.find("\n", oeis._CHUNK_CHARS - 1) + 1 or len(text)].count("\n")
-
-
-PERTURBATIONS = {
-    "none": lambda i, v: f"{i} {v}\n",
-    "comment": lambda i, v: f"# comment\n{i} {v}\n",
-    "blank line": lambda i, v: f"\n{i} {v}\n",
-    "CRLF": lambda i, v: f"{i} {v}\r\n",
-    "leading space": lambda i, v: f" {i} {v}\n",
-    "trailing space": lambda i, v: f"{i} {v} \n",
-    "double space": lambda i, v: f"{i}  {v}\n",
-    "leading-zero index": lambda i, v: f"0{i} {v}\n",
-    "leading-zero value": lambda i, v: f"{i} 0{v}\n",
-    "negative value": lambda i, v: f"{i} -{v}\n",
-    "skipped index": lambda i, v: f"{i + 1} {v}\n",
-    "deleted line": lambda i, v: "",
-    "repeated index": lambda i, v: f"{i - 1} {v}\n",
-    "one token": lambda i, v: f"{i}\n",
-    "three tokens": lambda i, v: f"{i} {v} {v}\n",
-    "non-integer token": lambda i, v: f"{i} {v}x\n",
-    "no final newline": None,
-}
-
-
-@st.composite
-def perturbed_bfiles(draw):
-    """write_bfile's layout, 1 to 3,000 lines from offset 0 or 1, with one
-    perturbation at a line before, inside or past the first bulk chunk."""
-    count = draw(st.integers(1, 3000))
-    offset = draw(st.integers(0, 1))
-    rnd = random.Random(draw(st.integers(0, 2**32)))
-    values = [rnd.choice((0, rnd.randrange(10), rnd.randrange(10**12))) for _ in range(count)]
-    lines = [f"{offset + k} {v}\n" for k, v in enumerate(values)]
-    kind = draw(st.sampled_from(sorted(PERTURBATIONS)))
-    if kind == "no final newline":
-        return "".join(lines)[:-1]
-    inside = first_chunk_lines("".join(lines))
-    where = draw(st.sampled_from(["first line", "inside the first chunk",
-                                  "first line past it", "past it"]))
-    k = {
-        "first line": 0,
-        "inside the first chunk": draw(st.integers(0, inside - 1)),
-        "first line past it": min(inside, count - 1),
-        "past it": draw(st.integers(min(inside, count - 1), count - 1)),
-    }[where]
-    lines[k] = PERTURBATIONS[kind](offset + k, values[k])
-    return "".join(lines)
-
-
-class TestBulkParse:
-    """Text in write_bfile's layout is parsed in bulk chunks; everything
-    else falls back to the line-by-line parser, with the same outcome."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(perturbed_bfiles())
-    def test_agrees_with_the_line_by_line_parser(self, text):
-        assert outcome(parse_bfile, text) == outcome(_parse_lines, text)
-
-    def test_written_layout_never_parses_line_by_line(self, monkeypatch):
-        run = generate(SequenceSpec.standard(199, 3000))
-        text = write_bfile(run)
-        assert first_chunk_lines(text) < 3000  # several chunks
-
-        def line_by_line(text):
-            raise AssertionError("parsed line by line")
-
-        monkeypatch.setattr(oeis, "_parse_lines", line_by_line)
-        assert parse_bfile(text) == BFile(1, run.a)
-
-    def test_value_past_the_integer_digit_limit(self):
-        # int() refuses strings of more than 4300 digits by default (3.10.7+)
-        text = "1 1\n2 " + "7" * 5000 + "\n"
-        assert outcome(parse_bfile, text) == outcome(_parse_lines, text)
 
 
 class TestWrite:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import tempfile
 import tracemalloc
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifix import oeis, store
+from trifix import store
 from trifix.analysis import classify, sweep
 from trifix.engine import SequenceRun, SequenceSpec, generate
-from trifix.oeis import write_bfile
+from trifix.oeis import BFile, parse_bfile, write_bfile
 from trifix.store import (
     export_figure2,
     export_table2,
@@ -115,30 +116,23 @@ class TestRunCache:
             assert sweep([3], 120, cache_dir=cache).reports[0] == classify(generate(spec), 120)
         assert sorted(f.name for f in (cache / "standard").iterdir()) == entry_files
 
-    def test_shorter_request_parses_only_its_lines(self, cache, monkeypatch):
-        """Lines past N are covered by the checksum but not parsed."""
-        save_run(generate(SequenceSpec.standard(7, 50)), cache)
-        parsed = []
-        parse = store.parse_bfile
-
-        def recording(text):
-            parsed.append(len(text.splitlines()))
-            return parse(text)
-
-        monkeypatch.setattr(store, "parse_bfile", recording)
-        spec = SequenceSpec.standard(7, 25)
-        assert load_run(spec, cache) == generate(spec)
-        assert parsed == [25]
+    def test_shorter_request_parses_only_its_lines(self, cache):
+        """Lines past N are covered by the checksum but not read: junk from
+        more than a chunk past line N on is served from without a warning."""
+        entry = save_run(generate(SequenceSpec.standard(7, 3000)), cache)
+        lines = entry.payload_path.read_text().splitlines(keepends=True)
+        assert len("".join(lines[1000:2000])) > 4096
+        rewrite_entry(entry, "".join(lines[:2000]) + "junk\n" * 1000)
+        spec = SequenceSpec.standard(7, 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_run(spec, cache) == generate(spec)
 
     def test_served_prefix_parses_in_bulk(self, cache, monkeypatch):
-        """A prefix served from a longer entry keeps write_bfile's layout,
-        its last newline included, so it never parses line by line."""
+        """A prefix served from a longer entry is read in bulk, so it never
+        parses line by line."""
         save_run(generate(SequenceSpec.standard(7, 3000)), cache)
-
-        def line_by_line(text):
-            raise AssertionError("parsed line by line")
-
-        monkeypatch.setattr(oeis, "_parse_lines", line_by_line)
+        monkeypatch.setattr(store, "parse_bfile", line_by_line)
         spec = SequenceSpec.standard(7, 1000)
         assert load_run(spec, cache) == generate(spec)
 
@@ -156,6 +150,10 @@ class TestRunCache:
         loaded = load_run(run.spec, cache)
         assert loaded.term(2).is_bootstrap_duplicate
         assert [loaded.term(n).q for n in range(1, 31)] == [run.term(n).q for n in range(1, 31)]
+
+
+def line_by_line(text):
+    raise AssertionError("parsed line by line")
 
 
 def manifest_path(entry):
@@ -279,46 +277,147 @@ class TestDamagePastTheFirstChunk:
             assert load_run(a199_10k.spec, cache) is None
 
 
+def first_chunk_lines(text):
+    """The number of lines in the first chunk that the payload reader reads."""
+    return text[:text.find("\n", 4095) + 1 or len(text)].count("\n")
+
+
+PERTURBATIONS = {
+    "none": lambda i, v: f"{i} {v}\n",
+    "comment": lambda i, v: f"# comment\n{i} {v}\n",
+    "blank line": lambda i, v: f"\n{i} {v}\n",
+    "CRLF": lambda i, v: f"{i} {v}\r\n",
+    "leading space": lambda i, v: f" {i} {v}\n",
+    "trailing space": lambda i, v: f"{i} {v} \n",
+    "double space": lambda i, v: f"{i}  {v}\n",
+    "leading-zero index": lambda i, v: f"0{i} {v}\n",
+    "leading-zero value": lambda i, v: f"{i} 0{v}\n",
+    "negative value": lambda i, v: f"{i} -{v}\n",
+    "skipped index": lambda i, v: f"{i + 1} {v}\n",
+    "deleted line": lambda i, v: "",
+    "repeated index": lambda i, v: f"{i - 1} {v}\n",
+    "one token": lambda i, v: f"{i}\n",
+    "three tokens": lambda i, v: f"{i} {v} {v}\n",
+    "non-integer token": lambda i, v: f"{i} {v}x\n",
+    "no final newline": None,
+}
+
+
 @st.composite
-def lined_texts(draw):
-    """Texts of 0..600 lines of 0..40 characters, about 12 KiB on average,
-    so they span several of _first_lines's 4 KiB slices; the last line may
-    lack its newline."""
-    lines = ["x" * n + "\n" for n in draw(st.lists(st.integers(0, 40), max_size=600))]
-    return "".join(lines) + draw(st.sampled_from(["", "tail"]))
+def perturbed_payloads(draw):
+    """write_bfile's layout, 1 to 3,000 lines from index 1, with one
+    perturbation at a line before, inside or past the first chunk, or at or
+    just past the last requested line; a request for 1 to 2 more terms than
+    there are lines; and the requested lines as written, if there are so
+    many."""
+    count = draw(st.integers(1, 3000))
+    request = draw(st.integers(1, count + 2))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    values = [rnd.choice((0, rnd.randrange(10), rnd.randrange(10**12))) for _ in range(count)]
+    lines = [f"{n} {v}\n" for n, v in enumerate(values, start=1)]
+    clean = "".join(lines[:request]) if request <= count else None
+    kind = draw(st.sampled_from(sorted(PERTURBATIONS)))
+    if kind == "no final newline":
+        return "".join(lines)[:-1], request, clean
+    inside = first_chunk_lines("".join(lines))
+    where = draw(st.sampled_from(["first line", "inside the first chunk", "first line past it",
+                                  "past it", "last requested line", "line after it"]))
+    k = {
+        "first line": 0,
+        "inside the first chunk": draw(st.integers(0, inside - 1)),
+        "first line past it": min(inside, count - 1),
+        "past it": draw(st.integers(min(inside, count - 1), count - 1)),
+        "last requested line": min(request, count) - 1,
+        "line after it": min(request, count - 1),
+    }[where]
+    lines[k] = PERTURBATIONS[kind](k + 1, values[k])
+    return "".join(lines), request, clean
+
+
+class TestPayloadReader:
+    """The cache reads payloads in write_bfile's layout in bulk chunks; any
+    other text goes to parse_bfile, which serves it or names its bad line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_payloads())
+    def test_agrees_with_the_line_by_line_parser(self, case):
+        """The reader gives None, or exactly what parse_bfile makes of the
+        requested lines; it reads them whenever write_bfile wrote them."""
+        text, count, clean = case
+        values = store._payload_values(text, count)
+        if values is not None:
+            assert parse_bfile("".join(text.splitlines(keepends=True)[:count])) == \
+                BFile(1, values)
+        if clean is not None and text.startswith(clean):
+            assert values is not None
+
+    def test_written_layout_never_parses_line_by_line(self, cache, monkeypatch):
+        run = generate(SequenceSpec.standard(199, 3000))
+        text = write_bfile(run)
+        inside = first_chunk_lines(text)
+        assert inside < 1000  # several chunks
+        for count in (1, inside, inside + 1, 2999, 3000):
+            assert store._payload_values(text, count) == run.a[:count]
+        assert store._payload_values(text, 3001) is None
+        save_run(run, cache)
+        monkeypatch.setattr(store, "parse_bfile", line_by_line)
+        assert load_run(run.spec, cache) == run
+
+    def test_junk_line_that_ends_a_chunk(self, cache):
+        """The chunk after the junk starts at the next index, yet the junk
+        is named, as the line parser names it."""
+        run = generate(SequenceSpec.standard(7, 2000))
+        text = write_bfile(run)
+        start = text.rfind("\n", 0, 4095) + 1  # of the line the first chunk ends with
+        assert start < 4095
+        damaged = text[:start] + "x" * (4095 - start) + "\n" + text[start:]
+        assert store._payload_values(damaged, 2000) is None
+        rewrite_entry(save_run(run, cache), damaged)
+        line = text.count("\n", 0, start) + 1
+        with pytest.warns(UserWarning, match=rf"invalid: line {line}: expected 'index value'"):
+            assert load_run(run.spec, cache) is None
+
+    def test_value_past_the_integer_digit_limit(self, cache):
+        # int() refuses strings of more than 4300 digits by default (3.10.7+)
+        text = "1 1\n2 " + "7" * 5000 + "\n"
+        assert store._payload_values(text, 2) is None
+        rewrite_entry(save_run(generate(SequenceSpec.standard(7, 2)), cache), text)
+        with pytest.warns(UserWarning, match="invalid: line 2: non-integer token in '2 777"):
+            assert load_run(SequenceSpec.standard(7, 2), cache) is None
 
 
 class TestServedPrefix:
-    """A longer entry serves a request through the count-th newline of its
-    payload, and only that prefix is copied."""
+    """A longer entry serves a request from its first N lines; the lines
+    past the chunk that holds line N are never read."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(lined_texts(), st.integers(1, 610))
-    def test_first_lines_equals_split_and_join(self, text, count):
-        assert store._first_lines(text, count) == \
-            "\n".join(text.split("\n", count)[:count]) + "\n"
+    def test_every_count_of_a_multi_slice_payload(self, cache):
+        run = generate(SequenceSpec.standard(7, 2000))  # about 19 KiB: five chunks
+        save_run(run, cache)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for count in range(1, 2003):
+                spec = SequenceSpec.standard(7, count)
+                served = load_run(spec, cache)
+                assert served == (SequenceRun(spec, run.a[:count]) if count <= 2000 else None)
 
-    def test_every_count_of_a_multi_slice_payload(self):
-        payload = write_bfile(generate(SequenceSpec.standard(7, 2000)))  # about 19 KiB
-        for count in range(1, 2003):
-            assert store._first_lines(payload, count) == \
-                "\n".join(payload.split("\n", count)[:count]) + "\n"
-
-    def test_prefix_is_the_only_copy(self):
-        """20,001 lines serving 10,001: the traced peak is the prefix itself
-        (about 97 KiB), where splitting the payload took 843 KiB."""
-        payload = write_bfile(generate(SequenceSpec.standard(199, 20_001)))
+    def test_prefix_is_the_only_copy(self, cache):
+        """Serving 10,001 terms of a 20,001-term A(199) entry copies no prefix
+        of the payload and drops the payload before the checks: load_run's
+        traced peak is at most 897,168 bytes, what it was (Python 3.11) when
+        the served lines were first cut out of the payload as a string."""
+        save_run(generate(SequenceSpec.standard(199, 20_001)), cache)
+        spec = SequenceSpec.standard(199, 10_001)
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            prefix = store._first_lines(payload, 10_001)
+            served = load_run(spec, cache)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert prefix == write_bfile(generate(SequenceSpec.standard(199, 10_001)))
-        assert peak < len(prefix) + 4096
+        assert served == generate(spec)
+        assert peak <= 897_168
 
     @pytest.fixture
     def entry(self, cache):
