@@ -10,11 +10,10 @@ opposite of common machine-learning usage.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .engine import SequenceRun, SequenceSpec, fixed_points, generate
+from .engine import FrozenValue, SequenceRun, SequenceSpec, fixed_points, generate
 from .numtheory import prime_flags
 
 
@@ -25,8 +24,7 @@ def percent(rate: Fraction) -> str:
     return f"{(d * 100).quantize(Decimal('0.01'), rounding=ROUND_HALF_UP)}%"
 
 
-@dataclass(frozen=True, slots=True)
-class ClassificationReport:
+class ClassificationReport(FrozenValue):
     """Prime-detection statistics for one run over indices 1..n_limit.
 
     Rates are exact Fractions; use :func:`percent` for two-decimal display.
@@ -34,6 +32,10 @@ class ClassificationReport:
     fixed point by definition and never counted).
     """
 
+    __slots__ = ("spec", "n_limit", "excluded_primes", "detected", "near_matches",
+                 "total_eligible_primes", "success_rate", "false_negatives",
+                 "total_nonprimes", "false_negative_rate", "missed_primes",
+                 "false_negative_values")
     spec: SequenceSpec
     n_limit: int
     excluded_primes: tuple[int, ...]
@@ -122,22 +124,28 @@ def classification_matrix(report: ClassificationReport) -> tuple[tuple[Fraction,
     return ((det, fn), (1 - det, 1 - fn))
 
 
-@dataclass(frozen=True, slots=True)
-class Counterexample:
+class Counterexample(FrozenValue):
+    __slots__ = ("sequence", "n", "detail")
     sequence: str
     n: int
     detail: str
 
 
-@dataclass(frozen=True, slots=True)
-class ConjectureResult:
-    """Outcome of one conjecture check; holds iff no counterexamples."""
+class ConjectureResult(FrozenValue):
+    """Outcome of one conjecture check; holds iff no counterexamples.
+    ``primes_checked`` counts the eligible primes tested over all sequences
+    (3.2, 5.1 and 6.1)."""
 
+    __slots__ = ("conjecture_id", "sequences", "n_limit", "counterexamples", "primes_checked")
     conjecture_id: str
     sequences: tuple[str, ...]
     n_limit: int
     counterexamples: tuple[Counterexample, ...]
-    primes_checked: int = 0  # eligible primes tested over all sequences (3.2, 5.1, 6.1)
+    primes_checked: int
+
+    def __init__(self, conjecture_id: str, sequences: tuple[str, ...], n_limit: int,
+                 counterexamples: tuple[Counterexample, ...], primes_checked: int = 0):
+        super().__init__(conjecture_id, sequences, n_limit, counterexamples, primes_checked)
 
     @property
     def holds(self) -> bool:
@@ -227,14 +235,14 @@ def filter_false_negatives(report: ClassificationReport, small_primes: list[int]
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SweepReport:
+class SweepReport(FrozenValue):
     """Per-p classification over a family of standard sequences.
 
     ``union_missed`` lists the primes missed by every tested sequence;
     ``figure2_series`` pairs each p with its exact success rate.
     """
 
+    __slots__ = ("p_list", "n_limit", "reports", "union_missed", "figure2_series")
     p_list: tuple[int, ...]
     n_limit: int
     reports: tuple[ClassificationReport, ...]

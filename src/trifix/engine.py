@@ -23,7 +23,6 @@ q(N) can pass the 63-bit ceiling; the engine checks it once, when built.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .numtheory import divisors, factorize_trial, halved_divisor_lists, q_value
@@ -39,8 +38,54 @@ class ExhaustedDivisorsError(Exception):
     bootstrap position -- an internal invariant violation, not a user error."""
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceSpec:
+class FrozenValue:
+    """Base of trifix's immutable values.  A subclass names its fields, in
+    order, in ``__slots__``; they are set once, positionally or by keyword,
+    and never again.  Instances are equal only to instances of the same
+    class with equal fields, hash by their fields, pickle by construction
+    and repr as ``Name(field=value, ...)``.  Its methods are plain
+    functions, so defining a class compiles no generated source (which no
+    .pyc could cache): every launch imports these classes."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(
+                f"{type(self).__name__}() takes the fields {', '.join(names)}; got "
+                f"{len(args)} positional and {sorted(kwargs)} keyword argument(s)"
+            )
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SequenceSpec(FrozenValue):
     """Which sequence to generate and how many terms.
 
     ``p`` is required for the standard variant (p >= 1) and must be omitted
@@ -48,11 +93,13 @@ class SequenceSpec:
     sequence.
     """
 
+    __slots__ = ("variant", "term_count", "p")
     variant: str
     term_count: int
-    p: int | None = None
+    p: int | None
 
-    def __post_init__(self):
+    def __init__(self, variant: str, term_count: int, p: int | None = None):
+        super().__init__(variant, term_count, p)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.term_count < 1:
@@ -109,8 +156,7 @@ class SequenceSpec:
         return self.multiplier == 1 and self.offset == 0
 
 
-@dataclass(frozen=True, slots=True)
-class TermRecord:
+class TermRecord(FrozenValue):
     """One term, derived from (spec, n, a(n)).
 
     ``is_near_match`` marks a(n) = n - 1, i.e. this term realizes
@@ -118,6 +164,7 @@ class TermRecord:
     the analysis layer, not here.
     """
 
+    __slots__ = ("n", "q", "a", "is_bootstrap_duplicate")
     n: int
     q: int
     a: int
@@ -137,11 +184,11 @@ class TermRecord:
         return cls(n, spec.q(n), a, n == 2 and a == 1 and spec.has_bootstrap)
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceRun:
+class SequenceRun(FrozenValue):
     """A materialized run: the spec plus a(1..N).  Every other per-term
     field is derived on demand by :meth:`term`."""
 
+    __slots__ = ("spec", "a")
     spec: SequenceSpec
     a: tuple[int, ...]
 

@@ -8,9 +8,8 @@ b-files come from local paths.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .engine import SequenceRun
+from .engine import FrozenValue, SequenceRun
 
 
 class BFileParseError(ValueError):
@@ -21,10 +20,10 @@ class BFileStructureError(ValueError):
     """Syntactically valid b-file whose indices are not consecutive."""
 
 
-@dataclass(frozen=True, slots=True)
-class BFile:
+class BFile(FrozenValue):
     """Parsed b-file: ``values[i]`` is the entry at index ``offset + i``."""
 
+    __slots__ = ("offset", "values")
     offset: int
     values: tuple[int, ...]
 
@@ -63,12 +62,12 @@ def write_bfile(run: SequenceRun) -> str:
     return "".join(f"{n} {a}\n" for n, a in enumerate(run.a, start=1))
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonResult:
+class ComparisonResult(FrozenValue):
     """Outcome of a positionwise comparison over the overlapping index
     range after applying the shift.  first_mismatch is (index, expected
     from the b-file, actual) or None for a clean match."""
 
+    __slots__ = ("compared_length", "first_mismatch")
     compared_length: int
     first_mismatch: tuple[int, int, int] | None
 

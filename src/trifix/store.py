@@ -20,20 +20,19 @@ import os
 import re
 import time
 import warnings
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import mod
 from pathlib import Path
 
 from .analysis import ClassificationReport, SweepReport, percent
-from .engine import STANDARD, SequenceRun, SequenceSpec
+from .engine import STANDARD, FrozenValue, SequenceRun, SequenceSpec
 from .oeis import parse_bfile, write_bfile
 
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True, slots=True)
-class CacheEntry:
+class CacheEntry(FrozenValue):
+    __slots__ = ("payload_path", "manifest")
     payload_path: Path
     manifest: dict
 
@@ -187,11 +186,14 @@ def load_run(spec: SequenceSpec, cache_dir: str | os.PathLike) -> SequenceRun | 
 
 
 def report_to_json(report: ClassificationReport) -> str:
-    """JSON mirror of ClassificationReport, field for field.  Rates are
-    emitted as floats; the integer counts alongside stay exact."""
+    """JSON mirror of ClassificationReport, field for field in field order,
+    with the spec as a nested object of its own fields.  Rates are emitted
+    as floats; the integer counts alongside stay exact."""
+    fields = {name: getattr(report, name) for name in report.__slots__}
+    fields["spec"] = {name: getattr(report.spec, name) for name in report.spec.__slots__}
     doc = {
         name: float(value) if isinstance(value, Fraction) else value
-        for name, value in asdict(report).items()
+        for name, value in fields.items()
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -221,7 +221,8 @@ def modules_loaded_by(code: str, names: list[str]) -> list[str]:
 
 
 class TestImports:
-    """Each subcommand loads only the layers it uses."""
+    """Each subcommand loads only the layers it uses, and none loads
+    dataclasses or the inspect module it brings."""
 
     @pytest.mark.parametrize("fmt, loaded", [
         ("table", []), ("csv", []), ("bfile", ["trifix.oeis"]), ("json", ["json"]),
@@ -232,7 +233,8 @@ class TestImports:
         argv = ["generate", "--p", "7", "--terms", "3"]
         if fmt != "table":
             argv += ["--format", fmt]
-        names = ["trifix.analysis", "trifix.store", "trifix.oeis", "hashlib", "json"]
+        names = ["trifix.analysis", "trifix.store", "trifix.oeis", "hashlib", "json",
+                 "dataclasses", "inspect"]
         assert modules_loaded_by(f"from trifix.cli import main; main({argv!r})", names) == loaded
 
     @pytest.mark.parametrize("argv", [
@@ -245,7 +247,8 @@ class TestImports:
     def test_conjecture_and_analyze_load_neither_cache_nor_pool(self, argv):
         """Sharing sweep's run loop pulls in neither the cache layer nor the
         process pool."""
-        names = ["trifix.analysis", "trifix.store", "hashlib", "json", "concurrent.futures"]
+        names = ["trifix.analysis", "trifix.store", "hashlib", "json", "concurrent.futures",
+                 "dataclasses", "inspect"]
         code = f"from trifix.cli import main; main({argv!r})"
         assert modules_loaded_by(code, names) == ["trifix.analysis"]
 
@@ -253,10 +256,29 @@ class TestImports:
         cache = tmp_path / "cache"
         code = ("from trifix.cli import main; "
                 f"main(['sweep', '--p-list', '3,5', '--terms', '50', '--cache', {str(cache)!r}])")
-        names = ["secrets", "datetime", "trifix.store"]
+        names = ["secrets", "datetime", "trifix.store", "dataclasses", "inspect"]
         assert modules_loaded_by(code, names) == ["trifix.store"]
         assert sorted(f.name for f in (cache / "standard").iterdir()) == [
             "p3_v1.bfile.txt", "p3_v1.manifest.json", "p5_v1.bfile.txt", "p5_v1.manifest.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["oeis-check", "--bfile", "b111273.txt", "--variant", "no-zero", "--terms", "30"],
+        ["sweep", "--p-list", "3,5", "--terms", "50", "--cache"],
+        ["export", "--what", "table2", "--p-list", "3,5", "--terms", "50", "--cache"],
+    ], ids=lambda argv: argv[0])
+    def test_loads_neither_dataclasses_nor_inspect(self, argv, capsys, tmp_path, data_dir):
+        """sweep and export read a cache filled beforehand and leave it as
+        it is; the cold sweep is checked above."""
+        cache = tmp_path / "cache"
+        argv = [str(data_dir / a) if a.endswith(".txt") else a for a in argv]
+        if argv[-1] == "--cache":
+            assert main(["sweep", "--p-list", "3,5", "--terms", "50", "--cache", str(cache)]) == EXIT_OK
+            argv.append(str(cache))
+        written = {f.name: f.stat().st_mtime_ns for f in cache.glob("*/*")}
+        code = f"from trifix.cli import main; main({argv!r})"
+        assert modules_loaded_by(code, ["dataclasses", "inspect"]) == []
+        assert {f.name: f.stat().st_mtime_ns for f in cache.glob("*/*")} == written
 
 
 ANNOTATION_CHECK = """
@@ -348,6 +370,37 @@ class TestAnalyze:
         assert doc["detected"] == 42
         assert doc["n_limit"] == 200
         assert doc["spec"]["term_count"] == 201  # one extra for near matches
+
+    def test_json_report_golden(self, capsys):
+        """Byte for byte: key order, the nested spec object, float rates
+        and indent=2."""
+        code, out, err = run_cli(capsys, "analyze", "--p", "3", "--terms", "30", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == """\
+{
+  "spec": {
+    "variant": "standard",
+    "term_count": 31,
+    "p": 3
+  },
+  "n_limit": 30,
+  "excluded_primes": [
+    2,
+    3
+  ],
+  "detected": 7,
+  "near_matches": 1,
+  "total_eligible_primes": 8,
+  "success_rate": 0.875,
+  "false_negatives": 0,
+  "total_nonprimes": 20,
+  "false_negative_rate": 0.0,
+  "missed_primes": [
+    17
+  ],
+  "false_negative_values": []
+}
+"""
 
     @pytest.mark.parametrize("value, message", [
         ("0", "small primes must be >= 2, got 0"),

@@ -31,16 +31,17 @@ A7_FIXED_POINTS = [1, 3, 5, 11, 13, 17, 19, 23]
 
 class TestSpec:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SequenceSpec.standard(0, 10)
-        with pytest.raises(ValueError):
-            SequenceSpec.standard(7, 0)
-        with pytest.raises(ValueError):
-            SequenceSpec("bogus", 10)
-        with pytest.raises(ValueError):
-            SequenceSpec(NO_ZERO, 10, p=3)
-        with pytest.raises(ValueError):
-            SequenceSpec(STANDARD, 10)  # p missing
+        for make, message in [
+            (lambda: SequenceSpec.standard(0, 10), "standard variant requires p >= 1, got 0"),
+            (lambda: SequenceSpec.standard(7, 0), "term_count must be >= 1, got 0"),
+            (lambda: SequenceSpec("bogus", 10),
+             "unknown variant 'bogus'; expected one of ('standard', 'no-zero', 'shifted')"),
+            (lambda: SequenceSpec(NO_ZERO, 10, p=3), "variant 'no-zero' does not take p"),
+            (lambda: SequenceSpec(STANDARD, 10), "standard variant requires p >= 1, got None"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                make()
+            assert str(caught.value) == message
 
     def test_labels(self):
         assert SequenceSpec.standard(7, 5).label() == "A(7)"
