@@ -50,6 +50,21 @@ class ClassificationReport(FrozenValue):
     false_negative_values: tuple[int, ...]
 
 
+def report_to_json(report: ClassificationReport) -> str:
+    """JSON mirror of ClassificationReport, field for field in field order,
+    with the spec as a nested object of its own fields.  Rates are emitted
+    as floats; the integer counts alongside stay exact."""
+    import json  # here, so the text report and the conjecture checks never load it
+
+    fields = {name: getattr(report, name) for name in report.__slots__}
+    fields["spec"] = {name: getattr(report.spec, name) for name in report.spec.__slots__}
+    doc = {
+        name: float(value) if isinstance(value, Fraction) else value
+        for name, value in fields.items()
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def classify(run: SequenceRun, n_limit: int | None = None) -> ClassificationReport:
     """Classify indices 1..n_limit of a run.
 

@@ -223,9 +223,7 @@ def _cmd_analyze(args) -> int:
     run = generate(spec)
     report = analysis.classify(run, args.terms)
     if args.format == "json":
-        from .store import report_to_json
-
-        _emit([report_to_json(report)], args.out)
+        _emit([analysis.report_to_json(report)], args.out)
         return EXIT_OK
 
     near_list = None

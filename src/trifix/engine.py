@@ -210,7 +210,9 @@ class SequenceEngine:
         spec.q(spec.term_count)  # q increases: only q(N) can overflow
         self._p_divisors = divisors(factorize_trial(spec.multiplier))
         # ascending divisors of h(n + offset - 1) and h(n + offset) for the
-        # next n; n = 1 never reads the first
+        # next n.  At n = 1 the first is [1], standing in for the divisors
+        # of h(offset) (h(0) = 0 has them all): nothing is used yet, so the
+        # search finds 1*1*1 = 1 = a(1) at once.
         self._xs, self._ys = [1], next(self._lists)
         # _used[v] marks a used v below 4N + 8, _spill holds the larger ones
         self._used = bytearray(4 * spec.term_count + 8)
@@ -227,53 +229,50 @@ class SequenceEngine:
         first = len(a) + 1
         try:
             for n in range(first, first + count):
-                if n == 1:
-                    v = 1  # by definition; q(1) is 0, or 1 for no-zero
-                else:
-                    # The least unused z*x*y in [mex, q(n)], z, x and y drawn
-                    # from the divisors of m, h(n+o-1) and h(n+o); q(n) is
-                    # the largest such product.  Each hit lowers hi to just
-                    # below itself.  A product reached twice (zs sharing a
-                    # prime with xs or ys) is harmless.
-                    lo = mex
-                    hi = q = zs[-1] * xs[-1] * ys[-1]
-                    short, long = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
-                    v = 0
-                    for z in zs:
-                        if z > hi:
+                # The least unused z*x*y in [mex, q(n)], z, x and y drawn from
+                # the divisors of m, h(n+o-1) and h(n+o); q(n) is the largest
+                # such product.  Each hit lowers hi to just below itself.  A
+                # product reached twice (zs sharing a prime with xs or ys) is
+                # harmless.
+                lo = mex
+                hi = q = zs[-1] * xs[-1] * ys[-1]
+                short, long = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
+                v = 0
+                for z in zs:
+                    if z > hi:
+                        break
+                    for x in short:
+                        zx = z * x
+                        if zx > hi:
                             break
-                        for x in short:
-                            zx = z * x
-                            if zx > hi:
-                                break
-                            if zx * zx < lo:
-                                # a y with zx*y >= lo is above sqrt(lo), near
-                                # the top of the list: scan down, keeping
-                                # the last unused product
-                                for y in reversed(long):
-                                    w = zx * y
-                                    if w < lo:
-                                        break
-                                    if w <= hi and not (used[w] if w < size else w in spill):
-                                        v = w
-                                        hi = w - 1
-                            else:
-                                # the first unused product is this zx's least
-                                for y in long:
-                                    w = zx * y
-                                    if w > hi:
-                                        break
-                                    if w >= lo and not (used[w] if w < size else w in spill):
-                                        v = w
-                                        hi = w - 1
-                                        break
-                    if v == 0:
-                        if n == 2 and self.spec.has_bootstrap:
-                            v = 1
+                        if zx * zx < lo:
+                            # a y with zx*y >= lo is above sqrt(lo), near the
+                            # top of the list: scan down, keeping the last
+                            # unused product
+                            for y in reversed(long):
+                                w = zx * y
+                                if w < lo:
+                                    break
+                                if w <= hi and not (used[w] if w < size else w in spill):
+                                    v = w
+                                    hi = w - 1
                         else:
-                            raise ExhaustedDivisorsError(
-                                f"{self.spec.label()}: all divisors of q({n}) = {q} in use"
-                            )
+                            # the first unused product is this zx's least
+                            for y in long:
+                                w = zx * y
+                                if w > hi:
+                                    break
+                                if w >= lo and not (used[w] if w < size else w in spill):
+                                    v = w
+                                    hi = w - 1
+                                    break
+                if v == 0:
+                    if n == 2 and self.spec.has_bootstrap:
+                        v = 1
+                    else:
+                        raise ExhaustedDivisorsError(
+                            f"{self.spec.label()}: all divisors of q({n}) = {q} in use"
+                        )
                 if v < size:
                     used[v] = 1
                 else:

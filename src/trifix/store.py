@@ -1,4 +1,4 @@
-"""Run cache and report serialization.
+"""Run cache and the sweep's CSV tables.
 
 Cached runs live one directory per variant, one entry per sequence, file
 names encoding (p, format version).  The greedy rule has no lookahead, so
@@ -12,19 +12,16 @@ sweep never leaves a truncated entry observable.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import os
 import re
 import time
 import warnings
-from fractions import Fraction
 from operator import mod
 from pathlib import Path
 
-from .analysis import ClassificationReport, SweepReport, percent
+from .analysis import SweepReport, percent
 from .engine import STANDARD, FrozenValue, SequenceRun, SequenceSpec
 from .oeis import parse_bfile, write_bfile
 
@@ -182,27 +179,13 @@ def load_run(spec: SequenceSpec, cache_dir: str | os.PathLike) -> SequenceRun | 
 
 
 # ---------------------------------------------------------------------------
-# Report serialization
-
-
-def report_to_json(report: ClassificationReport) -> str:
-    """JSON mirror of ClassificationReport, field for field in field order,
-    with the spec as a nested object of its own fields.  Rates are emitted
-    as floats; the integer counts alongside stay exact."""
-    fields = {name: getattr(report, name) for name in report.__slots__}
-    fields["spec"] = {name: getattr(report.spec, name) for name in report.spec.__slots__}
-    doc = {
-        name: float(value) if isinstance(value, Fraction) else value
-        for name, value in fields.items()
-    }
-    return json.dumps(doc, indent=2) + "\n"
+# The sweep's CSV tables
 
 
 def _csv_text(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+    """Comma-joined cells, one "\n"-ended line per row.  No cell needs CSV
+    quoting: they are fixed labels, integers and percent() strings."""
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def export_table2(sweep: SweepReport) -> str:

@@ -8,6 +8,7 @@ import pytest
 
 import trifix
 from trifix.cli import (
+    CONJECTURE_IDS,
     EXIT_ERROR,
     EXIT_FALSIFIED,
     EXIT_OK,
@@ -220,6 +221,16 @@ def modules_loaded_by(code: str, names: list[str]) -> list[str]:
     return done.stdout.splitlines()[-1].split()  # the lines above are main's output
 
 
+def quiet_main(argv: list[str]) -> str:
+    """Code for modules_loaded_by that runs main(argv) with its stderr
+    notes (sweep --export-dir names the files it wrote) set aside.  A
+    failing main exits with them, so they reach the child's stderr."""
+    return ("import contextlib, io, sys\nfrom trifix.cli import main\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            f"    code = main({argv!r})\n"
+            "if code:\n    sys.exit(err.getvalue())\n")
+
+
 class TestImports:
     """Each subcommand loads only the layers it uses, and none loads
     dataclasses or the inspect module it brings."""
@@ -252,32 +263,45 @@ class TestImports:
         code = f"from trifix.cli import main; main({argv!r})"
         assert modules_loaded_by(code, names) == ["trifix.analysis"]
 
+    def test_analyze_json_loads_no_cache_layer(self):
+        """The JSON report is written by the analysis layer: neither the
+        run cache nor its hashlib is loaded for it."""
+        argv = ["analyze", "--p", "3", "--terms", "50", "--format", "json"]
+        names = ["trifix.analysis", "trifix.store", "trifix.oeis", "hashlib", "json", "csv",
+                 "concurrent.futures", "dataclasses", "inspect"]
+        code = f"from trifix.cli import main; main({argv!r})"
+        assert modules_loaded_by(code, names) == ["json", "trifix.analysis"]
+
     def test_cold_sweep_loads_neither_secrets_nor_datetime(self, tmp_path):
-        cache = tmp_path / "cache"
-        code = ("from trifix.cli import main; "
-                f"main(['sweep', '--p-list', '3,5', '--terms', '50', '--cache', {str(cache)!r}])")
-        names = ["secrets", "datetime", "trifix.store", "dataclasses", "inspect"]
-        assert modules_loaded_by(code, names) == ["trifix.store"]
+        """Nor csv: the exported tables are plain comma-joined text."""
+        cache, exports = tmp_path / "cache", tmp_path / "exports"
+        argv = ["sweep", "--p-list", "3,5", "--terms", "50", "--cache", str(cache),
+                "--export-dir", str(exports)]
+        names = ["secrets", "datetime", "csv", "trifix.store", "dataclasses", "inspect"]
+        assert modules_loaded_by(quiet_main(argv), names) == ["trifix.store"]
         assert sorted(f.name for f in (cache / "standard").iterdir()) == [
             "p3_v1.bfile.txt", "p3_v1.manifest.json", "p5_v1.bfile.txt", "p5_v1.manifest.json"]
+        assert sorted(f.name for f in exports.iterdir()) == [
+            "figure2.csv", "table2.csv", "table3.csv"]
 
     @pytest.mark.parametrize("argv", [
         ["--version"],
         ["oeis-check", "--bfile", "b111273.txt", "--variant", "no-zero", "--terms", "30"],
-        ["sweep", "--p-list", "3,5", "--terms", "50", "--cache"],
+        ["sweep", "--p-list", "3,5", "--terms", "50", "--export-dir", "exports", "--cache"],
         ["export", "--what", "table2", "--p-list", "3,5", "--terms", "50", "--cache"],
     ], ids=lambda argv: argv[0])
     def test_loads_neither_dataclasses_nor_inspect(self, argv, capsys, tmp_path, data_dir):
-        """sweep and export read a cache filled beforehand and leave it as
-        it is; the cold sweep is checked above."""
+        """Nor csv, even where the tables are written.  sweep and export
+        read a cache filled beforehand and leave it as it is; the cold
+        sweep is checked above."""
         cache = tmp_path / "cache"
-        argv = [str(data_dir / a) if a.endswith(".txt") else a for a in argv]
+        paths = {"b111273.txt": data_dir / "b111273.txt", "exports": tmp_path / "exports"}
+        argv = [str(paths.get(a, a)) for a in argv]
         if argv[-1] == "--cache":
             assert main(["sweep", "--p-list", "3,5", "--terms", "50", "--cache", str(cache)]) == EXIT_OK
             argv.append(str(cache))
         written = {f.name: f.stat().st_mtime_ns for f in cache.glob("*/*")}
-        code = f"from trifix.cli import main; main({argv!r})"
-        assert modules_loaded_by(code, ["dataclasses", "inspect"]) == []
+        assert modules_loaded_by(quiet_main(argv), ["dataclasses", "inspect", "csv"]) == []
         assert {f.name: f.stat().st_mtime_ns for f in cache.glob("*/*")} == written
 
 
@@ -433,6 +457,13 @@ class TestAnalyze:
 
 
 class TestConjecture:
+    def test_ids_are_the_analysis_layers(self):
+        """The parser lists the ids itself, without importing analysis; the
+        two lists agree, in order."""
+        from trifix.analysis import _DEFAULT_P_LISTS
+
+        assert CONJECTURE_IDS == tuple(_DEFAULT_P_LISTS)
+
     def test_5_1_holds(self, capsys):
         code, out, _ = run_cli(capsys, "conjecture", "--id", "5.1", "--terms", "100")
         assert code == EXIT_OK

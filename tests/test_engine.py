@@ -140,6 +140,26 @@ class TestBootstrap:
             assert not any(run.term(n).is_bootstrap_duplicate for n in range(1, 201))
 
 
+# a(1) = 1 is the search's own result at n = 1, where nothing is used yet:
+# (spec at N = 2, its a(1..2), q(1)).
+FIRST_TERMS = [
+    (SequenceSpec.shifted(2), (1, 1), 0),
+    (SequenceSpec.no_zero(2), (1, 3), 1),
+    (SequenceSpec.standard(1, 2), (1, 1), 0),
+    (SequenceSpec.standard(2, 2), (1, 2), 0),
+    (SequenceSpec.standard(3, 2), (1, 3), 0),
+    (SequenceSpec.standard(2**62, 2), (1, 2), 0),
+    (SequenceSpec.standard(10**18 + 3, 2), (1, 10**18 + 3), 0),  # a prime p
+]
+
+
+@pytest.mark.parametrize("spec, a, q1", FIRST_TERMS, ids=[t[0].label() for t in FIRST_TERMS])
+def test_first_terms_come_from_the_search(spec, a, q1):
+    assert generate(spec).a == a
+    t = SequenceEngine(spec).next_term()
+    assert (t.n, t.q, t.a) == (1, q1, 1)
+
+
 class TestEngineStepping:
     def test_first_emitted_term(self):
         engine = SequenceEngine(SequenceSpec.standard(7, 25))

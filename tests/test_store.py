@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import random
 import re
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trifix import store
-from trifix.analysis import classify, sweep
+from trifix.analysis import _PAPER_FAMILY, classify, report_to_json, sweep
 from trifix.engine import SequenceRun, SequenceSpec, generate
 from trifix.oeis import BFile, parse_bfile, write_bfile
 from trifix.store import (
@@ -19,7 +21,6 @@ from trifix.store import (
     export_table2,
     export_table3,
     load_run,
-    report_to_json,
     save_run,
 )
 
@@ -596,6 +597,27 @@ class TestExports:
         assert export_table2(empty) == "row\n"
         assert export_table3(empty) == "row\n"
         assert export_figure2(empty) == "p,success_rate_percent\n"
+
+    @pytest.mark.parametrize("p_list, n_limit", [(_PAPER_FAMILY, 300), ((), 100)])
+    def test_rows_are_written_as_csv_writer_writes_them(self, p_list, n_limit, monkeypatch):
+        """Every table the exporters write is the text csv.writer writes
+        for its rows: no cell they produce needs quoting."""
+        tables = []
+        text = store._csv_text
+
+        def recording(rows):
+            tables.append(rows)
+            return text(rows)
+
+        monkeypatch.setattr(store, "_csv_text", recording)
+        family = sweep(p_list, n_limit)
+        for export in (export_table2, export_table3, export_figure2):
+            export(family)
+        assert len(tables) == 3
+        for rows in tables:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(rows)
+            assert text(rows) == buf.getvalue()
 
 
 class TestReportJson:
