@@ -3,11 +3,16 @@
 Cached runs live one directory per variant, one entry per sequence, file
 names encoding (p, format version).  The greedy rule has no lookahead, so
 a(1..N) is a prefix of every longer run of the same sequence: one entry
-serves every request up to its length.  The payload is b-file text, so
-cached runs are human-inspectable and directly comparable with OEIS data.
-A JSON manifest alongside each payload carries creation parameters and a
-sha256 checksum.  Writes go to a temporary file then rename, so a crashed
-sweep never leaves a truncated entry observable.
+serves every request up to its length.  The payload is a(1..N) as
+little-endian signed 64-bit words, the layout of ``array('q')`` on a
+little-endian host, so a hit decodes its N words in one call and parses no
+text.  Payloads are not human-readable: ``generate --format bfile`` and
+``oeis-check`` are the way to compare runs with OEIS data.  The payload's
+``.bfile.txt`` suffix is historical, kept because the benchmark harness
+finds entries by it.  A JSON manifest alongside each payload carries
+creation parameters and a sha256 checksum of the payload.  Writes go to a
+temporary file then rename, so a crashed sweep never leaves a truncated
+entry observable.
 """
 
 from __future__ import annotations
@@ -15,17 +20,23 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
+import sys
 import time
 import warnings
+from array import array
 from operator import mod
 from pathlib import Path
 
 from .analysis import SweepReport, percent
 from .engine import STANDARD, FrozenValue, SequenceRun, SequenceSpec
-from .oeis import parse_bfile, write_bfile
 
-FORMAT_VERSION = 1
+# Unused here.  The benchmark's tracer (bench/tracer.py) imports trifix.cli
+# and trifix.store, then wraps oeis.parse_bfile in sys.modules["trifix.oeis"],
+# and raises KeyError if no module loaded it; this import goes when the
+# tracer stops wrapping parse_bfile.
+from . import oeis  # noqa: F401
+
+FORMAT_VERSION = 2
 
 
 class CacheEntry(FrozenValue):
@@ -41,12 +52,12 @@ def _paths(spec: SequenceSpec, cache_dir: str | os.PathLike) -> tuple[Path, Path
     return base.with_suffix(".bfile.txt"), base.with_suffix(".manifest.json")
 
 
-def _write_atomic(path: Path, data: str) -> None:
+def _write_atomic(path: Path, data: bytes) -> None:
     """Write through a temporary file of this call's own, next to path, then
     rename it over path: concurrent writers of one entry never share it."""
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as f:
+        with open(tmp, "xb") as f:
             f.write(data)
         os.replace(tmp, path)
     finally:
@@ -55,69 +66,40 @@ def _write_atomic(path: Path, data: str) -> None:
 
 def save_run(run: SequenceRun, cache_dir: str | os.PathLike) -> CacheEntry:
     """Persist a run as its sequence's entry, replacing any earlier one;
-    the payload is the b-file serialization of its a-values (offset 1)."""
+    the payload is its a-values as little-endian 64-bit words."""
     from . import __version__
 
-    payload = write_bfile(run)
+    words = array("q", run.a)
+    if sys.byteorder == "big":
+        words.byteswap()
+    payload = words.tobytes()
     manifest = {
         "variant": run.spec.variant,
         "p": run.spec.p,
         "term_count": run.spec.term_count,
         "format_version": FORMAT_VERSION,
         "engine_version": __version__,
-        "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+        "sha256": hashlib.sha256(payload).hexdigest(),
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
     payload_path, manifest_path = _paths(run.spec, cache_dir)
     payload_path.parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(payload_path, payload)
-    _write_atomic(manifest_path, json.dumps(manifest, indent=2) + "\n")
+    _write_atomic(manifest_path, (json.dumps(manifest, indent=2) + "\n").encode())
     return CacheEntry(payload_path, manifest)
-
-
-# The layout write_bfile writes: "index value\n" lines and nothing else.
-_PAYLOAD_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*) [0-9]+\n)+")
-
-
-def _payload_values(payload: str, count: int) -> tuple[int, ...] | None:
-    """a(1..count) from the first count lines of a payload, or None unless
-    those lines are in write_bfile's exact layout.  Reads chunks of about
-    4 KiB, each cut at a newline, and stops at the one holding line count:
-    a chunk's match and tokens are transient, where one match or split()
-    over a whole payload holds megabytes, and later lines are never read."""
-    values: list[int] = []
-    start = 0
-    try:
-        while len(values) < count:
-            end = payload.find("\n", start + 4095) + 1 or len(payload)
-            lines = _PAYLOAD_LINES.match(payload, start, end)
-            if lines is None:
-                return None
-            tokens = lines[0].split()
-            del tokens[2 * (count - len(values)):]  # the lines past line count
-            first = len(values) + 1
-            if tokens[::2] != list(map(str, range(first, first + len(tokens) // 2))):
-                return None
-            values.extend(map(int, tokens[1::2]))
-            if lines.end() < end and len(values) < count:
-                return None  # a line before line count is in another layout
-            start = end
-    except ValueError:  # an integer past int()'s digit limit
-        return None
-    return tuple(values)
 
 
 def _cached_values(
     spec: SequenceSpec, payload_path: Path, manifest_path: Path
 ) -> tuple[int, ...] | None:
     """a(1..N) of spec from its cache entry, or None when the entry is a
-    shorter run.  Raises ValueError (malformed JSON and b-file text
-    included) saying why the entry is damaged, stale or not a run of spec."""
+    shorter run.  Raises ValueError (malformed JSON included) saying why the
+    entry is damaged, stale or not a run of spec."""
     from . import __version__
 
-    payload = payload_path.read_text(encoding="utf-8")
+    payload = payload_path.read_bytes()
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(payload).hexdigest()
     if not isinstance(manifest, dict) or digest != manifest.get("sha256"):
         raise ValueError("payload does not match the manifest's sha256 checksum")
     if manifest.get("engine_version") != __version__:
@@ -127,23 +109,24 @@ def _cached_values(
     held = manifest.get("term_count")
     if not isinstance(held, int):
         raise ValueError(f"manifest term count {held!r} is not an integer")
+    if len(payload) != 8 * held:
+        raise ValueError(f"payload has {len(payload)} bytes, expected {8 * held} (8 per term)")
     count = spec.term_count
     if held < count:
         return None
-    values = _payload_values(payload, count)
-    if values is None:  # any other layout: served, or its bad line named, line by line
-        bfile = parse_bfile(payload)
-        if bfile.offset != 1 or len(bfile.values) < count:
-            raise ValueError(f"payload does not hold terms 1..{count}")
-        values = bfile.values[:count]
-    del payload  # held through the checks below, it would raise their traced peak
+    words = array("q")
+    words.frombytes(memoryview(payload)[:8 * count])  # the words past N are hashed, never decoded
+    if sys.byteorder == "big":
+        words.byteswap()
+    values = tuple(words)
+    del payload, words  # held through the checks below, they would raise their traced peak
     if values[0] != 1:
         raise ValueError(f"a(1) = {values[0]}, expected 1")
     # Whole-sequence passes first; the per-term scan below applies the same
     # rules and runs only to name the first term that breaks one.  The
     # distinct values are counted as dict keys: at 10^4 terms the table is
-    # about two thirds of a set's (430 against 640 KiB), and this transient,
-    # not the chunked read, sets a warm sweep's traced peak.
+    # about two thirds of a set's (430 against 640 KiB), and this transient
+    # sets a warm sweep's traced peak.
     bootstrap = spec.has_bootstrap and count > 1 and values[1] == 1
     if (min(values) >= 1 and not any(map(mod, spec.q_values(count), values))
             and len(dict.fromkeys(values)) == count - bootstrap):

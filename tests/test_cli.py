@@ -280,7 +280,7 @@ class TestImports:
         names = ["secrets", "datetime", "csv", "trifix.store", "dataclasses", "inspect"]
         assert modules_loaded_by(quiet_main(argv), names) == ["trifix.store"]
         assert sorted(f.name for f in (cache / "standard").iterdir()) == [
-            "p3_v1.bfile.txt", "p3_v1.manifest.json", "p5_v1.bfile.txt", "p5_v1.manifest.json"]
+            "p3_v2.bfile.txt", "p3_v2.manifest.json", "p5_v2.bfile.txt", "p5_v2.manifest.json"]
         assert sorted(f.name for f in exports.iterdir()) == [
             "figure2.csv", "table2.csv", "table3.csv"]
 
@@ -303,6 +303,13 @@ class TestImports:
         written = {f.name: f.stat().st_mtime_ns for f in cache.glob("*/*")}
         assert modules_loaded_by(quiet_main(argv), ["dataclasses", "inspect", "csv"]) == []
         assert {f.name: f.stat().st_mtime_ns for f in cache.glob("*/*")} == written
+
+    def test_cache_layer_loads_the_module_the_tracer_wraps(self):
+        """The benchmark's traced pass imports trifix.cli and trifix.store,
+        then wraps a function in each module of its target list, trifix.oeis
+        among them: importing the cache layer must load it."""
+        names = ["trifix.oeis", "trifix.store"]
+        assert modules_loaded_by("import trifix.cli, trifix.store", names) == names
 
 
 ANNOTATION_CHECK = """
@@ -690,7 +697,7 @@ class TestSweep:
             capsys, "sweep", "--p-list", "3", "--terms", "120", "--cache", str(cache)
         )
         assert code == EXIT_OK
-        assert (cache / "standard" / "p3_v1.bfile.txt").exists()
+        assert (cache / "standard" / "p3_v2.bfile.txt").exists()
         code, second, _ = run_cli(
             capsys, "sweep", "--p-list", "3", "--terms", "120", "--cache", str(cache)
         )
@@ -700,7 +707,7 @@ class TestSweep:
         cache = tmp_path / "cache"
         argv = ("sweep", "--p-list", "3", "--terms", "120", "--cache", str(cache))
         _, first, _ = run_cli(capsys, *argv)
-        manifest = cache / "standard" / "p3_v1.manifest.json"
+        manifest = cache / "standard" / "p3_v2.manifest.json"
         manifest.write_text("{bad")
         with pytest.warns(UserWarning, match="treating as absent"):
             code, second, _ = run_cli(capsys, *argv)
@@ -841,7 +848,7 @@ class TestExport:
             "success rate (A/C),95.00%,95.00%\n"
         )
         # runs were cached on the way through
-        assert (cache / "standard" / "p3_v1.bfile.txt").exists()
+        assert (cache / "standard" / "p3_v2.bfile.txt").exists()
 
     def test_cache_env_var_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TRIFIX_CACHE_DIR", str(tmp_path / "envcache"))
@@ -850,7 +857,7 @@ class TestExport:
         )
         assert code == EXIT_OK
         assert out.startswith("p,success_rate_percent\n")
-        assert (tmp_path / "envcache" / "standard" / "p3_v1.bfile.txt").exists()
+        assert (tmp_path / "envcache" / "standard" / "p3_v2.bfile.txt").exists()
 
     def test_requires_cache(self, capsys, monkeypatch):
         monkeypatch.delenv("TRIFIX_CACHE_DIR", raising=False)

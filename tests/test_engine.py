@@ -3,7 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trifix.numtheory as numtheory_module
-from oracle import naive_divisors, naive_factorize, oracle_fixed_points, oracle_terms, q_of
+from oracle import (
+    naive_divisors,
+    naive_factorize,
+    naive_is_prime,
+    oracle_fixed_points,
+    oracle_terms,
+    q_of,
+)
 from trifix.engine import (
     NO_ZERO,
     SHIFTED,
@@ -99,6 +106,16 @@ class TestGoldenPrefixes:
     def test_no_zero_fixed_points(self):
         run = generate(SequenceSpec.no_zero(70))
         assert fixed_points(run) == [1, 9, 25, 49, 57, 65]
+
+    def test_no_zero_places_each_odd_prime_one_step_early(self):
+        """a(n - 1) = n, so a(n) != n, at each of the 1,228 odd primes
+        n <= 10^4: the values up to (n - 1)/2 are used by step n - 2, the
+        divisors of q(n - 1) = n(n - 1)/2 below n divide (n - 1)/2, and n
+        divides no earlier q."""
+        run = generate(SequenceSpec.no_zero(10_000))
+        primes = [n for n in range(3, 10_001, 2) if naive_is_prime(n)]
+        assert len(primes) == 1228
+        assert [n for n in primes if run.a[n - 2] != n or run.a[n - 1] == n] == []
 
     def test_shifted_prefix(self):
         run = generate(SequenceSpec.shifted(7))

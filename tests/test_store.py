@@ -2,20 +2,22 @@ import csv
 import hashlib
 import io
 import json
-import random
 import re
+import struct
 import tempfile
 import tracemalloc
 import warnings
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifix import store
+import trifix
+from trifix import oeis, store
 from trifix.analysis import _PAPER_FAMILY, classify, report_to_json, sweep
 from trifix.engine import SequenceRun, SequenceSpec, generate
-from trifix.oeis import BFile, parse_bfile, write_bfile
+from trifix.oeis import write_bfile
 from trifix.store import (
     export_figure2,
     export_table2,
@@ -28,6 +30,19 @@ from trifix.store import (
 @pytest.fixture
 def cache(tmp_path):
     return tmp_path / "cache"
+
+
+def words(values):
+    """The payload layout, stated without the store: one little-endian
+    signed 64-bit word per term."""
+    return struct.pack(f"<{len(values)}q", *values)
+
+
+def flipped(data, offset, mask):
+    """data with the byte at offset XORed with mask."""
+    data = bytearray(data)
+    data[offset] ^= mask
+    return bytes(data)
 
 
 class TestRunCache:
@@ -49,12 +64,14 @@ class TestRunCache:
         assert load_run(SequenceSpec.standard(7, 25), cache) is None
 
     def test_corrupted_payload_warns_and_is_absent(self, cache):
+        """A flipped byte anywhere, first to last, under the stale checksum."""
         run = generate(SequenceSpec.standard(7, 25))
         entry = save_run(run, cache)
-        text = entry.payload_path.read_text()
-        entry.payload_path.write_text(text.replace("49", "48", 1))
-        with pytest.warns(UserWarning, match="checksum"):
-            assert load_run(run.spec, cache) is None
+        payload = entry.payload_path.read_bytes()
+        for offset in (0, 8 * 6, 8 * 12 + 3, 199):
+            entry.payload_path.write_bytes(flipped(payload, offset, 0x10))
+            with pytest.warns(UserWarning, match="payload does not match the manifest's sha256"):
+                assert load_run(run.spec, cache) is None
 
     def test_longer_run_supersedes(self, cache):
         save_run(generate(SequenceSpec.standard(7, 50)), cache)
@@ -86,24 +103,26 @@ class TestRunCache:
         assert manifest["variant"] == "standard"
         assert manifest["p"] == 7
         assert manifest["term_count"] == 25
-        assert "sha256" in manifest and "engine_version" in manifest
+        assert manifest["format_version"] == 2
+        assert manifest["sha256"] == hashlib.sha256(entry.payload_path.read_bytes()).hexdigest()
+        assert "engine_version" in manifest
 
     def test_entry_names(self, cache):
         standard = save_run(generate(SequenceSpec.standard(7, 25)), cache)
         shifted = save_run(generate(SequenceSpec.shifted(25)), cache)
-        assert standard.payload_path == cache / "standard" / "p7_v1.bfile.txt"
-        assert shifted.payload_path == cache / "shifted" / "v1.bfile.txt"
+        assert standard.payload_path == cache / "standard" / "p7_v2.bfile.txt"
+        assert shifted.payload_path == cache / "shifted" / "v2.bfile.txt"
         assert manifest_path(standard).exists() and manifest_path(shifted).exists()
 
     def test_one_entry_serves_shorter_and_longer_requests(self, cache, monkeypatch):
         """N = 121, then 301, then 121: the 301-term entry replaces the
         121-term one and then serves the second 121-term request."""
-        entry_files = ["p3_v1.bfile.txt", "p3_v1.manifest.json"]
+        entry_files = ["p3_v2.bfile.txt", "p3_v2.manifest.json"]
         for n_limit in (120, 300):
             assert sweep([3], n_limit, cache_dir=cache).reports[0] == \
                 classify(generate(SequenceSpec.standard(3, n_limit + 1)), n_limit)
             assert sorted(f.name for f in (cache / "standard").iterdir()) == entry_files
-        manifest = json.loads((cache / "standard" / "p3_v1.manifest.json").read_text())
+        manifest = json.loads((cache / "standard" / "p3_v2.manifest.json").read_text())
         assert manifest["term_count"] == 301
 
         def no_save(run, cache_dir):
@@ -117,25 +136,38 @@ class TestRunCache:
             assert sweep([3], 120, cache_dir=cache).reports[0] == classify(generate(spec), 120)
         assert sorted(f.name for f in (cache / "standard").iterdir()) == entry_files
 
-    def test_shorter_request_parses_only_its_lines(self, cache):
-        """Lines past N are covered by the checksum but not read: junk from
-        more than a chunk past line N on is served from without a warning."""
-        entry = save_run(generate(SequenceSpec.standard(7, 3000)), cache)
-        lines = entry.payload_path.read_text().splitlines(keepends=True)
-        assert len("".join(lines[1000:2000])) > 4096
-        rewrite_entry(entry, "".join(lines[:2000]) + "junk\n" * 1000)
-        spec = SequenceSpec.standard(7, 1000)
+    def test_shorter_request_reads_only_its_words(self, cache):
+        """Words past N are covered by the checksum but not read: junk in
+        words 2001..3000 does not stop a 1,000- or 2,000-term request, and
+        is named when a request reaches it."""
+        run = generate(SequenceSpec.standard(7, 3000))
+        entry = save_run(run, cache)
+        rewrite_entry(entry, words(run.a[:2000] + (-1,) * 1000))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert load_run(spec, cache) == generate(spec)
+            for count in (1000, 2000):
+                spec = SequenceSpec.standard(7, count)
+                assert load_run(spec, cache) == generate(spec)
+        with pytest.warns(UserWarning, match=r"invalid: a\(2001\) = -1 does not divide"):
+            assert load_run(run.spec, cache) is None
 
     def test_served_prefix_parses_in_bulk(self, cache, monkeypatch):
-        """A prefix served from a longer entry is read in bulk, so it never
-        parses line by line."""
+        """A prefix served from a longer entry is decoded in one bulk read
+        of its own 8*N bytes: nothing is parsed, and the words past N are
+        never decoded."""
         save_run(generate(SequenceSpec.standard(7, 3000)), cache)
-        monkeypatch.setattr(store, "parse_bfile", line_by_line)
+        reads = []
+
+        class Recording(array):
+            def frombytes(self, data):
+                reads.append(len(data))
+                super().frombytes(data)
+
+        monkeypatch.setattr(store, "array", Recording)
+        monkeypatch.setattr(oeis, "parse_bfile", line_by_line)
         spec = SequenceSpec.standard(7, 1000)
         assert load_run(spec, cache) == generate(spec)
+        assert reads == [8 * 1000]
 
     def test_per_n_entries_are_not_read(self, cache):
         """Entries named by term count (p7_n25_v1.*) are never read."""
@@ -144,6 +176,30 @@ class TestRunCache:
         entry.payload_path.rename(entry.payload_path.with_name("p7_n25_v1.bfile.txt"))
         manifest.rename(manifest.with_name("p7_n25_v1.manifest.json"))
         assert load_run(SequenceSpec.standard(7, 25), cache) is None
+
+    @pytest.mark.parametrize("damaged", [False, True], ids=["valid", "damaged"])
+    def test_text_entries_of_format_1_are_ignored(self, cache, damaged):
+        """A leftover p3_v1.* text entry is never read, valid or damaged:
+        alone it is a plain miss that a sweep fills with a p3_v2 entry, and
+        beside that entry it is left as it is."""
+        run = generate(SequenceSpec.standard(3, 101))
+        text = write_bfile(run) if not damaged else "1 1\n2 3\n"
+        v1_manifest = {"variant": "standard", "p": 3, "term_count": 101, "format_version": 1,
+                       "engine_version": trifix.__version__,
+                       "sha256": hashlib.sha256(write_bfile(run).encode()).hexdigest()}
+        v1 = {cache / "standard" / "p3_v1.bfile.txt": text,
+              cache / "standard" / "p3_v1.manifest.json": json.dumps(v1_manifest)}
+        (cache / "standard").mkdir(parents=True)
+        for path, content in v1.items():
+            path.write_text(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_run(run.spec, cache) is None
+            for _ in range(2):  # a miss that writes the v2 entry, then a hit
+                assert sweep([3], 100, cache_dir=cache).reports[0] == classify(run, 100)
+            assert load_run(run.spec, cache) == run
+        assert (cache / "standard" / "p3_v2.bfile.txt").read_bytes() == words(run.a)
+        assert {path: path.read_text() for path in v1} == v1
 
     def test_loaded_flags_match_generated(self, cache):
         run = generate(SequenceSpec.shifted(30))
@@ -163,15 +219,23 @@ def manifest_path(entry):
 
 
 def rewrite_entry(entry, payload=None, **manifest_fields):
-    """Replace an entry's payload and manifest fields, keeping the checksum
-    consistent with the new payload."""
+    """Replace an entry's payload bytes and manifest fields, keeping the
+    checksum consistent with the new payload."""
     if payload is None:
-        payload = entry.payload_path.read_text()
-    entry.payload_path.write_text(payload)
+        payload = entry.payload_path.read_bytes()
+    entry.payload_path.write_bytes(payload)
     manifest = json.loads(manifest_path(entry).read_text())
-    manifest["sha256"] = hashlib.sha256(payload.encode()).hexdigest()
+    manifest["sha256"] = hashlib.sha256(payload).hexdigest()
     manifest.update(manifest_fields)
     manifest_path(entry).write_text(json.dumps(manifest))
+
+
+def rewrite_word(entry, n, value):
+    """Set a(n) in an entry's payload, keeping the checksum consistent."""
+    data = entry.payload_path.read_bytes()
+    values = list(struct.unpack(f"<{len(data) // 8}q", data))
+    values[n - 1] = value
+    rewrite_entry(entry, words(values))
 
 
 class TestDamagedEntries:
@@ -196,33 +260,61 @@ class TestDamagedEntries:
         manifest_path(entry).write_text("[1, 2]")
         self.assert_absent(run.spec, cache, "checksum")
 
-    def test_payload_not_a_bfile_despite_checksum(self, cache, a7):
+    @pytest.mark.parametrize("cut", [
+        pytest.param(lambda b: b[:-1], id="a byte short"),
+        pytest.param(lambda b: b + b"\0", id="a byte over"),
+        pytest.param(lambda b: b + words([26]), id="a word past the last"),
+        pytest.param(lambda b: b"", id="empty"),
+    ])
+    def test_payload_size_must_be_8_per_term(self, cache, a7, cut):
+        """Under a checksum that matches, a payload that is not exactly
+        term_count words, whole or not, is named by its size."""
         run, entry = a7
-        rewrite_entry(entry, entry.payload_path.read_text().replace("5 5\n", "5 x5\n"))
-        self.assert_absent(run.spec, cache, "non-integer token")
+        payload = cut(entry.payload_path.read_bytes())
+        rewrite_entry(entry, payload)
+        self.assert_absent(run.spec, cache,
+                           rf"invalid: payload has {len(payload)} bytes, expected 200 \(8 per")
 
     @pytest.mark.parametrize("damage", ["truncated", "offset 0", "offset 2"])
     def test_entries_must_be_terms_1_to_n(self, cache, a7, damage):
+        """The words are a(1..25) in order: 24 of them, or the words of
+        a(0..24) or a(2..26), are not."""
         run, entry = a7
-        lines = entry.payload_path.read_text().splitlines(keepends=True)
-        payload = {
-            "truncated": "".join(lines[:24]),
-            "offset 0": "0 0\n" + "".join(lines[:24]),
-            "offset 2": "".join(f"{n + 1} {a}\n" for n, a in enumerate(run.a, start=1)),
+        payload, match = {
+            "truncated": (words(run.a[:24]), "payload has 192 bytes, expected 200"),
+            "offset 0": (words((0,) + run.a[:24]), r"a\(1\) = 0, expected 1"),
+            "offset 2": (words(generate(SequenceSpec.standard(7, 26)).a[1:]),
+                         r"a\(1\) = 7, expected 1"),
         }[damage]
         rewrite_entry(entry, payload)
-        self.assert_absent(run.spec, cache, "terms 1..25")
+        self.assert_absent(run.spec, cache, match)
 
     def test_term_must_divide_q(self, cache, a7):
         run, entry = a7
-        rewrite_entry(entry, entry.payload_path.read_text().replace("7 21\n", "7 999\n"))
+        rewrite_word(entry, 7, 999)
         self.assert_absent(run.spec, cache, r"a\(7\) = 999 does not divide q\(7\)")
 
     def test_values_must_be_distinct(self, cache, a7):
         run, entry = a7
         # a(4) = 2 also divides q(8) = 196, so only distinctness is broken
-        rewrite_entry(entry, entry.payload_path.read_text().replace("8 4\n", "8 2\n"))
+        rewrite_word(entry, 8, 2)
         self.assert_absent(run.spec, cache, r"a\(8\) = 2 repeats")
+
+    def test_negative_word(self, cache, a7):
+        run, entry = a7
+        rewrite_word(entry, 6, -15)
+        self.assert_absent(run.spec, cache, r"a\(6\) = -15 does not divide q\(6\)")
+
+    @pytest.mark.parametrize("word, mask, fault", [
+        (7, 0x01, r"a\(7\) = 20 does not divide q\(7\)"),  # 21 -> 20, and q(7) = 147
+        (9, 0x04, r"a\(9\) = 2 repeats an earlier value"),  # 6 -> 2 = a(4), and q(9) = 252
+    ])
+    def test_flipped_byte_under_a_recomputed_checksum(self, cache, a7, word, mask, fault):
+        """The divisibility or distinctness pass catches the flip, and the
+        per-term scan names the flipped term."""
+        run, entry = a7
+        rewrite_entry(entry, flipped(entry.payload_path.read_bytes(), 8 * (word - 1), mask))
+        self.assert_absent(run.spec, cache, rf"invalid: {fault}; treating as absent$")
 
     def test_engine_version_must_match(self, cache, a7):
         run, entry = a7
@@ -232,7 +324,7 @@ class TestDamagedEntries:
     def test_first_term_must_be_1(self, cache, a7):
         # q(1) = 0, so divisibility alone would accept any a(1)
         run, entry = a7
-        rewrite_entry(entry, entry.payload_path.read_text().replace("1 1\n", "1 999\n", 1))
+        rewrite_word(entry, 1, 999)
         self.assert_absent(run.spec, cache, r"a\(1\) = 999, expected 1")
 
     def test_manifest_term_count_must_be_an_integer(self, cache, a7):
@@ -240,159 +332,186 @@ class TestDamagedEntries:
         rewrite_entry(entry, term_count="25")
         self.assert_absent(run.spec, cache, "term count '25' is not an integer")
 
+    @pytest.mark.parametrize("damage", [
+        "truncated", "size not a multiple of 8", "junk past N", "stale checksum",
+        "non-divisor under a recomputed checksum", "repeat under a recomputed checksum",
+        "negative word", "a(1) is not 1",
+    ])
+    def test_sweep_warns_and_regenerates(self, cache, a7, damage):
+        """Whatever the damage, a sweep warns once, reports what the engine
+        generates and rewrites the entry with the engine's words."""
+        run, entry = a7
+        payload = entry.payload_path.read_bytes()
+        if damage == "stale checksum":
+            entry.payload_path.write_bytes(flipped(payload, 8 * 12, 0x02))
+        else:
+            rewrite_entry(entry, {
+                "truncated": payload[:8 * 20],
+                "size not a multiple of 8": payload + b"\1\2\3",
+                "junk past N": payload + words([0, -1]),
+                "non-divisor under a recomputed checksum": flipped(payload, 8 * 6, 0x01),
+                "repeat under a recomputed checksum": flipped(payload, 8 * 8, 0x04),
+                "negative word": words(run.a[:9] + (-run.a[9],) + run.a[10:]),
+                "a(1) is not 1": words((2,) + run.a[1:]),
+            }[damage])
+        with pytest.warns(UserWarning, match="treating as absent") as caught:
+            report = sweep([7], 24, cache_dir=cache).reports[0]
+        assert len(caught) == 1
+        assert report == classify(run, 24)
+        assert entry.payload_path.read_bytes() == words(run.a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_run(run.spec, cache) == run
+
 
 @pytest.fixture(scope="module")
 def a199_10k():
     return generate(SequenceSpec.standard(199, 10_001))
 
 
-class TestDamagePastTheFirstChunk:
-    """A 10,001-term A(199) entry damaged only at line 9,000, with its
-    checksum recomputed: the bulk parser's later chunks meet the damage."""
+class TestDamageDeepInALongEntry:
+    """A 10,001-term A(199) entry damaged only at term 9,000: the whole
+    payload is checked, and the per-term scan names term 9,000."""
 
     @pytest.fixture
     def entry(self, cache, a199_10k):
         return save_run(a199_10k, cache)
 
-    def damage_line_9000(self, entry, line):
-        lines = entry.payload_path.read_text().splitlines(keepends=True)
-        lines[8999] = line
-        rewrite_entry(entry, "".join(lines))
-
     def test_wrong_value_is_warned_about_and_regenerated(self, cache, a199_10k, entry):
         q = a199_10k.spec.q(9000)
-        self.damage_line_9000(entry, f"9000 {q + 1}\n")
+        rewrite_word(entry, 9000, q + 1)
         with pytest.warns(UserWarning, match=rf"invalid: a\(9000\) = {q + 1} does not "
                                              rf"divide q\(9000\); treating as absent$"):
             report = sweep([199], 10_000, cache_dir=cache).reports[0]
         assert report == classify(a199_10k, 10_000)
-        assert entry.payload_path.read_text() == write_bfile(a199_10k)
+        assert entry.payload_path.read_bytes() == words(a199_10k.a)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert load_run(a199_10k.spec, cache) == a199_10k
 
-    def test_skipped_index_names_line_9000(self, cache, a199_10k, entry):
-        self.damage_line_9000(entry, f"9001 {a199_10k.a[8999]}\n")
-        with pytest.warns(UserWarning, match=r"invalid: line 9000: index 9001 does not "
-                                             r"follow 8999; treating as absent$"):
+    def test_repeated_value_names_term_9000(self, cache, a199_10k, entry):
+        rewrite_word(entry, 9000, 1)  # 1 divides q(9000), and a(1) = 1
+        with pytest.warns(UserWarning, match=r"invalid: a\(9000\) = 1 repeats an earlier "
+                                             r"value; treating as absent$"):
+            assert load_run(a199_10k.spec, cache) is None
+
+    def test_flipped_byte_at_term_9000_fails_the_checksum(self, cache, a199_10k, entry):
+        payload = entry.payload_path.read_bytes()
+        entry.payload_path.write_bytes(flipped(payload, 8 * 8999 + 1, 0x01))
+        with pytest.warns(UserWarning, match="sha256 checksum; treating as absent$"):
             assert load_run(a199_10k.spec, cache) is None
 
 
-def first_chunk_lines(text):
-    """The number of lines in the first chunk that the payload reader reads."""
-    return text[:text.find("\n", 4095) + 1 or len(text)].count("\n")
-
-
-PERTURBATIONS = {
-    "none": lambda i, v: f"{i} {v}\n",
-    "comment": lambda i, v: f"# comment\n{i} {v}\n",
-    "blank line": lambda i, v: f"\n{i} {v}\n",
-    "CRLF": lambda i, v: f"{i} {v}\r\n",
-    "leading space": lambda i, v: f" {i} {v}\n",
-    "trailing space": lambda i, v: f"{i} {v} \n",
-    "double space": lambda i, v: f"{i}  {v}\n",
-    "leading-zero index": lambda i, v: f"0{i} {v}\n",
-    "leading-zero value": lambda i, v: f"{i} 0{v}\n",
-    "negative value": lambda i, v: f"{i} -{v}\n",
-    "skipped index": lambda i, v: f"{i + 1} {v}\n",
-    "deleted line": lambda i, v: "",
-    "repeated index": lambda i, v: f"{i - 1} {v}\n",
-    "one token": lambda i, v: f"{i}\n",
-    "three tokens": lambda i, v: f"{i} {v} {v}\n",
-    "non-integer token": lambda i, v: f"{i} {v}x\n",
-    "no final newline": None,
-}
-
-
 @st.composite
-def perturbed_payloads(draw):
-    """write_bfile's layout, 1 to 3,000 lines from index 1, with one
-    perturbation at a line before, inside or past the first chunk, or at or
-    just past the last requested line; a request for 1 to 2 more terms than
-    there are lines; and the requested lines as written, if there are so
-    many."""
-    count = draw(st.integers(1, 3000))
-    request = draw(st.integers(1, count + 2))
-    rnd = random.Random(draw(st.integers(0, 2**32)))
-    values = [rnd.choice((0, rnd.randrange(10), rnd.randrange(10**12))) for _ in range(count)]
-    lines = [f"{n} {v}\n" for n, v in enumerate(values, start=1)]
-    clean = "".join(lines[:request]) if request <= count else None
-    kind = draw(st.sampled_from(sorted(PERTURBATIONS)))
-    if kind == "no final newline":
-        return "".join(lines)[:-1], request, clean
-    inside = first_chunk_lines("".join(lines))
-    where = draw(st.sampled_from(["first line", "inside the first chunk", "first line past it",
-                                  "past it", "last requested line", "line after it"]))
-    k = {
-        "first line": 0,
-        "inside the first chunk": draw(st.integers(0, inside - 1)),
-        "first line past it": min(inside, count - 1),
-        "past it": draw(st.integers(min(inside, count - 1), count - 1)),
-        "last requested line": min(request, count) - 1,
-        "line after it": min(request, count - 1),
-    }[where]
-    lines[k] = PERTURBATIONS[kind](k + 1, values[k])
-    return "".join(lines), request, clean
+def damaged_payloads(draw):
+    """A saved run prefix of 1 to 300 terms; its payload as written, with
+    one flipped byte, cut short at any byte or with 1 to 16 bytes
+    appended; a checksum recomputed over the new payload or left stale;
+    and a request for 1 to 2 more terms than the entry holds."""
+    full = draw(st.sampled_from(FAULT_SPECS))
+    held = draw(st.integers(1, 300))
+    spec = SequenceSpec(full.variant, held, full.p)
+    clean = words(FAULT_RUNS[full][:held])
+    payload = bytearray(clean)
+    kind = draw(st.sampled_from(["as written", "flipped byte", "cut short", "appended"]))
+    if kind == "flipped byte":
+        payload[draw(st.integers(0, len(payload) - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "cut short":
+        del payload[draw(st.integers(0, len(payload) - 1)):]
+    elif kind == "appended":
+        payload += draw(st.binary(min_size=1, max_size=16))
+    request = draw(st.integers(1, held + 2))
+    return spec, FAULT_RUNS[full][:held], bytes(payload), draw(st.booleans()), request
 
 
 class TestPayloadReader:
-    """The cache reads payloads in write_bfile's layout in bulk chunks; any
-    other text goes to parse_bfile, which serves it or names its bad line."""
+    """The cache reads a payload as little-endian 64-bit words; whatever
+    the bytes, it serves what they say or names why it does not."""
 
     @settings(max_examples=300, deadline=None)
-    @given(perturbed_payloads())
-    def test_agrees_with_the_line_by_line_parser(self, case):
-        """The reader gives None, or exactly what parse_bfile makes of the
-        requested lines; it reads them whenever write_bfile wrote them."""
-        text, count, clean = case
-        values = store._payload_values(text, count)
-        if values is not None:
-            assert parse_bfile("".join(text.splitlines(keepends=True)[:count])) == \
-                BFile(1, values)
-        if clean is not None and text.startswith(clean):
-            assert values is not None
+    @given(damaged_payloads())
+    def test_agrees_with_struct_unpack(self, case):
+        """A stale checksum, then the size, then the per-term rule decide,
+        in that order; a served run is struct's reading of the first N
+        words, and a payload left as written is always served."""
+        spec, valid, payload, recompute, request = case
+        clean = words(valid)
+        held = spec.term_count
+        asked = SequenceSpec(spec.variant, request, spec.p)
+        if payload != clean and not recompute:
+            fault = "payload does not match the manifest's sha256 checksum"
+        elif len(payload) != 8 * held:
+            fault = f"payload has {len(payload)} bytes, expected {8 * held} (8 per term)"
+        elif request > held:
+            fault = values = None
+        else:
+            values = struct.unpack(f"<{request}q", payload[:8 * request])
+            fault = first_fault(asked, values)
+        with tempfile.TemporaryDirectory() as cache:
+            entry = save_run(SequenceRun(spec, valid), cache)
+            if recompute:
+                rewrite_entry(entry, payload)
+            else:
+                entry.payload_path.write_bytes(payload)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                loaded = load_run(asked, cache)
+        if fault is not None:
+            assert loaded is None and len(caught) == 1
+            assert str(caught[0].message).endswith(f"invalid: {fault}; treating as absent")
+        else:
+            assert caught == []
+            assert loaded == (None if values is None else SequenceRun(asked, values))
+        if payload == clean and request <= held:
+            assert loaded == SequenceRun(asked, valid[:request])
 
     def test_written_layout_never_parses_line_by_line(self, cache, monkeypatch):
+        """The payload is words, not text: every count up to the entry's is
+        served with the b-file parser out of reach."""
         run = generate(SequenceSpec.standard(199, 3000))
-        text = write_bfile(run)
-        inside = first_chunk_lines(text)
-        assert inside < 1000  # several chunks
-        for count in (1, inside, inside + 1, 2999, 3000):
-            assert store._payload_values(text, count) == run.a[:count]
-        assert store._payload_values(text, 3001) is None
         save_run(run, cache)
-        monkeypatch.setattr(store, "parse_bfile", line_by_line)
-        assert load_run(run.spec, cache) == run
+        monkeypatch.setattr(oeis, "parse_bfile", line_by_line)
+        for count in (1, 1000, 2999, 3000):
+            spec = SequenceSpec.standard(199, count)
+            assert load_run(spec, cache) == SequenceRun(spec, run.a[:count])
+        assert load_run(SequenceSpec.standard(199, 3001), cache) is None
 
-    def test_junk_line_that_ends_a_chunk(self, cache):
-        """The chunk after the junk starts at the next index, yet the junk
-        is named, as the line parser names it."""
+    @pytest.mark.parametrize("spec", [
+        SequenceSpec.standard(199, 3000), SequenceSpec.standard(3, 1), SequenceSpec.no_zero(300),
+        SequenceSpec.shifted(300),
+    ], ids=str)
+    def test_payload_is_little_endian_words(self, cache, spec):
+        """On any host, the payload is struct's "<q" packing of a(1..N)."""
+        run = generate(spec)
+        entry = save_run(run, cache)
+        n = len(run.a)
+        assert entry.payload_path.read_bytes() == struct.pack(f"<{n}q", *run.a)
+
+    def test_junk_past_the_last_word(self, cache):
+        """Bytes past term_count words, under a checksum that covers them,
+        are named by the size, whatever the request."""
         run = generate(SequenceSpec.standard(7, 2000))
-        text = write_bfile(run)
-        start = text.rfind("\n", 0, 4095) + 1  # of the line the first chunk ends with
-        assert start < 4095
-        damaged = text[:start] + "x" * (4095 - start) + "\n" + text[start:]
-        assert store._payload_values(damaged, 2000) is None
-        rewrite_entry(save_run(run, cache), damaged)
-        line = text.count("\n", 0, start) + 1
-        with pytest.warns(UserWarning, match=rf"invalid: line {line}: expected 'index value'"):
-            assert load_run(run.spec, cache) is None
+        entry = save_run(run, cache)
+        rewrite_entry(entry, words(run.a) + b"junk\n")
+        for count in (1, 2000):
+            with pytest.warns(UserWarning, match=r"payload has 16005 bytes, expected 16000"):
+                assert load_run(SequenceSpec.standard(7, count), cache) is None
 
-    def test_value_past_the_integer_digit_limit(self, cache):
-        # int() refuses strings of more than 4300 digits by default (3.10.7+)
-        text = "1 1\n2 " + "7" * 5000 + "\n"
-        assert store._payload_values(text, 2) is None
-        rewrite_entry(save_run(generate(SequenceSpec.standard(7, 2)), cache), text)
-        with pytest.warns(UserWarning, match="invalid: line 2: non-integer token in '2 777"):
-            assert load_run(SequenceSpec.standard(7, 2), cache) is None
+    def test_value_past_63_bits_reads_negative(self, cache):
+        """A word with its top bit set is a negative a(n), named as one."""
+        run = generate(SequenceSpec.standard(7, 25))
+        entry = save_run(run, cache)
+        rewrite_entry(entry, flipped(entry.payload_path.read_bytes(), 8 * 4 + 7, 0x80))
+        with pytest.warns(UserWarning, match=rf"invalid: a\(5\) = {5 - 2**63} does not divide"):
+            assert load_run(run.spec, cache) is None
 
 
 class TestServedPrefix:
-    """A longer entry serves a request from its first N lines; the lines
-    past the chunk that holds line N are never read."""
+    """A longer entry serves a request from its first N words; the words
+    past them are never read."""
 
     def test_every_count_of_a_multi_slice_payload(self, cache):
-        run = generate(SequenceSpec.standard(7, 2000))  # about 19 KiB: five chunks
+        run = generate(SequenceSpec.standard(7, 2000))
         save_run(run, cache)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -401,11 +520,22 @@ class TestServedPrefix:
                 served = load_run(spec, cache)
                 assert served == (SequenceRun(spec, run.a[:count]) if count <= 2000 else None)
 
+    @pytest.mark.parametrize("long", [SequenceSpec.standard(199, 600), SequenceSpec.no_zero(600),
+                                      SequenceSpec.shifted(600)], ids=str)
+    def test_served_prefix_equals_a_cold_run(self, cache, long):
+        save_run(generate(long), cache)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for count in (1, 2, 299, 599):
+                spec = SequenceSpec(long.variant, count, long.p)
+                assert load_run(spec, cache) == generate(spec)
+
     def test_prefix_is_the_only_copy(self, cache):
-        """Serving 10,001 terms of a 20,001-term A(199) entry copies no prefix
-        of the payload and drops the payload before the checks: load_run's
-        traced peak is at most 897,168 bytes, what it was (Python 3.11) when
-        the served lines were first cut out of the payload as a string."""
+        """Serving 10,001 terms of a 20,001-term A(199) entry copies no
+        prefix of the payload and drops the payload before the checks:
+        load_run's traced peak is at most 897,168 bytes, what it was
+        (Python 3.11) when the served lines were first cut out of a text
+        payload as a string."""
         save_run(generate(SequenceSpec.standard(199, 20_001)), cache)
         spec = SequenceSpec.standard(199, 10_001)
         was_tracing = tracemalloc.is_tracing()
@@ -424,25 +554,20 @@ class TestServedPrefix:
     def entry(self, cache):
         return save_run(generate(SequenceSpec.standard(199, 3000)), cache)
 
-    def damage(self, entry, n):
-        lines = entry.payload_path.read_text().splitlines(keepends=True)
-        lines[n - 1] = f"{n} 0\n"
-        rewrite_entry(entry, "".join(lines))
-
     def test_damage_past_the_prefix_is_not_parsed(self, cache, entry):
-        self.damage(entry, 2800)
+        rewrite_word(entry, 2800, 0)
         spec = SequenceSpec.standard(199, 2000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert load_run(spec, cache) == generate(spec)
 
     def test_damage_inside_the_prefix_is_warned_about_and_regenerated(self, cache, entry):
-        self.damage(entry, 1500)
+        rewrite_word(entry, 1500, 0)
         with pytest.warns(UserWarning, match=r"invalid: a\(1500\) = 0 does not divide"):
             report = sweep([199], 1999, cache_dir=cache).reports[0]
         spec = SequenceSpec.standard(199, 2000)
         assert report == classify(generate(spec), 1999)
-        assert entry.payload_path.read_text() == write_bfile(generate(spec))
+        assert entry.payload_path.read_bytes() == words(generate(spec).a)
 
 
 def first_fault(spec, values):
@@ -496,7 +621,7 @@ class TestWholeSequenceCheck:
         spec, valid, values = case
         with tempfile.TemporaryDirectory() as cache:
             entry = save_run(SequenceRun(spec, valid), cache)
-            rewrite_entry(entry, "".join(f"{n} {a}\n" for n, a in enumerate(values, start=1)))
+            rewrite_entry(entry, words(values))
             fault = first_fault(spec, values)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -551,7 +676,7 @@ def test_temporary_file_is_named_at_random_and_removed(cache, monkeypatch):
     monkeypatch.setattr(store.os, "replace", recording)
     save_run(generate(SequenceSpec.standard(7, 25)), cache)
     assert len(sources) == 2
-    for name, entry in zip(sources, ["p7_v1.bfile.txt", "p7_v1.manifest.json"]):
+    for name, entry in zip(sources, ["p7_v2.bfile.txt", "p7_v2.manifest.json"]):
         assert re.fullmatch(re.escape(entry) + r"\.[0-9a-f]{16}\.tmp", name)
     assert list(cache.rglob("*.tmp")) == []
 

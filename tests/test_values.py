@@ -36,7 +36,7 @@ VALUES = [
     (Counterexample, ("A(3)", 17, "eligible prime not a fixed point")),
     (ConjectureResult, ("3.2", ("A(3)",), 30, (MISS,), 8)),
     (SweepReport, ((3,), 30, (REPORT,), (17,), ((3, Fraction(7, 8)),))),
-    (CacheEntry, (Path("standard/p3_v1.bfile.txt"), {"term_count": 31})),
+    (CacheEntry, (Path("standard/p3_v2.bfile.txt"), {"term_count": 31})),
 ]
 each_value = pytest.mark.parametrize("cls, fields", VALUES, ids=[cls.__name__ for cls, _ in VALUES])
 
