@@ -13,7 +13,7 @@ from collections.abc import Callable
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .engine import FrozenValue, SequenceRun, SequenceSpec, fixed_points, generate
+from .engine import FrozenValue, SequenceRun, SequenceSpec, fixed_points, generate_runs
 from .numtheory import prime_flags
 
 
@@ -268,37 +268,50 @@ class SweepReport(FrozenValue):
         return self.reports[self.p_list.index(p)]
 
 
-def _checked_run(work: tuple[SequenceSpec, Callable[[SequenceRun], object], str | None]) -> object:
-    """check(run) on spec's run, read from the cache or generated into it."""
-    spec, check, cache_dir = work
-    if cache_dir is None:
-        return check(generate(spec))
-    from . import store
+def _checked_runs(work: tuple[list[SequenceSpec], Callable[[SequenceRun], object], str | None]
+                  ) -> list:
+    """check(run) on the run of each spec, in spec order.  Cached runs are
+    loaded and checked one at a time; the rest are generated together
+    (generate_runs), and each is saved and checked as it comes out."""
+    specs, check, cache_dir = work
+    done = {}
+    if cache_dir is not None:
+        from . import store
 
-    run = store.load_run(spec, cache_dir)
-    if run is None:
-        run = generate(spec)
-        store.save_run(run, cache_dir)
-    return check(run)
+        for spec in specs:
+            run = store.load_run(spec, cache_dir)
+            if run is not None:
+                done[spec] = check(run)
+            del run  # not held through the next load
+    for run in generate_runs([spec for spec in specs if spec not in done]):
+        if cache_dir is not None:
+            store.save_run(run, cache_dir)
+        done[run.spec] = check(run)
+        del run  # nor through the next run
+    return [done[spec] for spec in specs]
 
 
 def _each_run(specs: list[SequenceSpec], check: Callable[[SequenceRun], object], *,
               jobs: int = 1, cache_dir: str | None = None) -> list:
     """check(run) on the run of each spec, in spec order, after checking
-    every q(N) against the 63-bit ceiling.  A repeated spec is run once and
-    each run is dropped once checked: one is in memory at a time.  jobs > 1
-    runs them in a pool of at most one process per distinct spec."""
+    every q(N) against the 63-bit ceiling.  A repeated spec is run once, and
+    no run is kept once checked.  jobs > 1 splits the distinct specs into at
+    most jobs contiguous chunks, each checked in a process of its own."""
     for spec in specs:
         spec.q(spec.term_count)
     distinct = list(dict.fromkeys(specs))
-    work = [(spec, check, cache_dir) for spec in distinct]
-    if jobs > 1 and len(work) > 1:
+    k = min(jobs, len(distinct))
+    if k > 1:
         import concurrent.futures  # only here: a one-job loop never pays for it
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            done = list(pool.map(_checked_run, work))
+        chunks = [distinct[i * len(distinct) // k:(i + 1) * len(distinct) // k]
+                  for i in range(k)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=k) as pool:
+            done = [result for results in pool.map(
+                _checked_runs, [(chunk, check, cache_dir) for chunk in chunks])
+                for result in results]
     else:
-        done = [_checked_run(w) for w in work]
+        done = _checked_runs((distinct, check, cache_dir))
     result_of = dict(zip(distinct, done))
     return [result_of[spec] for spec in specs]
 

@@ -22,10 +22,11 @@ q(N) can pass the 63-bit ceiling; the engine checks it once, when built.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from array import array
+from collections.abc import Iterable, Iterator
 from itertools import accumulate
 
-from .numtheory import divisors, factorize_trial, halved_divisor_lists, q_value
+from .numtheory import divisors, factorize_trial, halved_divisor_blocks, q_value
 
 STANDARD = "standard"
 NO_ZERO = "no-zero"
@@ -198,6 +199,12 @@ class SequenceRun(FrozenValue):
         return TermRecord.of(self.spec, n, self.a[n - 1])
 
 
+# Engines stepped in lockstep by generate_runs keep their combined state
+# within this many bytes: 12 per term each, 8 for the term and 4 of used map.
+LOCKSTEP_BUDGET = 64 * 2**20
+_BYTES_PER_TERM = 12
+
+
 class SequenceEngine:
     """Strictly sequential term emitter (each term depends on the full
     used-set history).  Distinct engines are independent."""
@@ -205,30 +212,37 @@ class SequenceEngine:
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
         start = 1 + spec.offset
-        # one generator for the engine's life: the divisors of h(n + offset)
-        self._lists = halved_divisor_lists(start, start + spec.term_count)
+        # The engine's own stream of the divisors of h(n + offset), read by
+        # next_term and run a block at a time: the block being read and the
+        # next list in it.  generate_runs feeds its engines from a stream
+        # of its own instead.
+        self._blocks = halved_divisor_blocks(start, start + spec.term_count)
+        self._block, self._at = [], 0
         spec.q(spec.term_count)  # q increases: only q(N) can overflow
         self._p_divisors = divisors(factorize_trial(spec.multiplier))
-        # ascending divisors of h(n + offset - 1) and h(n + offset) for the
-        # next n.  At n = 1 the first is [1], standing in for the divisors
-        # of h(offset) (h(0) = 0 has them all): nothing is used yet, so the
-        # search finds 1*1*1 = 1 = a(1) at once.
-        self._xs, self._ys = [1], next(self._lists)
+        # The ascending divisors of h(n + offset - 1) for the next n.  At
+        # n = 1, [1] stands in for the divisors of h(offset) (h(0) = 0 has
+        # them all): nothing is used yet, so the search finds 1*1*1 = 1 =
+        # a(1) at once.
+        self._xs = [1]
         # _used[v] marks a used v below 4N + 8, _spill holds the larger ones
         self._used = bytearray(4 * spec.term_count + 8)
         self._spill: set[int] = set()
         self._mex = 1  # every value below it is used
-        self._a: list[int] = []
+        self._a = array("q")
 
-    def _extend(self, count: int) -> None:
-        """Append the next ``count`` terms: a(n) is the least unused divisor
-        of q(n).  On an error the engine keeps the terms before it."""
-        zs, xs, ys, lists = self._p_divisors, self._xs, self._ys, self._lists
+    def _extend(self, lists: list[list[int]]) -> None:
+        """Append one term per list: a(n) is the least unused divisor of
+        q(n), and ``lists`` holds the ascending divisors of h(n + offset)
+        for the next n in turn.  On an error the engine keeps the terms
+        before it and their carried list."""
+        zs, xs = self._p_divisors, self._xs
         used, spill, mex, a = self._used, self._spill, self._mex, self._a
         size = len(used)
-        first = len(a) + 1
+        n = len(a)
         try:
-            for n in range(first, first + count):
+            for ys in lists:
+                n += 1
                 # The least unused z*x*y in [mex, q(n)], z, x and y drawn from
                 # the divisors of m, h(n+o-1) and h(n+o); q(n) is the largest
                 # such product.  Each hit lowers hi to just below itself.  A
@@ -280,25 +294,77 @@ class SequenceEngine:
                 a.append(v)
                 while used[mex]:
                     mex += 1
-                xs, ys = ys, next(lists, None)
+                xs = ys
         finally:
-            self._xs, self._ys, self._mex = xs, ys, mex
+            self._xs, self._mex = xs, mex
+
+    def _step(self, count: int) -> None:
+        """Append the next ``count`` terms, read off the engine's own stream."""
+        while count > 0:
+            if self._at == len(self._block):
+                self._block, self._at = next(self._blocks), 0
+            lists = self._block[self._at:self._at + count]
+            before = len(self._a)
+            try:
+                self._extend(lists)
+            finally:
+                self._at += len(self._a) - before
+            count -= len(lists)
 
     def next_term(self) -> TermRecord:
         if len(self._a) >= self.spec.term_count:
             raise IndexError(f"all {self.spec.term_count} terms already emitted")
-        self._extend(1)
+        self._step(1)
         return TermRecord.of(self.spec, len(self._a), self._a[-1])
 
     def run(self) -> SequenceRun:
-        self._extend(self.spec.term_count - len(self._a))
+        self._step(self.spec.term_count - len(self._a))
         return SequenceRun(self.spec, tuple(self._a))
 
 
+def generate_runs(specs: Iterable[SequenceSpec]) -> Iterator[SequenceRun]:
+    """The run of each spec, in order.  Specs of one offset and term count
+    are generated together: their engines step in lockstep over one stream
+    of divisor lists, so each block is sieved once for all of them.  As
+    many step together as keep their state, with that of the engines done
+    and waiting for their turn, within LOCKSTEP_BUDGET (one always does).
+    Each engine is dropped as its run is yielded."""
+    specs = list(specs)
+    done: dict[int, SequenceEngine] = {}
+    for i in range(len(specs)):
+        if i not in done:
+            done.update(_lockstep(specs, _batch(specs, i, done)))
+        yield done.pop(i).run()
+
+
+def _lockstep(specs: list[SequenceSpec], batch: list[int]) -> dict[int, SequenceEngine]:
+    """The engines of the specs at the indices in batch, which share one
+    offset and term count, each fed every block of one stream in turn."""
+    engines = {j: SequenceEngine(specs[j]) for j in batch}
+    spec = specs[batch[0]]
+    start = 1 + spec.offset
+    for block in halved_divisor_blocks(start, start + spec.term_count):
+        for engine in engines.values():
+            engine._extend(block)
+    return engines
+
+
+def _batch(specs: list[SequenceSpec], first: int, done: dict[int, SequenceEngine]) -> list[int]:
+    """The index first, then those of the later specs not yet done that share
+    its offset and term count, as many as fit the budget beside the engines
+    done (first always does)."""
+    key = specs[first].offset, specs[first].term_count
+    held = sum(engine.spec.term_count for engine in done.values())
+    fit = max(1, (LOCKSTEP_BUDGET // _BYTES_PER_TERM - held) // key[1])
+    same = [j for j in range(first, len(specs))
+            if j not in done and (specs[j].offset, specs[j].term_count) == key]
+    return same[:fit]
+
+
 def generate(spec: SequenceSpec) -> SequenceRun:
-    """Generate the full run for ``spec``.  Deterministic: identical specs
-    yield identical runs."""
-    return SequenceEngine(spec).run()
+    """Generate the full run for ``spec``: generate_runs of spec alone.
+    Deterministic: identical specs yield identical runs."""
+    return next(generate_runs([spec]))
 
 
 def fixed_points(run: SequenceRun) -> list[int]:

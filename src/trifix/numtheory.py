@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator
+from itertools import chain
 from math import isqrt
 
 # Values (q-values, terms) are guaranteed to fit a signed 64-bit word so that
@@ -19,8 +20,10 @@ from math import isqrt
 # ceiling is enforced explicitly: exceeding it is a loud OverflowError.
 MAX_SUPPORTED_VALUE = 2**63 - 1
 
-# The ceiling keeps a prime flag table (one byte per entry) near 50 MB and a
-# smallest-prime-factor table (four bytes per entry) near 200 MB.
+# The ceiling bounds a run's term count and keeps classify's prime flag
+# table (one byte per entry) near 50 MB.  A run's divisor lists are sieved a
+# block at a time and build no table; build_spf, which no run calls, would
+# take four bytes per entry.
 SIEVE_CEILING = 50_000_000
 
 
@@ -139,12 +142,13 @@ def factorize_q(p_factors: list[tuple[int, int]], n: int, spf: array) -> list[tu
     return sorted(counts.items())
 
 
-def halved_divisor_lists(start: int, stop: int) -> Iterator[list[int]]:
-    """The ascending divisors of halve_even(m) for m = start, ..., stop - 1.
+def halved_divisor_blocks(start: int, stop: int) -> Iterator[list[list[int]]]:
+    """The ascending divisors of halve_even(m) for m = start, ..., stop - 1,
+    in blocks of about max(1024, 4*isqrt(stop)) consecutive m.
 
-    They are sieved a block of about max(1024, 4*isqrt(stop)) consecutive m
-    at a time, so no factorization is stored.  Raises CapacityError, before
-    any work, when stop - 1 exceeds SIEVE_CEILING.
+    Each block is sieved when it is read, so no factorization is stored.
+    Raises CapacityError, before any work, when stop - 1 exceeds
+    SIEVE_CEILING.
     """
     if start < 1:
         raise ValueError(f"divisor lists start at m >= 1, got {start}")
@@ -152,7 +156,12 @@ def halved_divisor_lists(start: int, stop: int) -> Iterator[list[int]]:
     return _halved_divisor_blocks(start, stop, max(1024, 4 * isqrt(stop)))
 
 
-def _halved_divisor_blocks(start: int, stop: int, size: int) -> Iterator[list[int]]:
+def halved_divisor_lists(start: int, stop: int) -> Iterator[list[int]]:
+    """halved_divisor_blocks(start, stop) one list at a time."""
+    return chain.from_iterable(halved_divisor_blocks(start, stop))
+
+
+def _halved_divisor_blocks(start: int, stop: int, size: int) -> Iterator[list[list[int]]]:
     for lo in range(start, stop, size):
         hi = min(lo + size, stop)
         block = [None] * (hi - lo)
@@ -162,27 +171,34 @@ def _halved_divisor_blocks(start: int, stop: int, size: int) -> Iterator[list[in
             odd = m & 1
             count = len(range(m, hi, 2))
             block[m - lo::2] = _sieved_divisors(m if odd else m >> 1, count, 1 + odd)
-        yield from block
+        yield block
 
 
 def _sieved_divisors(first: int, count: int, step: int) -> list[list[int]]:
     """The ascending divisors of k = first + step*i for 0 <= i < count, with
     step 1, or step 2 and first odd."""
     small = [[] for _ in range(count)]
+    last = first + step * (count - 1)
     # An odd k has only odd divisors.  d marks its multiples from d*d on:
     # the first is the least k >= max(first, d*d) with k % d == 0 (and
     # k % 2d == d when step is 2), and either way the next is d places on.
-    for d in range(1, isqrt(first + step * (count - 1)) + 1, step):
+    marked = []
+    for d in range(1, isqrt(last) + 1, step):
         k = max(first, d * d)
         k += ((step - 1) * d - k) % (step * d)
-        for ds in small[(k - first) // step::d]:
+        i = (k - first) // step
+        for ds in small[i::d]:
             ds.append(d)
-    # small[i] now holds the divisors up to sqrt(k); their co-divisors follow
-    k = first
-    for ds in small:
-        root = ds[-1]
-        ds += [k // d for d in reversed(ds[:-1] if root * root == k else ds)]
-        k += step
+        marked.append((d, k, i))
+    # small[i] now holds the divisors up to sqrt(k).  Their co-divisors k/d
+    # follow, largest d first so that they ascend; for one d they are the
+    # progression k/d, k/d + step, ...  A square k = d*d has d once.
+    for d, k, i in reversed(marked):
+        if k == d * d:
+            k += step * d
+            i += d
+        for ds, co in zip(small[i::d], range(k // d, last // d + 1, step)):
+            ds.append(co)
     return small
 
 

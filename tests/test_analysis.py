@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracle import naive_divisors, naive_is_prime, oracle_terms
-from trifix import analysis
+from trifix import analysis, numtheory
 from trifix.analysis import (
     check_conjecture,
     classification_matrix,
@@ -13,7 +13,7 @@ from trifix.analysis import (
     percent,
     sweep,
 )
-from trifix.engine import SequenceRun, SequenceSpec, generate
+from trifix.engine import SequenceRun, SequenceSpec, generate, generate_runs
 
 
 @pytest.fixture(scope="module")
@@ -216,10 +216,10 @@ class TestConjecture61:
 class TestCheckConjecture:
     @pytest.mark.parametrize("cid", ["3.1", "3.2", "5.1", "6.1"])
     def test_checks_the_given_run_without_generating(self, monkeypatch, a3_run, cid):
-        def no_generate(spec):
+        def no_generate(specs):
             raise AssertionError("check_conjecture must not generate")
 
-        monkeypatch.setattr(analysis, "generate", no_generate)
+        monkeypatch.setattr(analysis, "generate_runs", no_generate)
         result = check_conjecture(cid, a3_run, 200)
         assert (result.conjecture_id, result.sequences, result.n_limit) == (cid, ("A(3)",), 200)
 
@@ -234,11 +234,12 @@ def generated_specs(monkeypatch):
     """The spec of every run that analysis generates, in order."""
     calls = []
 
-    def counting(spec):
-        calls.append(spec)
-        return generate(spec)
+    def counting(specs):
+        for run in generate_runs(specs):
+            calls.append(run.spec)
+            yield run
 
-    monkeypatch.setattr(analysis, "generate", counting)
+    monkeypatch.setattr(analysis, "generate_runs", counting)
     return calls
 
 
@@ -362,14 +363,33 @@ class TestSweep:
     def test_jobs_do_not_change_results(self):
         assert sweep([3, 5, 7], 200, jobs=3) == sweep([3, 5, 7], 200)
 
-    def test_repeated_p_generated_once(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+    def test_jobs_split_repeated_p_without_changing_results(self, jobs):
+        p_list = [7, 3, 199, 3, 5, 7, 11, 7]
+        alone = {p: classify(generate(SequenceSpec.standard(p, 301)), 300)
+                 for p in set(p_list)}
+        result = sweep(p_list, 300, jobs=jobs)
+        assert result.reports == tuple(alone[p] for p in p_list)
+        assert result == sweep(p_list, 300)
+
+    def test_a_family_sieves_each_block_once(self, monkeypatch):
+        """Seven uncached p at N = 3,000 sieve as often as one run does:
+        their engines step in lockstep over one stream of divisor lists."""
         calls = []
+        sieve = numtheory._sieved_divisors
 
-        def counting_generate(spec):
-            calls.append(spec)
-            return generate(spec)
+        def counting(*args):
+            calls.append(args)
+            return sieve(*args)
 
-        monkeypatch.setattr(analysis, "generate", counting_generate)
+        monkeypatch.setattr(numtheory, "_sieved_divisors", counting)
+        sweep(analysis._PAPER_FAMILY, 3000)
+        swept = len(calls)
+        generate(SequenceSpec.standard(199, 3001))
+        assert swept == len(calls) - swept == 6  # three blocks, two progressions each
+
+    def test_repeated_p_generated_once(self, monkeypatch):
+        calls = generated_specs(monkeypatch)
         result = sweep([199, 5, 199, 199], 500)
         assert calls == [SequenceSpec.standard(199, 501), SequenceSpec.standard(5, 501)]
         monkeypatch.undo()
@@ -385,6 +405,16 @@ class TestSweep:
     ])
     def test_pool_has_at_most_one_worker_per_distinct_p(self, monkeypatch, p_list, jobs,
                                                          workers):
+        """Each worker locksteps one chunk of the distinct p: the chunks
+        are contiguous, in order, and differ in size by at most one."""
+        alone = sweep(p_list, 100)
+        chunks = []
+
+        def recording(specs):
+            chunks.append([spec.p for spec in specs])
+            return generate_runs(specs)
+
+        monkeypatch.setattr(analysis, "generate_runs", recording)
         made = []
 
         class InProcessPool:
@@ -403,8 +433,10 @@ class TestSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        assert sweep(p_list, 100, jobs=jobs) == sweep(p_list, 100)
+        assert sweep(p_list, 100, jobs=jobs) == alone
         assert made == [workers]
+        assert sum(chunks, []) == list(dict.fromkeys(p_list)) and len(chunks) == workers
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
         sweep([3, 3], 100, jobs=jobs)  # one distinct p: no pool
         assert made == [workers]
 

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from trifix.cli import (
     _rows,
     main,
 )
-from trifix.engine import SequenceRun, SequenceSpec, generate
+from trifix.engine import SequenceRun, SequenceSpec, generate, generate_runs
 
 from test_engine import A7_FIXED_POINTS, A7_PREFIX
 
@@ -620,14 +621,15 @@ class TestConjecture:
         CLI itself generates none."""
         generated = []
 
-        def counting(spec):
-            generated.append(spec.p)
-            return generate(spec)
+        def counting(specs):
+            for run in generate_runs(specs):
+                generated.append(run.spec.p)
+                yield run
 
         def not_here(spec):
             raise AssertionError("the CLI generates no run for conjecture, sweep or export")
 
-        monkeypatch.setattr(trifix.analysis, "generate", counting)
+        monkeypatch.setattr(trifix.analysis, "generate_runs", counting)
         monkeypatch.setattr(trifix.cli, "generate", not_here)
         return generated
 
@@ -765,6 +767,50 @@ class TestSweep:
             capsys, "sweep", "--p-list", "3,5", "--terms", "150", "--jobs", "2"
         )
         assert serial == parallel
+
+    def test_damaged_entry_among_cached_ones_is_regenerated_with_the_uncached(
+            self, capsys, tmp_path, monkeypatch):
+        """A(3), A(41) and A(199) cached and a damaged A(97) entry: the family
+        sweep warns once, for A(97), generates it with the uncached p, and
+        prints and exports what a cold sweep does.  Each distinct p is
+        looked up in the cache once and classified once."""
+        family = "3,5,7,11,41,97,199"
+        argv = ["sweep", "--p-list", family, "--terms", "2000"]
+        _, cold, _ = run_cli(capsys, *argv, "--export-dir", str(tmp_path / "cold"))
+        cache = tmp_path / "cache"
+        run_cli(capsys, "sweep", "--p-list", "3,41,199,97", "--terms", "2000",
+                "--cache", str(cache))
+        payload = cache / "standard" / "p97_v2.bfile.txt"
+        damaged = bytearray(payload.read_bytes())
+        damaged[8 * 100] ^= 1  # a(101), under the old checksum
+        payload.write_bytes(damaged)
+
+        looked_up, classified = [], []
+        load_run, classify = trifix.store.load_run, trifix.analysis.classify
+
+        def counting_load(spec, cache_dir):
+            looked_up.append(spec.p)
+            return load_run(spec, cache_dir)
+
+        def counting_classify(run, n_limit=None):
+            classified.append(run.spec.p)
+            return classify(run, n_limit)
+
+        monkeypatch.setattr(trifix.store, "load_run", counting_load)
+        monkeypatch.setattr(trifix.analysis, "classify", counting_classify)
+        generated = TestConjecture.count_generated(monkeypatch)
+        with pytest.warns(UserWarning, match="p97_v2.bfile.txt is damaged") as caught:
+            code, warm, err = run_cli(capsys, *argv, "--cache", str(cache),
+                                      "--export-dir", str(tmp_path / "warm"))
+        assert len(caught) == 1
+        assert (code, warm) == (EXIT_OK, cold)
+        for name in ("table2.csv", "table3.csv", "figure2.csv"):
+            assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+        assert looked_up == [3, 5, 7, 11, 41, 97, 199]
+        assert classified == [3, 41, 199, 5, 7, 11, 97]  # hits as they load, then the rest
+        assert generated == [5, 7, 11, 97]
+        a97 = generate(SequenceSpec.standard(97, 2001)).a
+        assert payload.read_bytes() == struct.pack(f"<{len(a97)}q", *a97)
 
 
 class TestOeisCheck:

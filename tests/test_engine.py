@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trifix.engine as engine_module
 import trifix.numtheory as numtheory_module
 from oracle import (
     naive_divisors,
@@ -20,6 +21,7 @@ from trifix.engine import (
     SequenceSpec,
     fixed_points,
     generate,
+    generate_runs,
 )
 from trifix.numtheory import CapacityError, is_prime
 
@@ -268,7 +270,8 @@ class TestEngineStepping:
 
 class TestSearchRange:
     """a(n) is looked for between the mex and q(n), the product of the
-    largest divisors of m, h(n+o-1) and h(n+o) that the engine carries."""
+    largest divisors of m and h(n+o-1), which the engine carries, and of
+    h(n+o), the next list of its stream."""
 
     @staticmethod
     def search_of_term(spec, n):
@@ -276,7 +279,8 @@ class TestSearchRange:
         engine = SequenceEngine(spec)
         for _ in range(n - 1):
             engine.next_term()
-        top = engine._p_divisors[-1] * engine._xs[-1] * engine._ys[-1]
+        ys = engine._block[engine._at]
+        top = engine._p_divisors[-1] * engine._xs[-1] * ys[-1]
         assert top == spec.q(n)
         return (engine._mex, top), engine.next_term().a
 
@@ -443,6 +447,81 @@ def test_each_value_v_is_among_the_first_2v_terms(spec):
         first.setdefault(a, n)
     late = [v for v in range(1, spec.term_count // 2 + 1) if first.get(v, 2 * v + 1) > 2 * v]
     assert late == []
+
+
+
+# Families for generate_runs: term counts around the 1,024-list block
+# ends, p of every kind (1 is the bootstrap), repeats, and no-zero specs,
+# whose offset puts them in a lockstep group of their own.
+@st.composite
+def families(draw):
+    sizes = draw(st.lists(st.one_of(st.integers(1, 3000),
+                                    st.sampled_from([1023, 1024, 1025, 2048, 2049])),
+                          min_size=1, max_size=2))
+    size = st.sampled_from(sizes)
+    spec = st.one_of(
+        st.builds(SequenceSpec.standard,
+                  st.one_of(st.sampled_from([1, 3, 5, 7, 11, 41, 97, 199]), PRIME_P,
+                            COMPOSITE_P, SMOOTH_P), size),
+        st.builds(SequenceSpec.no_zero, size),
+        st.builds(SequenceSpec.shifted, size),
+    )
+    family = draw(st.lists(spec, min_size=1, max_size=5))
+    return draw(st.permutations(family + draw(st.lists(st.sampled_from(family), max_size=2))))
+
+
+class TestGenerateRuns:
+    """generate_runs steps the engines of one offset and term count in
+    lockstep over one stream of divisor lists."""
+
+    @given(families())
+    @settings(max_examples=25, deadline=None)
+    def test_each_run_equals_its_spec_alone(self, specs):
+        assert list(generate_runs(specs)) == [generate(spec) for spec in specs]
+
+    @staticmethod
+    def sieved_blocks(monkeypatch):
+        """The arguments of every _sieved_divisors call, in order."""
+        calls = []
+        sieve = numtheory_module._sieved_divisors
+
+        def counting(*args):
+            calls.append(args)
+            return sieve(*args)
+
+        monkeypatch.setattr(numtheory_module, "_sieved_divisors", counting)
+        return calls
+
+    def test_one_stream_per_batch(self, monkeypatch):
+        # one block of 1,024 lists holds all 1,000: two progressions, each
+        # sieved once per stream
+        specs = [SequenceSpec.standard(p, 1000) for p in (3, 5, 7, 11)]
+        calls = self.sieved_blocks(monkeypatch)
+        runs = list(generate_runs(specs))
+        assert len(calls) == 2
+        assert runs == [generate(spec) for spec in specs]
+        assert len(calls) == 2 + 4 * 2
+
+    def test_batches_keep_within_the_budget(self, monkeypatch):
+        """Room for two engines of 1,000 terms: A(3) and A(5) step
+        together, the first no-zero spec alone beside the A(5) waiting for
+        its turn, then the second no-zero spec alone: three streams."""
+        monkeypatch.setattr(engine_module, "LOCKSTEP_BUDGET", 12 * 2000 + 11)
+        a3, a5, nz = (SequenceSpec.standard(3, 1000), SequenceSpec.standard(5, 1000),
+                      SequenceSpec.no_zero(1000))
+        specs = [a3, nz, a5, nz]
+        alone = [generate(spec) for spec in specs]
+        calls = self.sieved_blocks(monkeypatch)
+        runs = generate_runs(specs)
+        assert next(runs) == alone[0]
+        assert len(calls) == 2
+        assert list(runs) == alone[1:]
+        assert len(calls) == 2 * 3
+
+    def test_one_engine_always_steps(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "LOCKSTEP_BUDGET", 0)
+        specs = [SequenceSpec.standard(3, 500), SequenceSpec.standard(5, 500)]
+        assert list(generate_runs(specs)) == [generate(spec) for spec in specs]
 
 
 def test_oracle_fixed_points_agree():
