@@ -304,14 +304,22 @@ def test_a3_fixes_every_prime_3_mod_4_and_misses_only_1_mod_4():
 PRIMES_TO_10_4 = [n for n in range(3, 10_001) if naive_is_prime(n)]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 41, 97, 199])
-def test_miss_criterion_gives_a_at_every_prime(p):
-    # miss criterion: at a prime n with n ∤ p, a(n) is the least divisor of
-    # p(n-1)/2 strictly between (n-1)/2 and n not among a(1..n-1), else n
-    run = generate(SequenceSpec.standard(p, 10_000))
+def first_uses(run):
+    """{v: the least n with a(n) = v}."""
     first = {}
     for n, a in enumerate(run.a, start=1):
         first.setdefault(a, n)
+    return first
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 41, 97, 199])
+def test_miss_criterion_gives_a_at_every_prime(p):
+    # miss criterion: at a prime n with n ∤ p, a(n) is the least divisor of
+    # p(n-1)/2 strictly between (n-1)/2 and n not among a(1..n-1), else n;
+    # near-match criterion: when a(n) != n, a(n+1) is the least divisor of
+    # p(n+1)/2 strictly between (n-1)/2 and n not among a(1..n), else n
+    run = generate(SequenceSpec.standard(p, 10_000))
+    first = first_uses(run)
     for n in PRIMES_TO_10_4:
         if p % n == 0:
             continue
@@ -319,6 +327,36 @@ def test_miss_criterion_gives_a_at_every_prime(p):
         free = [d for z in naive_divisors(p) for e in naive_divisors(half)
                 if half < (d := z * e) < n and first.get(d, n) >= n]
         assert run.a[n - 1] == min(free, default=n), n
+        if run.a[n - 1] != n:
+            free = [d for z in naive_divisors(p) for e in naive_divisors(half + 1)
+                    if half < (d := z * e) < n and first.get(d, n + 1) > n]
+            assert run.a[n] == min(free, default=n), n
+
+
+@pytest.mark.parametrize("p", [3, 199])
+def test_composite_fixed_point_criterion(p):
+    # an odd n divides q(n) = p(n-1)n/2 and the values up to (n-1)/2 are
+    # used before step n, so a(n) = n exactly when n is unused before step
+    # n and every divisor of q(n) strictly between (n-1)/2 and n is used
+    run = generate(SequenceSpec.standard(p, 10_000))
+    first = first_uses(run)
+    composites = [n for n in range(9, 10_001, 2) if not naive_is_prime(n)]
+    assert len(composites) == 3771
+    for n in composites:
+        half = (n - 1) // 2
+        between = [d for z in naive_divisors(p) for x in naive_divisors(half)
+                   for y in naive_divisors(n) if half < (d := z * x * y) < n]
+        fixed = first.get(n, n) >= n and all(first.get(d, n) < n for d in between)
+        assert (run.a[n - 1] == n) == fixed, n
+
+
+@pytest.mark.parametrize("p, first_miss", [(127, ()), (131, ()), (9, (3,)), (15, (3,))],
+                         ids=["127", "131", "9", "15"])
+def test_landscape_at_10_4(p, first_miss):
+    # A(127) and A(131) miss no eligible prime up to 10^4; a composite p
+    # misses 3, which a(2) = 3, the least divisor of q(2) = p above 1, takes
+    report = classify(standard_run(p, 10_000), 10_000)
+    assert report.missed_primes[:1] == first_miss
 
 
 class TestFilterFalseNegatives:

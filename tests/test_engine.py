@@ -23,7 +23,7 @@ from trifix.engine import (
     generate,
     generate_runs,
 )
-from trifix.numtheory import CapacityError, is_prime
+from trifix.numtheory import CapacityError, halved_divisor_lists, is_prime
 
 # Published golden prefix of A(7): (n, mult, q, a), fixed points marked below.
 A7_PREFIX = [
@@ -240,23 +240,13 @@ class TestEngineStepping:
 
     @pytest.mark.parametrize("spec", [SequenceSpec.shifted(3000), SequenceSpec.no_zero(3000),
                                       SequenceSpec.standard(199, 3000)], ids=lambda s: s.label())
-    def test_stepping_across_a_sieved_block_then_run_equals_generate(self, spec, monkeypatch):
-        # divisor lists come in blocks of 1024 or more: 1030 single steps
-        # cross the first block's end, and still sieve each block once
-        calls = []
-        sieve = numtheory_module._sieved_divisors
-
-        def counting(*args):
-            calls.append(args)
-            return sieve(*args)
-
-        monkeypatch.setattr(numtheory_module, "_sieved_divisors", counting)
+    def test_stepping_across_a_sieved_block_then_run_equals_generate(self, spec):
+        # generate sieves divisor lists in blocks of 1024 or more: 1030
+        # single steps, each sieving its own list, cross the first block's end
         engine = SequenceEngine(spec)
         records = [engine.next_term() for _ in range(1030)]
         run = engine.run()
-        stepped = len(calls)
         assert run == generate(spec)
-        assert stepped == len(calls) - stepped
         assert records == [run.term(n) for n in range(1, 1031)]
 
     def test_run_after_manual_stepping_keeps_all_terms(self):
@@ -271,7 +261,7 @@ class TestEngineStepping:
 class TestSearchRange:
     """a(n) is looked for between the mex and q(n), the product of the
     largest divisors of m and h(n+o-1), which the engine carries, and of
-    h(n+o), the next list of its stream."""
+    h(n+o), the list step n is fed."""
 
     @staticmethod
     def search_of_term(spec, n):
@@ -279,7 +269,8 @@ class TestSearchRange:
         engine = SequenceEngine(spec)
         for _ in range(n - 1):
             engine.next_term()
-        ys = engine._block[engine._at]
+        o = spec.offset
+        ys = next(halved_divisor_lists(n + o, n + o + 1))
         top = engine._p_divisors[-1] * engine._xs[-1] * ys[-1]
         assert top == spec.q(n)
         return (engine._mex, top), engine.next_term().a
