@@ -158,10 +158,6 @@ class ConjectureResult(FrozenValue):
     counterexamples: tuple[Counterexample, ...]
     primes_checked: int
 
-    def __init__(self, conjecture_id: str, sequences: tuple[str, ...], n_limit: int,
-                 counterexamples: tuple[Counterexample, ...], primes_checked: int = 0):
-        super().__init__(conjecture_id, sequences, n_limit, counterexamples, primes_checked)
-
     @property
     def holds(self) -> bool:
         return not self.counterexamples
@@ -268,12 +264,11 @@ class SweepReport(FrozenValue):
         return self.reports[self.p_list.index(p)]
 
 
-def _checked_runs(work: tuple[list[SequenceSpec], Callable[[SequenceRun], object], str | None]
-                  ) -> list:
-    """check(run) on the run of each spec, in spec order.  Cached runs are
-    loaded and checked one at a time; the rest are generated together
+def _checked_runs(specs: list[SequenceSpec], check: Callable[[SequenceRun], object],
+                  cache_dir: str | None) -> dict:
+    """check(run) on the run of each spec, by spec.  Cached runs are loaded
+    and checked one at a time; the rest are generated together
     (generate_runs), and each is saved and checked as it comes out."""
-    specs, check, cache_dir = work
     done = {}
     if cache_dir is not None:
         from . import store
@@ -288,7 +283,7 @@ def _checked_runs(work: tuple[list[SequenceSpec], Callable[[SequenceRun], object
             store.save_run(run, cache_dir)
         done[run.spec] = check(run)
         del run  # nor through the next run
-    return [done[spec] for spec in specs]
+    return done
 
 
 def _each_run(specs: list[SequenceSpec], check: Callable[[SequenceRun], object], *,
@@ -303,17 +298,18 @@ def _each_run(specs: list[SequenceSpec], check: Callable[[SequenceRun], object],
     k = min(jobs, len(distinct))
     if k > 1:
         import concurrent.futures  # only here: a one-job loop never pays for it
+        from functools import partial
 
         chunks = [distinct[i * len(distinct) // k:(i + 1) * len(distinct) // k]
                   for i in range(k)]
+        done = {}
         with concurrent.futures.ProcessPoolExecutor(max_workers=k) as pool:
-            done = [result for results in pool.map(
-                _checked_runs, [(chunk, check, cache_dir) for chunk in chunks])
-                for result in results]
+            for results in pool.map(partial(_checked_runs, check=check, cache_dir=cache_dir),
+                                    chunks):
+                done.update(results)
     else:
-        done = _checked_runs((distinct, check, cache_dir))
-    result_of = dict(zip(distinct, done))
-    return [result_of[spec] for spec in specs]
+        done = _checked_runs(distinct, check, cache_dir)
+    return [done[spec] for spec in specs]
 
 
 def sweep(
@@ -332,9 +328,6 @@ def sweep(
         raise ValueError(f"n_limit must be >= 2, got {n_limit}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    for p in p_list:
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
 
     from functools import partial
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 from .numtheory import divisors, factorize_trial, halved_divisor_blocks, halved_divisor_lists, q_value
 
@@ -199,8 +199,9 @@ class SequenceRun(FrozenValue):
         return TermRecord.of(self.spec, n, self.a[n - 1])
 
 
-# Engines stepped in lockstep by generate_runs keep their combined state
-# within this many bytes: 12 per term each, 8 for the term and 4 of used map.
+# A chunk of engines stepped in lockstep by generate_runs keeps its combined
+# state within this many bytes: 12 per term each, 8 for the term and 4 of
+# used map.  Only one chunk exists at a time.
 LOCKSTEP_BUDGET = 64 * 2**20
 _BYTES_PER_TERM = 12
 
@@ -316,42 +317,23 @@ class SequenceEngine:
 
 
 def generate_runs(specs: Iterable[SequenceSpec]) -> Iterator[SequenceRun]:
-    """The run of each spec, in order.  Specs of one offset and term count
-    are generated together: their engines step in lockstep over one stream
-    of divisor lists, so each block is sieved once for all of them.  As
-    many step together as keep their state, with that of the engines done
-    and waiting for their turn, within LOCKSTEP_BUDGET (one always does).
-    Each engine is dropped as its run is yielded."""
-    specs = list(specs)
-    done: dict[int, SequenceEngine] = {}
-    for i in range(len(specs)):
-        if i not in done:
-            done.update(_lockstep(specs, _batch(specs, i, done)))
-        yield done.pop(i).run()
-
-
-def _lockstep(specs: list[SequenceSpec], batch: list[int]) -> dict[int, SequenceEngine]:
-    """The engines of the specs at the indices in batch, which share one
-    offset and term count, each fed every block of one stream in turn."""
-    engines = {j: SequenceEngine(specs[j]) for j in batch}
-    spec = specs[batch[0]]
-    start = 1 + spec.offset
-    for block in halved_divisor_blocks(start, start + spec.term_count):
-        for engine in engines.values():
-            engine._extend(block)
-    return engines
-
-
-def _batch(specs: list[SequenceSpec], first: int, done: dict[int, SequenceEngine]) -> list[int]:
-    """The index first, then those of the later specs not yet done that share
-    its offset and term count, as many as fit the budget beside the engines
-    done (first always does)."""
-    key = specs[first].offset, specs[first].term_count
-    held = sum(engine.spec.term_count for engine in done.values())
-    fit = max(1, (LOCKSTEP_BUDGET // _BYTES_PER_TERM - held) // key[1])
-    same = [j for j in range(first, len(specs))
-            if j not in done and (specs[j].offset, specs[j].term_count) == key]
-    return same[:fit]
+    """The run of each spec, in order.  Consecutive specs of one offset and
+    term count are generated together, in chunks of as many as keep their
+    engines' state within LOCKSTEP_BUDGET (one always fits): a chunk's
+    engines step in lockstep over one stream of divisor lists, so each
+    block is sieved once for all of them.  Only one chunk's engines exist
+    at a time, and each is dropped as its run is yielded."""
+    for (offset, count), like in groupby(specs, key=lambda spec: (spec.offset, spec.term_count)):
+        like = list(like)
+        fit = max(1, LOCKSTEP_BUDGET // (_BYTES_PER_TERM * count))
+        for i in range(0, len(like), fit):
+            engines = [SequenceEngine(spec) for spec in like[i:i + fit]]
+            for block in halved_divisor_blocks(1 + offset, 1 + offset + count):
+                for engine in engines:
+                    engine._extend(block)
+            engines.reverse()
+            while engines:
+                yield engines.pop().run()
 
 
 def generate(spec: SequenceSpec) -> SequenceRun:

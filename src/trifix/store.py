@@ -93,12 +93,15 @@ def _cached_values(
     spec: SequenceSpec, payload_path: Path, manifest_path: Path
 ) -> tuple[int, ...] | None:
     """a(1..N) of spec from its cache entry, or None when the entry is a
-    shorter run.  Raises ValueError (malformed JSON included) saying why the
-    entry is damaged, stale or not a run of spec."""
+    shorter run.  Raises ValueError (malformed or too deeply nested JSON
+    included) saying why the entry is damaged, stale or not a run of spec."""
     from . import __version__
 
     payload = payload_path.read_bytes()
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("manifest nests too deeply to parse") from None
     digest = hashlib.sha256(payload).hexdigest()
     if not isinstance(manifest, dict) or digest != manifest.get("sha256"):
         raise ValueError("payload does not match the manifest's sha256 checksum")

@@ -462,8 +462,8 @@ def families(draw):
 
 
 class TestGenerateRuns:
-    """generate_runs steps the engines of one offset and term count in
-    lockstep over one stream of divisor lists."""
+    """generate_runs steps the engines of consecutive specs of one offset
+    and term count in lockstep over one stream of divisor lists."""
 
     @given(families())
     @settings(max_examples=25, deadline=None)
@@ -493,20 +493,41 @@ class TestGenerateRuns:
         assert runs == [generate(spec) for spec in specs]
         assert len(calls) == 2 + 4 * 2
 
-    def test_batches_keep_within_the_budget(self, monkeypatch):
-        """Room for two engines of 1,000 terms: A(3) and A(5) step
-        together, the first no-zero spec alone beside the A(5) waiting for
-        its turn, then the second no-zero spec alone: three streams."""
+    @pytest.fixture
+    def room_for_two(self, monkeypatch):
+        """A budget with room for two engines of 1,000 terms."""
         monkeypatch.setattr(engine_module, "LOCKSTEP_BUDGET", 12 * 2000 + 11)
-        a3, a5, nz = (SequenceSpec.standard(3, 1000), SequenceSpec.standard(5, 1000),
-                      SequenceSpec.no_zero(1000))
-        specs = [a3, nz, a5, nz]
+
+    def test_a_run_of_like_specs_steps_in_chunks_that_fit(self, monkeypatch, room_for_two):
+        """A(3) and A(5) step together, then A(7) alone: two streams, and
+        never more than two engines alive."""
+        specs = [SequenceSpec.standard(p, 1000) for p in (3, 5, 7)]
+        alone = [generate(spec) for spec in specs]
+        built = []
+
+        class Counting(SequenceEngine):
+            def __init__(self, spec):
+                built.append(spec)
+                super().__init__(spec)
+
+        monkeypatch.setattr(engine_module, "SequenceEngine", Counting)
+        calls = self.sieved_blocks(monkeypatch)
+        runs, alive = [], []
+        for run in generate_runs(specs):
+            alive.append(len(built) - len(runs))  # built, less those yielded before
+            runs.append(run)
+        assert runs == alone
+        assert alive == [2, 1, 1]
+        assert len(calls) == 2 * 2
+
+    def test_interleaved_specs_step_apart(self, monkeypatch, room_for_two):
+        """Only consecutive specs of one offset and term count share a
+        stream: A(3), no-zero, A(5) sieve three."""
+        specs = [SequenceSpec.standard(3, 1000), SequenceSpec.no_zero(1000),
+                 SequenceSpec.standard(5, 1000)]
         alone = [generate(spec) for spec in specs]
         calls = self.sieved_blocks(monkeypatch)
-        runs = generate_runs(specs)
-        assert next(runs) == alone[0]
-        assert len(calls) == 2
-        assert list(runs) == alone[1:]
+        assert list(generate_runs(specs)) == alone
         assert len(calls) == 2 * 3
 
     def test_one_engine_always_steps(self, monkeypatch):

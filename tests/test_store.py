@@ -260,6 +260,21 @@ class TestDamagedEntries:
         manifest_path(entry).write_text("[1, 2]")
         self.assert_absent(run.spec, cache, "checksum")
 
+    def test_manifest_nested_too_deeply(self, cache, a7):
+        """A manifest nested past the JSON parser's recursion limit is damage
+        like any other: a sweep warns once, regenerates the run and rewrites
+        the entry."""
+        run, entry = a7
+        manifest_path(entry).write_text("[" * 100_000)
+        with pytest.warns(UserWarning, match="nests too deeply to parse; treating as absent$") as caught:
+            report = sweep([7], 24, cache_dir=cache).reports[0]
+        assert len(caught) == 1
+        assert report == classify(generate(run.spec), 24)
+        assert json.loads(manifest_path(entry).read_text())["term_count"] == 25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_run(run.spec, cache) == generate(run.spec)
+
     @pytest.mark.parametrize("cut", [
         pytest.param(lambda b: b[:-1], id="a byte short"),
         pytest.param(lambda b: b + b"\0", id="a byte over"),

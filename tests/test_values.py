@@ -121,9 +121,6 @@ def test_repr_names_every_field(cls, fields):
 def test_defaults():
     assert SequenceSpec("shifted", 5) == SequenceSpec("shifted", 5, None)
     assert SequenceSpec(variant="no-zero", term_count=5).p is None
-    assert ConjectureResult("3.1", ("A(3)",), 30, ()).primes_checked == 0
-    assert ConjectureResult("3.1", ("A(3)",), 30, counterexamples=()) == ConjectureResult(
-        "3.1", ("A(3)",), 30, (), 0)
 
 
 def test_repr_reads_like_a_constructor_call():
