@@ -95,8 +95,8 @@ def classify(run: SequenceRun, n_limit: int | None = None) -> ClassificationRepo
     missed = []
     fn_values = []
     prime_count = 0
-    for n in range(2, n_limit + 1):
-        a_n = a[n - 1]
+    # a memoryview's iterator, not a[n - 1]: indexing the array is ~25% slower
+    for n, a_n in enumerate(memoryview(a)[1:n_limit], 2):
         if prime[n]:
             prime_count += 1
             if n in excluded_set:

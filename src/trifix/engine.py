@@ -186,12 +186,16 @@ class TermRecord(FrozenValue):
 
 
 class SequenceRun(FrozenValue):
-    """A materialized run: the spec plus a(1..N).  Every other per-term
-    field is derived on demand by :meth:`term`."""
+    """The spec plus a(1..N), an ``array('q')`` kept as given or converted
+    (OverflowError past 63 bits).  ``==`` compares spec and terms; ``a`` is
+    read-only by convention; unhashable.  :meth:`term` derives the rest."""
 
     __slots__ = ("spec", "a")
     spec: SequenceSpec
-    a: tuple[int, ...]
+    a: array
+
+    def __init__(self, spec: SequenceSpec, a: Iterable[int]):
+        super().__init__(spec, a if isinstance(a, array) and a.typecode == "q" else array("q", a))
 
     def term(self, n: int) -> TermRecord:
         if not 1 <= n <= len(self.a):
@@ -313,7 +317,7 @@ class SequenceEngine:
 
     def run(self) -> SequenceRun:
         self._extend(self._lists(self.spec.term_count - len(self._a)))
-        return SequenceRun(self.spec, tuple(self._a))
+        return SequenceRun(self.spec, self._a)
 
 
 def generate_runs(specs: Iterable[SequenceSpec]) -> Iterator[SequenceRun]:

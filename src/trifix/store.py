@@ -52,7 +52,7 @@ def _paths(spec: SequenceSpec, cache_dir: str | os.PathLike) -> tuple[Path, Path
     return base.with_suffix(".bfile.txt"), base.with_suffix(".manifest.json")
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, data: bytes | array) -> None:
     """Write through a temporary file of this call's own, next to path, then
     rename it over path: concurrent writers of one entry never share it."""
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -69,10 +69,10 @@ def save_run(run: SequenceRun, cache_dir: str | os.PathLike) -> CacheEntry:
     the payload is its a-values as little-endian 64-bit words."""
     from . import __version__
 
-    words = array("q", run.a)
-    if sys.byteorder == "big":
-        words.byteswap()
-    payload = words.tobytes()
+    payload = run.a
+    if sys.byteorder == "big":  # swap a copy; else run.a is written as it is
+        payload = array("q", payload)
+        payload.byteswap()
     manifest = {
         "variant": run.spec.variant,
         "p": run.spec.p,
@@ -89,12 +89,10 @@ def save_run(run: SequenceRun, cache_dir: str | os.PathLike) -> CacheEntry:
     return CacheEntry(payload_path, manifest)
 
 
-def _cached_values(
-    spec: SequenceSpec, payload_path: Path, manifest_path: Path
-) -> tuple[int, ...] | None:
-    """a(1..N) of spec from its cache entry, or None when the entry is a
-    shorter run.  Raises ValueError (malformed or too deeply nested JSON
-    included) saying why the entry is damaged, stale or not a run of spec."""
+def _cached_values(spec: SequenceSpec, payload_path: Path, manifest_path: Path) -> array | None:
+    """a(1..N) of spec from its cache entry as an ``array('q')``, or None if
+    the entry is a shorter run.  Raises ValueError (malformed or too deeply
+    nested JSON included) saying why the entry is damaged, stale or not a run of spec."""
     from . import __version__
 
     payload = payload_path.read_bytes()
@@ -117,12 +115,10 @@ def _cached_values(
     count = spec.term_count
     if held < count:
         return None
-    words = array("q")
-    words.frombytes(memoryview(payload)[:8 * count])  # the words past N are hashed, never decoded
+    values = array("q")
+    values.frombytes(memoryview(payload)[:8 * count])  # the words past N are hashed, never decoded
     if sys.byteorder == "big":
-        words.byteswap()
-    values = tuple(words)
-    del payload, words  # held through the checks below, they would raise their traced peak
+        values.byteswap()
     if values[0] != 1:
         raise ValueError(f"a(1) = {values[0]}, expected 1")
     # Whole-sequence passes first; the per-term scan below applies the same

@@ -186,7 +186,7 @@ class TestConjecture51:
 
     def test_counterexample_detail(self):
         good = shifted_run(100)
-        broken = SequenceRun(good.spec, good.a[:16] + (999,) + good.a[17:])  # a(17) = 999
+        broken = SequenceRun(good.spec, (*good.a[:16], 999, *good.a[17:]))  # a(17) = 999
         result = check_conjecture("5.1", broken)
         assert not result.holds and result.sequences == ("shifted",)
         assert [(c.sequence, c.n, c.detail) for c in result.counterexamples] == [

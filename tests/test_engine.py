@@ -1,3 +1,6 @@
+import tracemalloc
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +21,14 @@ from trifix.engine import (
     STANDARD,
     ExhaustedDivisorsError,
     SequenceEngine,
+    SequenceRun,
     SequenceSpec,
     fixed_points,
     generate,
     generate_runs,
 )
 from trifix.numtheory import CapacityError, halved_divisor_lists, is_prime
+from trifix.store import load_run, save_run
 
 # Published golden prefix of A(7): (n, mult, q, a), fixed points marked below.
 A7_PREFIX = [
@@ -98,11 +103,11 @@ class TestGoldenPrefixes:
 
     def test_a3_prefix(self):
         run = generate(SequenceSpec.standard(3, 11))
-        assert run.a == (1, 3, 9, 2, 5, 15, 7, 4, 6, 27, 11)
+        assert tuple(run.a) == (1, 3, 9, 2, 5, 15, 7, 4, 6, 27, 11)
 
     def test_no_zero_prefix(self):
         run = generate(SequenceSpec.no_zero(12))
-        assert run.a == (1, 3, 2, 5, 15, 7, 4, 6, 9, 11, 22, 13)
+        assert tuple(run.a) == (1, 3, 2, 5, 15, 7, 4, 6, 9, 11, 22, 13)
         assert run.term(1).q == 1 and run.term(1).a == 1
 
     def test_no_zero_fixed_points(self):
@@ -121,10 +126,10 @@ class TestGoldenPrefixes:
 
     def test_shifted_prefix(self):
         run = generate(SequenceSpec.shifted(7))
-        assert run.a == (1, 1, 3, 2, 5, 15, 7)
+        assert tuple(run.a) == (1, 1, 3, 2, 5, 15, 7)
 
     def test_identity_sequences(self):
-        assert generate(SequenceSpec.standard(2, 8)).a == tuple(range(1, 9))
+        assert tuple(generate(SequenceSpec.standard(2, 8)).a) == tuple(range(1, 9))
         run = generate(SequenceSpec.standard(2, 100))
         assert fixed_points(run) == list(range(1, 101))
 
@@ -174,7 +179,7 @@ FIRST_TERMS = [
 
 @pytest.mark.parametrize("spec, a, q1", FIRST_TERMS, ids=[t[0].label() for t in FIRST_TERMS])
 def test_first_terms_come_from_the_search(spec, a, q1):
-    assert generate(spec).a == a
+    assert tuple(generate(spec).a) == a
     t = SequenceEngine(spec).next_term()
     assert (t.n, t.q, t.a) == (1, q1, 1)
 
@@ -224,7 +229,7 @@ class TestEngineStepping:
         for build in (SequenceEngine, generate):
             with pytest.raises(OverflowError, match=r"^q\(4\) = "):
                 build(spec)
-        assert generate(SequenceSpec.standard(2**62, 2)).a == (1, 2)
+        assert tuple(generate(SequenceSpec.standard(2**62, 2)).a) == (1, 2)
 
     def test_sieve_ceiling_is_checked_before_overflow(self):
         with pytest.raises(CapacityError, match=r"^sieve limit 50000001 exceeds"):
@@ -396,7 +401,7 @@ REFERENCE_SPECS = [SequenceSpec.standard(p, 10_000) for p in (1, 2, 9, 12, 199)]
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.label())
 def test_matches_sorted_scan_reference(spec):
-    assert generate(spec).a == sorted_scan_greedy(spec)
+    assert tuple(generate(spec).a) == sorted_scan_greedy(spec)
 
 
 # p = 2^a 3^b 5^c shares primes with (n-1)n/2, so the search meets the same
@@ -414,7 +419,7 @@ PRIME_P = st.integers(2, 2000).filter(is_prime)
 ))
 @settings(max_examples=150, deadline=None)
 def test_matches_sorted_scan_reference_on_drawn_specs(spec):
-    assert generate(spec).a == sorted_scan_greedy(spec)
+    assert tuple(generate(spec).a) == sorted_scan_greedy(spec)
 
 
 # Mex lemma: h(2v) = v divides q(2v), and by induction every u < v is used
@@ -581,11 +586,38 @@ class TestInvariants:
         spec = SequenceSpec.standard(11, 300)
         assert generate(spec) == generate(spec)
 
-    def test_runs_are_hashable_values(self):
+    def test_runs_hold_one_array_and_are_unhashable(self, tmp_path):
         spec = SequenceSpec.standard(11, 300)
         run = generate(spec)
-        assert isinstance(run.a, tuple)
-        assert len({run, generate(spec)}) == 1
+        save_run(run, tmp_path)
+        for held in (run, load_run(spec, tmp_path)):
+            assert type(held.a) is array and held.a.typecode == "q"
+            assert held == run
+        assert SequenceRun(spec, tuple(run.a)) == run == SequenceRun(spec, run.a.tolist())
+        assert SequenceRun(spec, run.a).a is run.a
+        with pytest.raises(OverflowError):
+            SequenceRun(SequenceSpec.standard(11, 2), (1, 2**63))
+        with pytest.raises(TypeError):
+            hash(run)
+
+    @pytest.mark.parametrize("how", ["generate", "load_run"])
+    def test_a_run_holds_at_most_10_bytes_per_term(self, tmp_path, how):
+        """A 3*10^4-term A(199) run is its 8-byte words and little more,
+        whether the engine made it or a cache hit decoded it."""
+        spec = SequenceSpec.standard(199, 30_000)
+        if how == "load_run":
+            save_run(generate(spec), tmp_path)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run = generate(spec) if how == "generate" else load_run(spec, tmp_path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert len(run.a) == 30_000
+        assert held <= 10 * 30_000
 
     def test_no_exhaustion_at_depth(self):
         # q(n) exceeds every prior term, so a fresh divisor always exists

@@ -70,7 +70,7 @@ class TestWrite:
         run = generate(spec)
         parsed = parse_bfile(write_bfile(run))
         assert parsed.offset == 1
-        assert parsed.values == run.a
+        assert parsed.values == tuple(run.a)
 
 
 class TestCompare:

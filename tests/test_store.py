@@ -4,6 +4,7 @@ import io
 import json
 import re
 import struct
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -142,7 +143,7 @@ class TestRunCache:
         is named when a request reaches it."""
         run = generate(SequenceSpec.standard(7, 3000))
         entry = save_run(run, cache)
-        rewrite_entry(entry, words(run.a[:2000] + (-1,) * 1000))
+        rewrite_entry(entry, words(run.a.tolist()[:2000] + [-1] * 1000))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for count in (1000, 2000):
@@ -297,7 +298,7 @@ class TestDamagedEntries:
         run, entry = a7
         payload, match = {
             "truncated": (words(run.a[:24]), "payload has 192 bytes, expected 200"),
-            "offset 0": (words((0,) + run.a[:24]), r"a\(1\) = 0, expected 1"),
+            "offset 0": (words([0] + run.a.tolist()[:24]), r"a\(1\) = 0, expected 1"),
             "offset 2": (words(generate(SequenceSpec.standard(7, 26)).a[1:]),
                          r"a\(1\) = 7, expected 1"),
         }[damage]
@@ -366,8 +367,8 @@ class TestDamagedEntries:
                 "junk past N": payload + words([0, -1]),
                 "non-divisor under a recomputed checksum": flipped(payload, 8 * 6, 0x01),
                 "repeat under a recomputed checksum": flipped(payload, 8 * 8, 0x04),
-                "negative word": words(run.a[:9] + (-run.a[9],) + run.a[10:]),
-                "a(1) is not 1": words((2,) + run.a[1:]),
+                "negative word": words(run.a.tolist()[:9] + [-run.a[9]] + run.a.tolist()[10:]),
+                "a(1) is not 1": words([2] + run.a.tolist()[1:]),
             }[damage])
         with pytest.warns(UserWarning, match="treating as absent") as caught:
             report = sweep([7], 24, cache_dir=cache).reports[0]
@@ -502,6 +503,22 @@ class TestPayloadReader:
         n = len(run.a)
         assert entry.payload_path.read_bytes() == struct.pack(f"<{n}q", *run.a)
 
+    def test_big_endian_branch_swaps_a_copy(self, cache, monkeypatch):
+        """With sys.byteorder saying "big", save_run swaps a copy of the
+        host's words (">q" packing on a little-endian host) and leaves the
+        run's own array as it was; load_run swaps them back."""
+        run = generate(SequenceSpec.standard(199, 3000))
+        before = run.a.tolist()
+        swapped = ">" if sys.byteorder == "little" else "<"
+        monkeypatch.setattr(sys, "byteorder", "big")
+        entry = save_run(run, cache)
+        n = len(run.a)
+        assert entry.payload_path.read_bytes() == struct.pack(f"{swapped}{n}q", *before)
+        assert run.a.tolist() == before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_run(run.spec, cache) == run
+
     def test_junk_past_the_last_word(self, cache):
         """Bytes past term_count words, under a checksum that covers them,
         are named by the size, whatever the request."""
@@ -547,7 +564,7 @@ class TestServedPrefix:
 
     def test_prefix_is_the_only_copy(self, cache):
         """Serving 10,001 terms of a 20,001-term A(199) entry copies no
-        prefix of the payload and drops the payload before the checks:
+        prefix of the payload and builds no tuple of the served terms:
         load_run's traced peak is at most 897,168 bytes, what it was
         (Python 3.11) when the served lines were first cut out of a text
         payload as a string."""
@@ -649,7 +666,7 @@ class TestWholeSequenceCheck:
 
     def test_shifted_bootstrap_loads(self, cache):
         run = generate(SequenceSpec.shifted(300))
-        assert run.a[:2] == (1, 1)
+        assert run.a[:2].tolist() == [1, 1]
         save_run(run, cache)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -50,7 +50,7 @@ def copied(fields):
 def test_equal_fields_give_equal_values_with_equal_hashes(cls, fields):
     value, twin = cls(*fields), cls(*copied(fields))
     assert value == twin and not value != twin
-    if cls is CacheEntry:  # its manifest is a dict
+    if cls in (CacheEntry, SequenceRun):  # a dict manifest, an array of terms
         with pytest.raises(TypeError):
             hash(value)
     else:
