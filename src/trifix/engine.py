@@ -16,15 +16,19 @@ sequences are the prime-candidate signal downstream analysis classifies.
 
 The step reads q(n) off its divisor lists: q(n) = m*h(n+o-1)*h(n+o) with
 h(k) = k/2 for even k and k for odd, a(n) is searched among products of
-one divisor of each factor, and the largest such product is q(n).  Only
-q(N) can pass the 63-bit ceiling; the engine checks it once, when built.
+one divisor of each factor (or of m and of the triangular number
+T = h(n+o-1)*h(n+o), when engines share T's sorted divisors), and the
+largest such product is q(n).  Only q(N) can pass the 63-bit ceiling; the
+engine checks it once, when built.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, product, repeat, starmap
+from operator import mul
 
 from .numtheory import divisors, factorize_trial, halved_divisor_blocks, halved_divisor_lists, q_value
 
@@ -205,9 +209,22 @@ class SequenceRun(FrozenValue):
 
 # A chunk of engines stepped in lockstep by generate_runs keeps its combined
 # state within this many bytes: 12 per term each, 8 for the term and 4 of
-# used map.  Only one chunk exists at a time.
+# used map.  Only one chunk exists at a time.  Beside it, a shared chunk
+# holds one sub-block of SUB_BLOCK steps' divisors of T, at most 420 KiB
+# at N = 10^4 and 655 KiB at 10^5.
 LOCKSTEP_BUDGET = 64 * 2**20
 _BYTES_PER_TERM = 12
+# A chunk of at least SHARED_SEARCH_MIN engines shares each step's sorted
+# divisors of T; a smaller one keeps the pair scan.  The list costs 3-4 µs
+# a step to build, which two engines do not win back: in-process at
+# N = 10^4 (CPU time, best of 9, p = 3, 5, 7, ...), 2 engines took 57 ms
+# with the pair scan against 67 ms shared, 3 took 82 against 75 and 4 took
+# 113 against 84 (Python 3.11.7, two shared vCPUs).
+SHARED_SEARCH_MIN = 3
+SUB_BLOCK = 256
+# Ends each shared list, above every product z*t, so that a scan up a list
+# stops without an index check.
+_TOP = 1 << 64
 
 
 class SequenceEngine:
@@ -218,7 +235,13 @@ class SequenceEngine:
     term count.  ``run`` sieves the lists of the remaining terms in blocks;
     ``next_term`` sieves its one list per call: stepping A(199) takes
     80-135 µs per term at N = 2*10^4 and 310 at 2*10^5, ``generate`` 3.5-5
-    (Python 3.11.7, two shared vCPUs)."""
+    (Python 3.11.7, two shared vCPUs).
+
+    A step searches one of two ways, with the same result.  Alone it scans
+    pairs x*y of divisors of h(n+o-1) and h(n+o) for each divisor z of m.
+    Stepped by generate_runs in a chunk of at least SHARED_SEARCH_MIN, it
+    is also handed the sorted divisors of T = h(n+o-1)*h(n+o), built once
+    per step for the chunk, and bisects them at ceil(mex/z) for each z."""
 
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
@@ -236,55 +259,74 @@ class SequenceEngine:
         self._spill: set[int] = set()
         self._mex = 1  # every value below it is used
 
-    def _extend(self, lists: Iterable[list[int]]) -> None:
+    def _extend(self, lists: Iterable[list[int]], shared: Iterable[list[int]] | None = None) -> None:
         """Append one term per list: a(n) is the least unused divisor of
         q(n), and ``lists`` holds the ascending divisors of h(n + offset)
-        for the next n in turn.  On an error the engine keeps the terms
-        before it and their carried list."""
+        for the next n in turn.  ``shared``, when given, holds for each n
+        the ascending divisors of T = h(n+o-1)*h(n+o), ended by _TOP, which
+        the step searches instead of scanning pairs.  On an error the engine
+        keeps the terms before it and their carried list."""
         zs, xs = self._p_divisors, self._xs
         used, spill, mex, a = self._used, self._spill, self._mex, self._a
         size = len(used)
         n = len(a)
         try:
-            for ys in lists:
+            for ys, ts in zip(lists, repeat(None) if shared is None else shared):
                 n += 1
-                # The least unused z*x*y in [mex, q(n)], z, x and y drawn from
-                # the divisors of m, h(n+o-1) and h(n+o); q(n) is the largest
-                # such product.  Each hit lowers hi to just below itself.  A
-                # product reached twice (zs sharing a prime with xs or ys) is
-                # harmless.
+                # The least unused divisor of q(n) in [mex, q(n)], a product
+                # of a divisor z of m and one of T; q(n) is the largest.
+                # Each hit lowers hi to just below itself.  A product reached
+                # twice (zs sharing a prime with T) is harmless.
                 lo = mex
-                hi = q = zs[-1] * xs[-1] * ys[-1]
-                short, long = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
                 v = 0
-                for z in zs:
-                    if z > hi:
-                        break
-                    for x in short:
-                        zx = z * x
-                        if zx > hi:
+                if ts is None:
+                    # pairs x*y of divisors of h(n+o-1) and h(n+o)
+                    hi = q = zs[-1] * xs[-1] * ys[-1]
+                    short, long = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
+                    for z in zs:
+                        if z > hi:
                             break
-                        if zx * zx < lo:
-                            # a y with zx*y >= lo is above sqrt(lo), near the
-                            # top of the list: scan down, keeping the last
-                            # unused product
-                            for y in reversed(long):
-                                w = zx * y
-                                if w < lo:
-                                    break
-                                if w <= hi and not (used[w] if w < size else w in spill):
-                                    v = w
-                                    hi = w - 1
-                        else:
-                            # the first unused product is this zx's least
-                            for y in long:
-                                w = zx * y
-                                if w > hi:
-                                    break
-                                if w >= lo and not (used[w] if w < size else w in spill):
-                                    v = w
-                                    hi = w - 1
-                                    break
+                        for x in short:
+                            zx = z * x
+                            if zx > hi:
+                                break
+                            if zx * zx < lo:
+                                # a y with zx*y >= lo is above sqrt(lo), near the
+                                # top of the list: scan down, keeping the last
+                                # unused product
+                                for y in reversed(long):
+                                    w = zx * y
+                                    if w < lo:
+                                        break
+                                    if w <= hi and not (used[w] if w < size else w in spill):
+                                        v = w
+                                        hi = w - 1
+                            else:
+                                # the first unused product is this zx's least
+                                for y in long:
+                                    w = zx * y
+                                    if w > hi:
+                                        break
+                                    if w >= lo and not (used[w] if w < size else w in spill):
+                                        v = w
+                                        hi = w - 1
+                                        break
+                else:
+                    # each z's first unused z*t from ceil(lo/z) on is its least
+                    hi = q = zs[-1] * ts[-2]
+                    for z in zs:
+                        if z > hi:
+                            break
+                        j = bisect_left(ts, -(-lo // z))
+                        while True:
+                            w = z * ts[j]
+                            if w > hi:
+                                break
+                            if not (used[w] if w < size else w in spill):
+                                v = w
+                                hi = w - 1
+                                break
+                            j += 1
                 if v == 0:
                     if n == 2 and self.spec.has_bootstrap:
                         v = 1
@@ -325,19 +367,44 @@ def generate_runs(specs: Iterable[SequenceSpec]) -> Iterator[SequenceRun]:
     term count are generated together, in chunks of as many as keep their
     engines' state within LOCKSTEP_BUDGET (one always fits): a chunk's
     engines step in lockstep over one stream of divisor lists, so each
-    block is sieved once for all of them.  Only one chunk's engines exist
-    at a time, and each is dropped as its run is yielded."""
+    block is sieved once for all of them.  A chunk of at least
+    SHARED_SEARCH_MIN engines also shares each step's sorted divisors of T,
+    built for SUB_BLOCK steps at a time, which each engine bisects in place
+    of its own pair scan.  Only one chunk's engines exist at a time, and
+    each is dropped as its run is yielded."""
     for (offset, count), like in groupby(specs, key=lambda spec: (spec.offset, spec.term_count)):
         like = list(like)
         fit = max(1, LOCKSTEP_BUDGET // (_BYTES_PER_TERM * count))
         for i in range(0, len(like), fit):
             engines = [SequenceEngine(spec) for spec in like[i:i + fit]]
+            share = len(engines) >= SHARED_SEARCH_MIN
+            xs = [1]  # the engines' own stand-in at n = 1
             for block in halved_divisor_blocks(1 + offset, 1 + offset + count):
-                for engine in engines:
-                    engine._extend(block)
+                for j in range(0, len(block), SUB_BLOCK):
+                    lists = block[j:j + SUB_BLOCK]
+                    shared = _triangular_divisors(xs, lists) if share else None
+                    xs = lists[-1]
+                    for engine in engines:
+                        engine._extend(lists, shared)
+                    del shared  # one sub-block of them at a time
             engines.reverse()
             while engines:
                 yield engines.pop().run()
+
+
+def _triangular_divisors(xs: list[int], lists: list[list[int]]) -> list[list[int]]:
+    """For each ys in ``lists``, the ascending products x*y of it and the
+    list before it (``xs`` before the first), ended by _TOP.  The two are
+    the divisors of h(k) and h(k+1), which are coprime, so the products are
+    the divisors of T = h(k)*h(k+1) = k(k+1)/2, each once."""
+    out = []
+    for ys in lists:
+        ts = list(starmap(mul, product(xs, ys)))
+        ts.sort()  # len(xs) ascending runs: a merge
+        ts.append(_TOP)
+        out.append(ts)
+        xs = ys
+    return out
 
 
 def generate(spec: SequenceSpec) -> SequenceRun:

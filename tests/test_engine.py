@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from array import array
 
@@ -27,7 +28,7 @@ from trifix.engine import (
     generate,
     generate_runs,
 )
-from trifix.numtheory import CapacityError, halved_divisor_lists, is_prime
+from trifix.numtheory import CapacityError, halved_divisor_blocks, halved_divisor_lists, is_prime
 from trifix.store import load_run, save_run
 
 # Published golden prefix of A(7): (n, mult, q, a), fixed points marked below.
@@ -446,13 +447,13 @@ def test_each_value_v_is_among_the_first_2v_terms(spec):
 
 
 
-# Families for generate_runs: term counts around the 1,024-list block
-# ends, p of every kind (1 is the bootstrap), repeats, and no-zero specs,
-# whose offset puts them in a lockstep group of their own.
+# Families for generate_runs: term counts around the 256-step sub-block
+# and 1,024-list block ends, p of every kind (1 is the bootstrap), repeats,
+# and no-zero specs, whose offset puts them in a lockstep group of their own.
 @st.composite
 def families(draw):
     sizes = draw(st.lists(st.one_of(st.integers(1, 3000),
-                                    st.sampled_from([1023, 1024, 1025, 2048, 2049])),
+                                    st.sampled_from([255, 256, 257, 1023, 1024, 1025, 2048, 2049])),
                           min_size=1, max_size=2))
     size = st.sampled_from(sizes)
     spec = st.one_of(
@@ -466,33 +467,92 @@ def families(draw):
     return draw(st.permutations(family + draw(st.lists(st.sampled_from(family), max_size=2))))
 
 
+# Chunks on each side of SHARED_SEARCH_MIN take shifted and the first of
+# these p: prime, the bootstrap's 1 (so a chunk of K holds both bootstraps),
+# composite, and smooth (720720 and 648000 = 2^6 3^4 5^3).
+MIXED_P = (199, 1, 9, 12, 720720, 648000)
+K = engine_module.SHARED_SEARCH_MIN
+
+
 class TestGenerateRuns:
     """generate_runs steps the engines of consecutive specs of one offset
-    and term count in lockstep over one stream of divisor lists."""
+    and term count in lockstep over one stream of divisor lists.  A chunk
+    of at least SHARED_SEARCH_MIN engines also shares each step's sorted
+    divisors of the triangular number T and searches them by bisection;
+    a smaller one, and ``generate``'s lone engine, keep the pair scan.
+    Either way each run equals its spec's own."""
 
     @given(families())
     @settings(max_examples=25, deadline=None)
     def test_each_run_equals_its_spec_alone(self, specs):
         assert list(generate_runs(specs)) == [generate(spec) for spec in specs]
 
+    @pytest.mark.parametrize("count", [255, 256, 257, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("size", [2, K, 7])
+    def test_a_chunk_of_each_size_equals_its_specs_alone(self, size, count):
+        specs = [SequenceSpec.shifted(count)] + [SequenceSpec.standard(p, count) for p in MIXED_P]
+        specs = specs[:size]
+        assert list(generate_runs(specs)) == [generate(spec) for spec in specs]
+
     @staticmethod
-    def sieved_blocks(monkeypatch):
-        """The arguments of every _sieved_divisors call, in order."""
+    def calls_to(monkeypatch, module, name):
+        """The arguments of every call to module.name, in order."""
         calls = []
-        sieve = numtheory_module._sieved_divisors
+        function = getattr(module, name)
 
         def counting(*args):
             calls.append(args)
-            return sieve(*args)
+            return function(*args)
 
-        monkeypatch.setattr(numtheory_module, "_sieved_divisors", counting)
+        monkeypatch.setattr(module, name, counting)
         return calls
+
+    def test_only_a_chunk_of_k_builds_the_divisors_of_t(self, monkeypatch):
+        """One build per 256-step sub-block of a chunk of K, none for a
+        lone engine or a chunk of K - 1."""
+        calls = self.calls_to(monkeypatch, engine_module, "_triangular_divisors")
+        generate(SequenceSpec.standard(199, 1000))
+        list(generate_runs([SequenceSpec.standard(p, 1000) for p in MIXED_P[:K - 1]]))
+        assert calls == []
+        list(generate_runs([SequenceSpec.standard(p, 1000) for p in MIXED_P[:K]]))
+        assert len(calls) == 4
+        assert [len(lists) for xs, lists in calls] == [256, 256, 256, 232]
+
+    def test_a_shared_chunk_holds_one_sub_block_of_products(self):
+        """The family at N = 10^4 peaks at the engines' own 12 bytes per
+        term, two blocks of divisor lists (the stream sieves the next while
+        the last is held) and one sub-block of their products, at most."""
+        family = [SequenceSpec.standard(p, 10_000) for p in (3, 5, 7, 11, 41, 97, 199)]
+
+        def held(lists):
+            return sys.getsizeof(lists) + sum(
+                sys.getsizeof(ds) + sum(sys.getsizeof(d) for d in ds if d > 256) for ds in lists)
+
+        xs, block_bytes, sub_block_bytes = [1], 0, 0
+        for block in halved_divisor_blocks(1, 10_001):
+            block_bytes = max(block_bytes, held(block))
+            for j in range(0, len(block), engine_module.SUB_BLOCK):
+                lists = block[j:j + engine_module.SUB_BLOCK]
+                sub_block_bytes = max(sub_block_bytes, held(engine_module._triangular_divisors(xs, lists)))
+                xs = lists[-1]
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            for run in generate_runs(family):
+                del run
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 12 * len(family) * 10_001 + 2 * block_bytes + sub_block_bytes
 
     def test_one_stream_per_batch(self, monkeypatch):
         # one block of 1,024 lists holds all 1,000: two progressions, each
         # sieved once per stream
         specs = [SequenceSpec.standard(p, 1000) for p in (3, 5, 7, 11)]
-        calls = self.sieved_blocks(monkeypatch)
+        calls = self.calls_to(monkeypatch, numtheory_module, "_sieved_divisors")
         runs = list(generate_runs(specs))
         assert len(calls) == 2
         assert runs == [generate(spec) for spec in specs]
@@ -516,7 +576,7 @@ class TestGenerateRuns:
                 super().__init__(spec)
 
         monkeypatch.setattr(engine_module, "SequenceEngine", Counting)
-        calls = self.sieved_blocks(monkeypatch)
+        calls = self.calls_to(monkeypatch, numtheory_module, "_sieved_divisors")
         runs, alive = [], []
         for run in generate_runs(specs):
             alive.append(len(built) - len(runs))  # built, less those yielded before
@@ -531,7 +591,7 @@ class TestGenerateRuns:
         specs = [SequenceSpec.standard(3, 1000), SequenceSpec.no_zero(1000),
                  SequenceSpec.standard(5, 1000)]
         alone = [generate(spec) for spec in specs]
-        calls = self.sieved_blocks(monkeypatch)
+        calls = self.calls_to(monkeypatch, numtheory_module, "_sieved_divisors")
         assert list(generate_runs(specs)) == alone
         assert len(calls) == 2 * 3
 
