@@ -14,12 +14,13 @@ the (multiplier m, index offset o) that :class:`SequenceSpec` owns:
 A term index n with a(n) = n is a fixed point; fixed points of these
 sequences are the prime-candidate signal downstream analysis classifies.
 
-The step reads q(n) off its divisor lists: q(n) = m*h(n+o-1)*h(n+o) with
-h(k) = k/2 for even k and k for odd, a(n) is searched among products of
-one divisor of each factor (or of m and of the triangular number
-T = h(n+o-1)*h(n+o), when engines share T's sorted divisors), and the
-largest such product is q(n).  Only q(N) can pass the 63-bit ceiling; the
-engine checks it once, when built.
+The step works from divisor lists: q(n) = m*h(n+o-1)*h(n+o) with
+h(k) = k/2 for even k and k for odd, and a(n) is searched among products
+of one divisor of each factor (or of m and of the triangular number
+T = h(n+o-1)*h(n+o), when engines share T's sorted divisors), the largest
+of which is q(n).  The step computes q(n) only to report exhausted
+divisors.  Only q(N) can pass the 63-bit ceiling; the engine checks it
+once, when built.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, groupby, product, repeat, starmap
-from operator import mul
+from itertools import accumulate, groupby
 
 from .numtheory import divisors, factorize_trial, halved_divisor_blocks, halved_divisor_lists, q_value
 
@@ -209,17 +209,19 @@ class SequenceRun(FrozenValue):
 
 # A chunk of engines stepped in lockstep by generate_runs keeps its combined
 # state within this many bytes: 12 per term each, 8 for the term and 4 of
-# used map.  Only one chunk exists at a time.  Beside it, a shared chunk
-# holds one sub-block of SUB_BLOCK steps' divisors of T, at most 420 KiB
-# at N = 10^4 and 655 KiB at 10^5.
+# used map.  Only one chunk exists at a time.  Beside it, a chunk holds one
+# block of divisor lists, at most 215 KiB at N = 10^4 and 346 KiB at 10^5,
+# and a shared chunk one sub-block of SUB_BLOCK steps' divisors of T, at
+# most 420 KiB and 655 KiB.
 LOCKSTEP_BUDGET = 64 * 2**20
 _BYTES_PER_TERM = 12
 # A chunk of at least SHARED_SEARCH_MIN engines shares each step's sorted
-# divisors of T; a smaller one keeps the pair scan.  The list costs 3-4 µs
-# a step to build, which two engines do not win back: in-process at
-# N = 10^4 (CPU time, best of 9, p = 3, 5, 7, ...), 2 engines took 57 ms
-# with the pair scan against 67 ms shared, 3 took 82 against 75 and 4 took
-# 113 against 84 (Python 3.11.7, two shared vCPUs).
+# divisors of T; a smaller one keeps the pair scan.  The list costs 3.3 µs
+# a step to build at N = 10^4 and 4.8 at 10^5, which two engines do not
+# win back at both: in-process (CPU time, best of 9, p = 3, 5, 7, ...),
+# 2 engines took 60 ms with the pair scan against 55 shared at N = 10^4
+# but 730 against 781 at 10^5, and 3 took 89 against 62 and 1131 against
+# 893 (Python 3.11.7, two shared vCPUs).
 SHARED_SEARCH_MIN = 3
 SUB_BLOCK = 256
 # Ends each shared list, above every product z*t, so that a scan up a list
@@ -237,11 +239,12 @@ class SequenceEngine:
     80-135 µs per term at N = 2*10^4 and 310 at 2*10^5, ``generate`` 3.5-5
     (Python 3.11.7, two shared vCPUs).
 
-    A step searches one of two ways, with the same result.  Alone it scans
-    pairs x*y of divisors of h(n+o-1) and h(n+o) for each divisor z of m.
-    Stepped by generate_runs in a chunk of at least SHARED_SEARCH_MIN, it
-    is also handed the sorted divisors of T = h(n+o-1)*h(n+o), built once
-    per step for the chunk, and bisects them at ceil(mex/z) for each z."""
+    A step searches one of two ways, with the same result, each in a loop
+    of its own.  Alone it scans pairs x*y of divisors of h(n+o-1) and
+    h(n+o) for each divisor z of m.  Stepped by generate_runs in a chunk of
+    at least SHARED_SEARCH_MIN, it is also handed the sorted divisors of
+    T = h(n+o-1)*h(n+o), built once per step for the chunk, and bisects
+    them at mex for z = 1 and at ceil(mex/z) for each other z."""
 
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
@@ -263,25 +266,24 @@ class SequenceEngine:
         """Append one term per list: a(n) is the least unused divisor of
         q(n), and ``lists`` holds the ascending divisors of h(n + offset)
         for the next n in turn.  ``shared``, when given, holds for each n
-        the ascending divisors of T = h(n+o-1)*h(n+o), ended by _TOP, which
-        the step searches instead of scanning pairs.  On an error the engine
-        keeps the terms before it and their carried list."""
+        the ascending divisors of T = h(n+o-1)*h(n+o), ended by _TOP; the
+        step then searches them instead of scanning pairs, in a loop of its
+        own that reads ``lists`` (a list) only for the carried list.  On an
+        error the engine keeps the terms before it and their carried list."""
         zs, xs = self._p_divisors, self._xs
         used, spill, mex, a = self._used, self._spill, self._mex, self._a
-        size = len(used)
-        n = len(a)
+        size, start = len(used), len(a)
+        # The least unused divisor of q(n) in [mex, q(n)] is a product of a
+        # divisor z of m and one of T.  Each hit lowers hi to just below
+        # itself.  Every product is at most q(n) < 2^63, so hi starts just
+        # below _TOP, which a scan must never take.  A product reached twice
+        # (zs sharing a prime with T) is harmless.
+        top = _TOP - 1
         try:
-            for ys, ts in zip(lists, repeat(None) if shared is None else shared):
-                n += 1
-                # The least unused divisor of q(n) in [mex, q(n)], a product
-                # of a divisor z of m and one of T; q(n) is the largest.
-                # Each hit lowers hi to just below itself.  A product reached
-                # twice (zs sharing a prime with T) is harmless.
-                lo = mex
-                v = 0
-                if ts is None:
+            if shared is None:
+                for ys in lists:
                     # pairs x*y of divisors of h(n+o-1) and h(n+o)
-                    hi = q = zs[-1] * xs[-1] * ys[-1]
+                    lo, hi, v = mex, top, 0
                     short, long = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
                     for z in zs:
                         if z > hi:
@@ -311,13 +313,36 @@ class SequenceEngine:
                                         v = w
                                         hi = w - 1
                                         break
-                else:
-                    # each z's first unused z*t from ceil(lo/z) on is its least
-                    hi = q = zs[-1] * ts[-2]
+                    if v == 0:
+                        v = self._none_unused()
+                    if v < size:
+                        used[v] = 1
+                    else:
+                        spill.add(v)
+                    a.append(v)
+                    while used[mex]:
+                        mex += 1
+                    xs = ys
+            else:
+                # each z's first unused z*t from ceil(mex/z) on is its least;
+                # z = 1 comes first
+                zs = zs[1:]
+                for ts in shared:
+                    hi, v = top, 0
+                    j = bisect_left(ts, mex)
+                    while True:
+                        w = ts[j]
+                        if w > hi:
+                            break
+                        if not (used[w] if w < size else w in spill):
+                            v = w
+                            hi = w - 1
+                            break
+                        j += 1
                     for z in zs:
                         if z > hi:
                             break
-                        j = bisect_left(ts, -(-lo // z))
+                        j = bisect_left(ts, -(-mex // z))
                         while True:
                             w = z * ts[j]
                             if w > hi:
@@ -327,23 +352,27 @@ class SequenceEngine:
                                 hi = w - 1
                                 break
                             j += 1
-                if v == 0:
-                    if n == 2 and self.spec.has_bootstrap:
-                        v = 1
+                    if v == 0:
+                        v = self._none_unused()
+                    if v < size:
+                        used[v] = 1
                     else:
-                        raise ExhaustedDivisorsError(
-                            f"{self.spec.label()}: all divisors of q({n}) = {q} in use"
-                        )
-                if v < size:
-                    used[v] = 1
-                else:
-                    spill.add(v)
-                a.append(v)
-                while used[mex]:
-                    mex += 1
-                xs = ys
+                        spill.add(v)
+                    a.append(v)
+                    while used[mex]:
+                        mex += 1
         finally:
+            if shared is not None and len(a) > start:
+                xs = lists[len(a) - start - 1]
             self._xs, self._mex = xs, mex
+
+    def _none_unused(self) -> int:
+        """a(n) when every divisor of q(n) is used: the bootstrap's 1 at
+        n = 2, else ExhaustedDivisorsError."""
+        n = len(self._a) + 1
+        if n == 2 and self.spec.has_bootstrap:
+            return 1
+        raise ExhaustedDivisorsError(f"{self.spec.label()}: all divisors of q({n}) = {self.spec.q(n)} in use")
 
     def _lists(self, count: int) -> Iterator[list[int]]:
         """The divisors of h(n + offset) for the next ``count`` n, sieved
@@ -367,11 +396,11 @@ def generate_runs(specs: Iterable[SequenceSpec]) -> Iterator[SequenceRun]:
     term count are generated together, in chunks of as many as keep their
     engines' state within LOCKSTEP_BUDGET (one always fits): a chunk's
     engines step in lockstep over one stream of divisor lists, so each
-    block is sieved once for all of them.  A chunk of at least
-    SHARED_SEARCH_MIN engines also shares each step's sorted divisors of T,
-    built for SUB_BLOCK steps at a time, which each engine bisects in place
-    of its own pair scan.  Only one chunk's engines exist at a time, and
-    each is dropped as its run is yielded."""
+    block is sieved once for all of them, and dropped before the next is.
+    A chunk of at least SHARED_SEARCH_MIN engines also shares each step's
+    sorted divisors of T, built for SUB_BLOCK steps at a time, which each
+    engine bisects in place of its own pair scan.  Only one chunk's engines
+    exist at a time, and each is dropped as its run is yielded."""
     for (offset, count), like in groupby(specs, key=lambda spec: (spec.offset, spec.term_count)):
         like = list(like)
         fit = max(1, LOCKSTEP_BUDGET // (_BYTES_PER_TERM * count))
@@ -387,6 +416,7 @@ def generate_runs(specs: Iterable[SequenceSpec]) -> Iterator[SequenceRun]:
                     for engine in engines:
                         engine._extend(lists, shared)
                     del shared  # one sub-block of them at a time
+                del block, lists  # and one block of lists: the next is sieved
             engines.reverse()
             while engines:
                 yield engines.pop().run()
@@ -399,8 +429,9 @@ def _triangular_divisors(xs: list[int], lists: list[list[int]]) -> list[list[int
     the divisors of T = h(k)*h(k+1) = k(k+1)/2, each once."""
     out = []
     for ys in lists:
-        ts = list(starmap(mul, product(xs, ys)))
-        ts.sort()  # len(xs) ascending runs: a merge
+        short, long = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
+        ts = [x * y for x in short for y in long]
+        ts.sort()  # len(short) ascending runs: a merge
         ts.append(_TOP)
         out.append(ts)
         xs = ys

@@ -244,6 +244,25 @@ class TestEngineStepping:
             with pytest.raises(ExhaustedDivisorsError, match=r"q\(2\) = 7"):
                 engine.next_term()
 
+    def test_the_shared_search_exhausts_as_the_pair_scan_does(self):
+        """Stepped with the shared divisors of T, as in a lockstep chunk, an
+        engine fails where the pair scan does, with its error, and keeps the
+        terms before the step, their carried list and the mex."""
+        lists = list(halved_divisor_lists(2, 5))  # h(2), h(3), h(4)
+        ends = []
+        for shared in (None, engine_module._triangular_divisors([1], lists)):
+            engine = SequenceEngine(SequenceSpec.standard(7, 5))
+            engine.next_term()
+            # a(2) = 7 and a(3) = 3 take the rest of q(4) = 42's divisors
+            for v in (2, 6, 14, 21):
+                engine._used[v] = 1
+            engine._spill.add(42)
+            for skip in (0, 2):  # the failing call, then a retry of n = 4
+                with pytest.raises(ExhaustedDivisorsError, match=r"^A\(7\): all divisors of q\(4\) = 42 in use$"):
+                    engine._extend(lists[skip:], shared and shared[skip:])
+                ends.append((engine._a.tolist(), engine._xs, engine._mex))
+        assert ends == [([1, 7, 3], [1, 3], 4)] * 4
+
     @pytest.mark.parametrize("spec", [SequenceSpec.shifted(3000), SequenceSpec.no_zero(3000),
                                       SequenceSpec.standard(199, 3000)], ids=lambda s: s.label())
     def test_stepping_across_a_sieved_block_then_run_equals_generate(self, spec):
@@ -518,35 +537,62 @@ class TestGenerateRuns:
         assert len(calls) == 4
         assert [len(lists) for xs, lists in calls] == [256, 256, 256, 232]
 
-    def test_a_shared_chunk_holds_one_sub_block_of_products(self):
-        """The family at N = 10^4 peaks at the engines' own 12 bytes per
-        term, two blocks of divisor lists (the stream sieves the next while
-        the last is held) and one sub-block of their products, at most."""
-        family = [SequenceSpec.standard(p, 10_000) for p in (3, 5, 7, 11, 41, 97, 199)]
+    # small state the peaks below may hold beyond what they count: the
+    # engine objects and carried lists, and the sieve's scratch (its marks
+    # and one progression's list of lists) beside the block it builds
+    SLACK = 32 * 1024
 
-        def held(lists):
-            return sys.getsizeof(lists) + sum(
-                sys.getsizeof(ds) + sum(sys.getsizeof(d) for d in ds if d > 256) for ds in lists)
+    @staticmethod
+    def held(lists):
+        """Bytes of a list of lists of ints, less the cached small ints."""
+        return sys.getsizeof(lists) + sum(
+            sys.getsizeof(ds) + sum(sys.getsizeof(d) for d in ds if d > 256) for ds in lists)
 
-        xs, block_bytes, sub_block_bytes = [1], 0, 0
-        for block in halved_divisor_blocks(1, 10_001):
-            block_bytes = max(block_bytes, held(block))
-            for j in range(0, len(block), engine_module.SUB_BLOCK):
-                lists = block[j:j + engine_module.SUB_BLOCK]
-                sub_block_bytes = max(sub_block_bytes, held(engine_module._triangular_divisors(xs, lists)))
-                xs = lists[-1]
+    @staticmethod
+    def traced(specs):
+        """The bytes the engines of ``specs`` hold once run (term arrays,
+        used maps and spills), and the peak of generate_runs(specs) above
+        its start."""
+        engines = [SequenceEngine(spec) for spec in specs]
+        for engine in engines:
+            engine.run()
+        own = sum(sys.getsizeof(engine._a) + sys.getsizeof(engine._used) + sys.getsizeof(engine._spill)
+                  + sum(map(sys.getsizeof, engine._spill)) for engine in engines)
+        del engines
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            for run in generate_runs(family):
+            for run in generate_runs(specs):
                 del run
-            peak = tracemalloc.get_traced_memory()[1] - before
+            return own, tracemalloc.get_traced_memory()[1] - before
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert peak <= 12 * len(family) * 10_001 + 2 * block_bytes + sub_block_bytes
+
+    def test_a_shared_chunk_holds_one_sub_block_of_products(self):
+        """The family at N = 10^4 peaks at its engines' own state (12 bytes
+        per term and the arrays' headroom), one block of divisor lists and
+        one sub-block of their products, at most."""
+        family = [SequenceSpec.standard(p, 10_000) for p in (3, 5, 7, 11, 41, 97, 199)]
+        xs, block_bytes, sub_block_bytes = [1], 0, 0
+        for block in halved_divisor_blocks(1, 10_001):
+            block_bytes = max(block_bytes, self.held(block))
+            for j in range(0, len(block), engine_module.SUB_BLOCK):
+                lists = block[j:j + engine_module.SUB_BLOCK]
+                sub_block_bytes = max(sub_block_bytes, self.held(engine_module._triangular_divisors(xs, lists)))
+                xs = lists[-1]
+        own, peak = self.traced(family)
+        assert peak <= own + block_bytes + sub_block_bytes + self.SLACK
+
+    def test_a_lone_engine_holds_one_block_of_lists(self):
+        """A(199) at N = 10^4 peaks at its engine's own state and one block
+        of divisor lists: the last block is dropped before the stream sieves
+        the next."""
+        block_bytes = max(map(self.held, halved_divisor_blocks(1, 10_001)))
+        own, peak = self.traced([SequenceSpec.standard(199, 10_000)])
+        assert peak <= own + block_bytes + self.SLACK
 
     def test_one_stream_per_batch(self, monkeypatch):
         # one block of 1,024 lists holds all 1,000: two progressions, each
