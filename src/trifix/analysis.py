@@ -260,9 +260,6 @@ class SweepReport(FrozenValue):
     union_missed: tuple[int, ...]
     figure2_series: tuple[tuple[int, Fraction], ...]
 
-    def report_for(self, p: int) -> ClassificationReport:
-        return self.reports[self.p_list.index(p)]
-
 
 def _checked_runs(specs: list[SequenceSpec], check: Callable[[SequenceRun], object],
                   cache_dir: str | None) -> dict:
@@ -288,12 +285,10 @@ def _checked_runs(specs: list[SequenceSpec], check: Callable[[SequenceRun], obje
 
 def _each_run(specs: list[SequenceSpec], check: Callable[[SequenceRun], object], *,
               jobs: int = 1, cache_dir: str | None = None) -> list:
-    """check(run) on the run of each spec, in spec order, after checking
-    every q(N) against the 63-bit ceiling.  A repeated spec is run once, and
-    no run is kept once checked.  jobs > 1 splits the distinct specs into at
-    most jobs contiguous chunks, each checked in a process of its own."""
-    for spec in specs:
-        spec.q(spec.term_count)
+    """check(run) on the run of each spec, in spec order.  A repeated spec
+    is run once, and no run is kept once checked.  jobs > 1 splits the
+    distinct specs into at most jobs contiguous chunks, each checked in a
+    process of its own."""
     distinct = list(dict.fromkeys(specs))
     k = min(jobs, len(distinct))
     if k > 1:

@@ -14,7 +14,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, count, pairwise
+from itertools import accumulate, chain, count
 from typing import TYPE_CHECKING
 
 # Only what every subcommand uses is imported here.  The rest is imported by
@@ -96,14 +96,10 @@ def _emit(pieces: Iterable[str], out_path: str | None) -> None:
 
 
 def _rows(run: SequenceRun) -> Iterator[tuple[int, int, int, int]]:
-    """(n, q(n) - q(n-1), q(n), a(n)) for every term.  q_values raises any
-    OverflowError here, before a row, or a byte of output, exists."""
-    steps = pairwise(chain([0], run.spec.q_values(len(run.a))))
-    return ((n, q - prev, q, a) for n, (prev, q), a in zip(count(1), steps, run.a))
+    """(n, q(n) - q(n-1), q(n), a(n)) for every term."""
+    steps = run.spec.q_steps()
+    return zip(count(1), steps, accumulate(steps), run.a)
 
-
-# The formatters return lazy lines, but a generator expression calls
-# _rows(run) when it is built, so an overflow still raises before _emit.
 
 # %d pads an int as {:>width} does, and widens the column the same way for
 # a value wider than it; it formats a row tuple without unpacking it.
@@ -337,7 +333,7 @@ def _cmd_oeis_check(args) -> int:
     if args.field == "a":
         values = run.a
     elif args.field == "q":
-        values = list(spec.q_values(len(run.a)))
+        values = list(spec.q_values())
     else:  # fixed-points, compared as their own sequence (k-th fixed point)
         values = fixed_points(run)
     result = oeis.compare(values, bfile, args.shift)

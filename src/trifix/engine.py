@@ -19,8 +19,8 @@ h(k) = k/2 for even k and k for odd, and a(n) is searched among products
 of one divisor of each factor (or of m and of the triangular number
 T = h(n+o-1)*h(n+o), when engines share T's sorted divisors), the largest
 of which is q(n).  The step computes q(n) only to report exhausted
-divisors.  Only q(N) can pass the 63-bit ceiling; the engine checks it
-once, when built.
+divisors.  A spec is a run the engine can make: it checks N against the
+sieve ceiling and q(N) against the 63-bit one when it is built.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, groupby
 
-from .numtheory import divisors, factorize_trial, halved_divisor_blocks, halved_divisor_lists, q_value
+from .numtheory import (_check_sieve_limit, divisors, factorize_trial, halved_divisor_blocks,
+                        halved_divisor_lists, q_value)
 
 STANDARD = "standard"
 NO_ZERO = "no-zero"
@@ -95,7 +96,9 @@ class SequenceSpec(FrozenValue):
 
     ``p`` is required for the standard variant (p >= 1) and must be omitted
     for the others.  standard p=1 and the shifted variant denote the same
-    sequence.
+    sequence.  A spec is a run the engine can make: past the sieve ceiling
+    (term_count + offset) it raises CapacityError, then past the 63-bit one
+    (q(term_count), its largest q(n)) OverflowError.
     """
 
     __slots__ = ("variant", "term_count", "p")
@@ -114,6 +117,8 @@ class SequenceSpec(FrozenValue):
                 raise ValueError(f"standard variant requires p >= 1, got {self.p}")
         elif self.p is not None:
             raise ValueError(f"variant {self.variant!r} does not take p")
+        _check_sieve_limit(self.term_count + self.offset)
+        self.q(self.term_count)
 
     @classmethod
     def standard(cls, p: int, term_count: int) -> "SequenceSpec":
@@ -146,14 +151,15 @@ class SequenceSpec(FrozenValue):
         """q(n) of this sequence; OverflowError past the 63-bit range."""
         return q_value(self.multiplier, n + self.offset)
 
-    def q_values(self, count: int) -> Iterator[int]:
-        """q(1..count) of this sequence, summed lazily from the steps
-        q(n) - q(n-1) = multiplier*(n+offset-1).  q is increasing, so the
-        OverflowError of a q(count) past the 63-bit range is raised here,
-        before any value exists."""
-        self.q(count)
+    def q_steps(self) -> range:
+        """q(n) - q(n-1) = multiplier*(n+offset-1) for n = 1..term_count,
+        with q(0) = 0."""
         m, o = self.multiplier, self.offset
-        return accumulate(range(m * o, m * (count + o), m))
+        return range(m * o, m * (self.term_count + o), m)
+
+    def q_values(self) -> Iterator[int]:
+        """q(1..term_count) of this sequence, summed lazily from q_steps."""
+        return accumulate(self.q_steps())
 
     @property
     def has_bootstrap(self) -> bool:
@@ -208,13 +214,16 @@ class SequenceRun(FrozenValue):
 
 
 # A chunk of engines stepped in lockstep by generate_runs keeps its combined
-# state within this many bytes: 12 per term each, 8 for the term and 4 of
-# used map.  Only one chunk exists at a time.  Beside it, a chunk holds one
+# state within this many bytes, at most _BYTES_PER_TERM per term each: 8 for
+# the term, 4 of used map and the spill set with its ints.  After run(),
+# sys.getsizeof of those measured 12.1 bytes per term for A(3) and 13.7,
+# 14.2 and 14.9 for A(541) at N = 10^4, 10^5 and 10^6 (Python 3.11.7).
+# Only one chunk exists at a time.  Beside it, a chunk holds one
 # block of divisor lists, at most 215 KiB at N = 10^4 and 346 KiB at 10^5,
 # and a shared chunk one sub-block of SUB_BLOCK steps' divisors of T, at
 # most 420 KiB and 655 KiB.
 LOCKSTEP_BUDGET = 64 * 2**20
-_BYTES_PER_TERM = 12
+_BYTES_PER_TERM = 16
 # A chunk of at least SHARED_SEARCH_MIN engines shares each step's sorted
 # divisors of T; a smaller one keeps the pair scan.  The list costs 3.3 µs
 # a step to build at N = 10^4 and 4.8 at 10^5, which two engines do not
@@ -231,7 +240,8 @@ _TOP = 1 << 64
 
 class SequenceEngine:
     """Strictly sequential term emitter (each term depends on the full
-    used-set history).  Distinct engines are independent.
+    used-set history).  Distinct engines are independent.  Its spec has
+    checked both ceilings, so the engine checks neither.
 
     Its one input is ``_extend``'s divisor lists, so its position is its
     term count.  ``run`` sieves the lists of the remaining terms in blocks;
@@ -249,8 +259,6 @@ class SequenceEngine:
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
         self._a = array("q")
-        self._lists(spec.term_count)  # CapacityError past the sieve ceiling
-        spec.q(spec.term_count)  # q increases: only q(N) can overflow
         self._p_divisors = divisors(factorize_trial(spec.multiplier))
         # The ascending divisors of h(n + offset - 1) for the next n.  At
         # n = 1, [1] stands in for the divisors of h(offset) (h(0) = 0 has

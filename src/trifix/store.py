@@ -127,7 +127,7 @@ def _cached_values(spec: SequenceSpec, payload_path: Path, manifest_path: Path) 
     # about two thirds of a set's (430 against 640 KiB), and this transient
     # sets a warm sweep's traced peak.
     bootstrap = spec.has_bootstrap and count > 1 and values[1] == 1
-    if (min(values) >= 1 and not any(map(mod, spec.q_values(count), values))
+    if (min(values) >= 1 and not any(map(mod, spec.q_values(), values))
             and len(dict.fromkeys(values)) == count - bootstrap):
         return values
     seen = set()

@@ -94,7 +94,7 @@ def test_criterion_3_table3_regression(sweep7):
 
 def test_criterion_4_figure3_matrix(sweep7):
     result, _ = sweep7
-    matrix = classification_matrix(result.report_for(3))
+    matrix = classification_matrix(result.reports[result.p_list.index(3)])
     rendered = [[percent(cell) for cell in row] for row in matrix]
     assert rendered == [["94.54%", "13.44%"], ["5.46%", "86.56%"]]
     assert matrix[0][0] + matrix[1][0] == 1
@@ -104,9 +104,9 @@ def test_criterion_4_figure3_matrix(sweep7):
 
 def test_criterion_5_missed_prime_identity(sweep7, family_runs):
     result, _ = sweep7
-    assert result.report_for(97).missed_primes == (6529,)
-    assert result.report_for(199).missed_primes == (6529,)
-    a3_report = result.report_for(3)
+    assert result.reports[result.p_list.index(97)].missed_primes == (6529,)
+    assert result.reports[result.p_list.index(199)].missed_primes == (6529,)
+    a3_report = result.reports[result.p_list.index(3)]
     assert min(a3_report.missed_primes) == 17
     assert family_runs[3].term(17).a != 17
     assert family_runs[3].term(18).a == 17

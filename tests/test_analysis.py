@@ -386,7 +386,7 @@ class TestSweep:
         result = sweep([3, 5], 300)
         assert result.p_list == (3, 5)
         assert [r.spec.p for r in result.reports] == [3, 5]
-        assert result.report_for(5).spec.p == 5
+        assert result.reports[result.p_list.index(5)].spec.p == 5
         assert result.union_missed == (193,)
         assert result.figure2_series == (
             (3, result.reports[0].success_rate),

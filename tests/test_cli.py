@@ -13,7 +13,6 @@ from trifix.cli import (
     EXIT_ERROR,
     EXIT_FALSIFIED,
     EXIT_OK,
-    _emit,
     _format_csv,
     _format_json,
     _format_table,
@@ -123,15 +122,18 @@ class TestRows:
 
     @pytest.mark.parametrize("formatter", [_format_table, _format_csv, _format_json])
     def test_overflow_raises_before_any_output(self, formatter, capsys, tmp_path):
-        # q(3) = 3 * 2**62 overflows; q(1) and q(2) fit
-        run = SequenceRun(SequenceSpec.standard(2**62, 3), (1, 2, 4))
-        out = tmp_path / "out.txt"
+        # q(3) = 3 * 2**62 overflows; q(1) and q(2) fit.  The spec is
+        # refused, so no run exists for the formatter to write.
         with pytest.raises(OverflowError, match=r"^q\(3\) = "):
-            _emit(formatter(run), str(out))
+            SequenceSpec.standard(2**62, 3)
+        argv = ["generate", "--p", str(2**62), "--terms", "3",
+                "--format", formatter.__name__.removeprefix("_format_")]
+        out = tmp_path / "out.txt"
+        for extra in (["--out", str(out)], []):
+            code, stdout, err = run_cli(capsys, *argv, *extra)
+            assert (code, stdout) == (EXIT_ERROR, "")
+            assert err.startswith("trifix: error: q(3) = ")
         assert not out.exists()
-        with pytest.raises(OverflowError):
-            _emit(formatter(run), None)
-        assert capsys.readouterr().out == ""
 
 
 def table_document(run: SequenceRun) -> str:

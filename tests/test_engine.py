@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from array import array
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -83,13 +84,20 @@ class TestSpec:
         SequenceSpec.no_zero(1), SequenceSpec.shifted(1),
     ], ids=lambda s: s.label())
     def test_q_values_are_the_summed_q(self, spec):
-        for count in (1, 2, 3, 500):
-            assert list(spec.q_values(count)) == [spec.q(n) for n in range(1, count + 1)]
+        for count in (1, 2, 300):
+            sized = SequenceSpec(spec.variant, count, spec.p)
+            qs = [sized.q(n) for n in range(1, count + 1)]
+            assert list(accumulate(sized.q_steps())) == list(sized.q_values()) == qs
 
     def test_q_values_overflow_is_eager(self):
-        # q(3) = 3 * 2**62 overflows; the error comes before any value
+        # q(3) = 3 * 2**62 overflows: the spec is refused, so no q_values exist
         with pytest.raises(OverflowError, match=r"^q\(3\) = "):
-            SequenceSpec.standard(2**62, 3).q_values(3)
+            SequenceSpec.standard(2**62, 3)
+
+    def test_the_offset_counts_against_the_sieve_ceiling(self):
+        with pytest.raises(CapacityError, match=r"^sieve limit 50000001 exceeds the ceiling "):
+            SequenceSpec.no_zero(50_000_000)
+        assert SequenceSpec.standard(3, 50_000_000).term_count == 50_000_000
 
 
 class TestGoldenPrefixes:
@@ -224,17 +232,15 @@ class TestEngineStepping:
         assert not first.is_bootstrap_duplicate and not third.is_bootstrap_duplicate
 
     def test_overflow_is_raised_before_any_term(self):
-        # q increases, so q(N) alone is checked, once, when the engine is
-        # built: q(4) = 6 * 2**62 overflows though q(2) and q(3) fit
-        spec = SequenceSpec.standard(2**62, 4)
-        for build in (SequenceEngine, generate):
-            with pytest.raises(OverflowError, match=r"^q\(4\) = "):
-                build(spec)
+        # q increases, so q(N) alone is checked, once, when the spec is
+        # built: q(4) = 6 * 2**62 overflows though q(2) = 2**62 fits
+        with pytest.raises(OverflowError, match=r"^q\(4\) = "):
+            SequenceSpec.standard(2**62, 4)
         assert tuple(generate(SequenceSpec.standard(2**62, 2)).a) == (1, 2)
 
     def test_sieve_ceiling_is_checked_before_overflow(self):
         with pytest.raises(CapacityError, match=r"^sieve limit 50000001 exceeds"):
-            SequenceEngine(SequenceSpec.standard(2**62, 50_000_001))
+            SequenceSpec.standard(2**62, 50_000_001)
 
     def test_exhausted_divisors_leave_the_engine_unchanged(self):
         engine = SequenceEngine(SequenceSpec.standard(7, 5))
@@ -607,7 +613,8 @@ class TestGenerateRuns:
     @pytest.fixture
     def room_for_two(self, monkeypatch):
         """A budget with room for two engines of 1,000 terms."""
-        monkeypatch.setattr(engine_module, "LOCKSTEP_BUDGET", 12 * 2000 + 11)
+        budget = engine_module._BYTES_PER_TERM * 2000 + 11
+        monkeypatch.setattr(engine_module, "LOCKSTEP_BUDGET", budget)
 
     def test_a_run_of_like_specs_steps_in_chunks_that_fit(self, monkeypatch, room_for_two):
         """A(3) and A(5) step together, then A(7) alone: two streams, and
@@ -724,6 +731,16 @@ class TestInvariants:
                 tracemalloc.stop()
         assert len(run.a) == 30_000
         assert held <= 10 * 30_000
+
+    @pytest.mark.parametrize("count", [10_000, 100_000])
+    def test_an_engine_holds_at_most_the_budgeted_bytes_per_term(self, count):
+        """A(541) spills hundreds of values past its used map by 10^4; its
+        terms, used map, spill set and spilled ints fit the per-term share
+        of LOCKSTEP_BUDGET."""
+        engine = SequenceEngine(SequenceSpec.standard(541, count))
+        engine.run()
+        held = sum(map(sys.getsizeof, (engine._a, engine._used, engine._spill, *engine._spill)))
+        assert engine._spill and held <= engine_module._BYTES_PER_TERM * count
 
     def test_no_exhaustion_at_depth(self):
         # q(n) exceeds every prior term, so a fresh divisor always exists
