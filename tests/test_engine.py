@@ -654,6 +654,49 @@ class TestGenerateRuns:
         assert list(generate_runs(specs)) == [generate(spec) for spec in specs]
 
 
+class TestWorkPins:
+    """The used-map reads a run makes, pinned: a change to the search that
+    keeps every term but does more (or less) work shows here.  A pinned
+    count changes only with a CHANGES.md line saying why."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """reads(make) runs make() and returns the used-map reads it made,
+        counted by a bytearray subclass shadowing the engine module's."""
+
+        class Counting(bytearray):
+            count = 0
+
+            def __getitem__(self, index):
+                Counting.count += 1
+                return super().__getitem__(index)
+
+        monkeypatch.setattr(engine_module, "bytearray", Counting, raising=False)
+
+        def reads(make):
+            Counting.count = 0
+            make()
+            return Counting.count
+
+        return reads
+
+    def test_a_lone_engine(self, reads):
+        """The pair scan, through generate and through run()."""
+        spec = SequenceSpec.standard(199, 10_000)
+        assert reads(lambda: generate(spec)) == 59_975
+        assert reads(lambda: SequenceEngine(spec).run()) == 59_975
+
+    def test_the_family_in_one_shared_chunk(self, reads):
+        """The shared search a sweep of the paper's family runs."""
+        specs = [SequenceSpec.standard(p, 10_001) for p in (3, 5, 7, 11, 41, 97, 199)]
+        assert reads(lambda: list(generate_runs(specs))) == 380_888
+
+    def test_a_lockstep_pair(self, reads):
+        """A chunk below SHARED_SEARCH_MIN keeps the pair scan."""
+        specs = [SequenceSpec.standard(p, 10_001) for p in (3, 5)]
+        assert reads(lambda: list(generate_runs(specs))) == 145_525
+
+
 def test_oracle_fixed_points_agree():
     run = generate(SequenceSpec.no_zero(200))
     assert fixed_points(run) == oracle_fixed_points(NO_ZERO, None, 200)
