@@ -30,8 +30,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, groupby
 
-from .numtheory import (_check_sieve_limit, divisors, factorize_trial, halved_divisor_blocks,
-                        halved_divisor_lists, q_value)
+from .numtheory import _check_sieve_limit, divisors, factorize_trial, halved_divisor_blocks, q_value
 
 STANDARD = "standard"
 NO_ZERO = "no-zero"
@@ -244,15 +243,17 @@ class SequenceEngine:
     checked both ceilings, so the engine checks neither.
 
     Its one input is ``_extend``'s divisor lists, so its position is its
-    term count.  ``run`` sieves the lists of the remaining terms in blocks;
-    ``next_term`` sieves its one list per call: stepping A(199) takes
-    80-135 µs per term at N = 2*10^4 and 310 at 2*10^5, ``generate`` 3.5-5
+    term count.  They come from one feed, ``_feed``, which steps a chunk of
+    engines: ``generate_runs`` makes a chunk of like specs, ``run`` one of
+    this engine for its remaining terms and ``next_term`` one for one term,
+    which sieves that term's list alone: stepping A(199) takes 80-135 µs
+    per term at N = 2*10^4 and 310 at 2*10^5, ``generate`` 3.5-5
     (Python 3.11.7, two shared vCPUs).
 
     A step searches one of two ways, with the same result, each in a loop
-    of its own.  Alone it scans pairs x*y of divisors of h(n+o-1) and
-    h(n+o) for each divisor z of m.  Stepped by generate_runs in a chunk of
-    at least SHARED_SEARCH_MIN, it is also handed the sorted divisors of
+    of its own.  Alone, or in a chunk smaller than SHARED_SEARCH_MIN, it
+    scans pairs x*y of divisors of h(n+o-1) and h(n+o) for each divisor z
+    of m.  In a larger chunk it is also handed the sorted divisors of
     T = h(n+o-1)*h(n+o), built once per step for the chunk, and bisects
     them at mex for z = 1 and at ceil(mex/z) for each other z."""
 
@@ -382,49 +383,52 @@ class SequenceEngine:
             return 1
         raise ExhaustedDivisorsError(f"{self.spec.label()}: all divisors of q({n}) = {self.spec.q(n)} in use")
 
-    def _lists(self, count: int) -> Iterator[list[int]]:
-        """The divisors of h(n + offset) for the next ``count`` n, sieved
-        afresh: the engine's position is its term count alone."""
-        m = len(self._a) + 1 + self.spec.offset
-        return halved_divisor_lists(m, m + count)
-
     def next_term(self) -> TermRecord:
         if len(self._a) >= self.spec.term_count:
             raise IndexError(f"all {self.spec.term_count} terms already emitted")
-        self._extend(self._lists(1))
+        _feed([self], 1)
         return TermRecord.of(self.spec, len(self._a), self._a[-1])
 
     def run(self) -> SequenceRun:
-        self._extend(self._lists(self.spec.term_count - len(self._a)))
+        _feed([self], self.spec.term_count - len(self._a))
         return SequenceRun(self.spec, self._a)
+
+
+def _feed(engines: list[SequenceEngine], count: int) -> None:
+    """Step ``engines``, of one offset and at one position (their term
+    count), through their next ``count`` terms in lockstep over one stream
+    of divisor lists: each block is sieved once for all of them, and
+    dropped before the next is.  A chunk of at least SHARED_SEARCH_MIN
+    engines also shares each step's sorted divisors of T, built for
+    SUB_BLOCK steps at a time, which each engine bisects in place of its
+    own pair scan."""
+    first = engines[0]
+    start = len(first._a) + 1 + first.spec.offset
+    share = len(engines) >= SHARED_SEARCH_MIN
+    xs = first._xs  # the list the engines carry
+    for block in halved_divisor_blocks(start, start + count):
+        for j in range(0, len(block), SUB_BLOCK):
+            lists = block[j:j + SUB_BLOCK]
+            shared = _triangular_divisors(xs, lists) if share else None
+            xs = lists[-1]
+            for engine in engines:
+                engine._extend(lists, shared)
+            del shared  # one sub-block of them at a time
+        del block, lists  # and one block of lists: the next is sieved
 
 
 def generate_runs(specs: Iterable[SequenceSpec]) -> Iterator[SequenceRun]:
     """The run of each spec, in order.  Consecutive specs of one offset and
     term count are generated together, in chunks of as many as keep their
-    engines' state within LOCKSTEP_BUDGET (one always fits): a chunk's
-    engines step in lockstep over one stream of divisor lists, so each
-    block is sieved once for all of them, and dropped before the next is.
-    A chunk of at least SHARED_SEARCH_MIN engines also shares each step's
-    sorted divisors of T, built for SUB_BLOCK steps at a time, which each
-    engine bisects in place of its own pair scan.  Only one chunk's engines
-    exist at a time, and each is dropped as its run is yielded."""
-    for (offset, count), like in groupby(specs, key=lambda spec: (spec.offset, spec.term_count)):
+    engines' state within LOCKSTEP_BUDGET (one always fits), each stepped
+    through its terms by ``_feed``.  Only one chunk's engines exist at a
+    time, and each is dropped as its run is yielded."""
+    for (_, count), like in groupby(specs, key=lambda spec: (spec.offset, spec.term_count)):
         like = list(like)
         fit = max(1, LOCKSTEP_BUDGET // (_BYTES_PER_TERM * count))
         for i in range(0, len(like), fit):
             engines = [SequenceEngine(spec) for spec in like[i:i + fit]]
-            share = len(engines) >= SHARED_SEARCH_MIN
-            xs = [1]  # the engines' own stand-in at n = 1
-            for block in halved_divisor_blocks(1 + offset, 1 + offset + count):
-                for j in range(0, len(block), SUB_BLOCK):
-                    lists = block[j:j + SUB_BLOCK]
-                    shared = _triangular_divisors(xs, lists) if share else None
-                    xs = lists[-1]
-                    for engine in engines:
-                        engine._extend(lists, shared)
-                    del shared  # one sub-block of them at a time
-                del block, lists  # and one block of lists: the next is sieved
+            _feed(engines, count)
             engines.reverse()
             while engines:
                 yield engines.pop().run()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator
-from itertools import chain
 from math import isqrt
 
 # Values (q-values, terms) are guaranteed to fit a signed 64-bit word so that
@@ -154,11 +153,6 @@ def halved_divisor_blocks(start: int, stop: int) -> Iterator[list[list[int]]]:
         raise ValueError(f"divisor lists start at m >= 1, got {start}")
     _check_sieve_limit(stop - 1)
     return _halved_divisor_blocks(start, stop, max(1024, 4 * isqrt(stop)))
-
-
-def halved_divisor_lists(start: int, stop: int) -> Iterator[list[int]]:
-    """halved_divisor_blocks(start, stop) one list at a time."""
-    return chain.from_iterable(halved_divisor_blocks(start, stop))
 
 
 def _halved_divisor_blocks(start: int, stop: int, size: int) -> Iterator[list[list[int]]]:

@@ -29,7 +29,7 @@ from trifix.engine import (
     generate,
     generate_runs,
 )
-from trifix.numtheory import CapacityError, halved_divisor_blocks, halved_divisor_lists, is_prime
+from trifix.numtheory import CapacityError, halved_divisor_blocks, is_prime
 from trifix.store import load_run, save_run
 
 # Published golden prefix of A(7): (n, mult, q, a), fixed points marked below.
@@ -254,7 +254,7 @@ class TestEngineStepping:
         """Stepped with the shared divisors of T, as in a lockstep chunk, an
         engine fails where the pair scan does, with its error, and keeps the
         terms before the step, their carried list and the mex."""
-        lists = list(halved_divisor_lists(2, 5))  # h(2), h(3), h(4)
+        [lists] = halved_divisor_blocks(2, 5)  # h(2), h(3), h(4)
         ends = []
         for shared in (None, engine_module._triangular_divisors([1], lists)):
             engine = SequenceEngine(SequenceSpec.standard(7, 5))
@@ -301,7 +301,7 @@ class TestSearchRange:
         for _ in range(n - 1):
             engine.next_term()
         o = spec.offset
-        ys = next(halved_divisor_lists(n + o, n + o + 1))
+        [[ys]] = halved_divisor_blocks(n + o, n + o + 1)
         top = engine._p_divisors[-1] * engine._xs[-1] * ys[-1]
         assert top == spec.q(n)
         return (engine._mex, top), engine.next_term().a
