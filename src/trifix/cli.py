@@ -2,8 +2,8 @@
 
 Subcommands: generate, analyze, sweep, conjecture, oeis-check, export.
 Data goes to stdout (or --out); diagnostics go to stderr.  Exit codes:
-0 success, 1 operational error (bad flags, I/O, overflow), 2 a checked
-conjecture was falsified.
+0 success, 1 operational error (bad flags, I/O, overflow, out of memory),
+2 a checked conjecture was falsified, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # annotations only: the commands import it when they run
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FALSIFIED = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 CACHE_ENV_VAR = "TRIFIX_CACHE_DIR"
 
@@ -457,6 +458,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, CapacityError, OSError) as exc:
         print(f"trifix: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        print(f"trifix: error: out of memory at --terms {args.terms}; try fewer terms", file=sys.stderr)
+        return EXIT_ERROR
+    except KeyboardInterrupt:
+        print("trifix: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

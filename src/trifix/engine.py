@@ -243,19 +243,16 @@ class SequenceEngine:
     checked both ceilings, so the engine checks neither.
 
     Its one input is ``_extend``'s divisor lists, so its position is its
-    term count.  They come from one feed, ``_feed``, which steps a chunk of
-    engines: ``generate_runs`` makes a chunk of like specs, ``run`` one of
-    this engine for its remaining terms and ``next_term`` one for one term,
-    which sieves that term's list alone: stepping A(199) takes 80-135 µs
-    per term at N = 2*10^4 and 310 at 2*10^5, ``generate`` 3.5-5
-    (Python 3.11.7, two shared vCPUs).
+    term count.  One feed, ``_feed``, hands them to every engine: chunks of
+    like specs from ``generate_runs``, this engine alone for its remaining
+    terms from ``run`` and for one term, whose list it sieves alone, from
+    ``next_term`` (A(199): 80-310 µs a term, ``generate`` 3.5-5; Python 3.11.7).
 
     A step searches one of two ways, with the same result, each in a loop
-    of its own.  Alone, or in a chunk smaller than SHARED_SEARCH_MIN, it
-    scans pairs x*y of divisors of h(n+o-1) and h(n+o) for each divisor z
-    of m.  In a larger chunk it is also handed the sorted divisors of
-    T = h(n+o-1)*h(n+o), built once per step for the chunk, and bisects
-    them at mex for z = 1 and at ceil(mex/z) for each other z."""
+    of its own.  In a chunk below SHARED_SEARCH_MIN it scans pairs x*y of
+    divisors of h(n+o-1) and h(n+o) for each divisor z of m; in a larger
+    one it bisects the sorted divisors of T = h(n+o-1)*h(n+o), built once
+    per step for the chunk, at mex for z = 1 and at ceil(mex/z) for z > 1."""
 
     def __init__(self, spec: SequenceSpec):
         self.spec = spec
@@ -402,10 +399,8 @@ def _feed(engines: list[SequenceEngine], count: int) -> None:
     engines also shares each step's sorted divisors of T, built for
     SUB_BLOCK steps at a time, which each engine bisects in place of its
     own pair scan."""
-    first = engines[0]
-    start = len(first._a) + 1 + first.spec.offset
-    share = len(engines) >= SHARED_SEARCH_MIN
-    xs = first._xs  # the list the engines carry
+    share, first = len(engines) >= SHARED_SEARCH_MIN, engines[0]
+    xs, start = first._xs, len(first._a) + 1 + first.spec.offset  # carried list, next n + o
     for block in halved_divisor_blocks(start, start + count):
         for j in range(0, len(block), SUB_BLOCK):
             lists = block[j:j + SUB_BLOCK]
@@ -429,9 +424,8 @@ def generate_runs(specs: Iterable[SequenceSpec]) -> Iterator[SequenceRun]:
         for i in range(0, len(like), fit):
             engines = [SequenceEngine(spec) for spec in like[i:i + fit]]
             _feed(engines, count)
-            engines.reverse()
             while engines:
-                yield engines.pop().run()
+                yield engines.pop(0).run()
 
 
 def _triangular_divisors(xs: list[int], lists: list[list[int]]) -> list[list[int]]:

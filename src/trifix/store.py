@@ -143,14 +143,14 @@ def _cached_values(spec: SequenceSpec, payload_path: Path, manifest_path: Path) 
 def load_run(spec: SequenceSpec, cache_dir: str | os.PathLike) -> SequenceRun | None:
     """Load a cached run for ``spec``, or None.  The entry of the sequence
     serves any term_count up to its own, truncated (prefixes are stable);
-    a shorter entry is a plain miss.  An entry that is damaged, written by
-    another engine version or not a valid run is warned about and treated
-    as absent."""
+    a shorter entry, or a file of it gone when read, is a plain miss.  An
+    entry that is damaged, written by another engine version or not a
+    valid run is warned about and treated as absent."""
     payload_path, manifest_path = _paths(spec, cache_dir)
-    if not payload_path.exists() or not manifest_path.exists():
-        return None
     try:
         values = _cached_values(spec, payload_path, manifest_path)
+    except FileNotFoundError:
+        return None
     except ValueError as exc:
         warnings.warn(
             f"cache entry {payload_path} is damaged or invalid: {exc}; treating as absent",

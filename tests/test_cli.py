@@ -1,8 +1,11 @@
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from trifix.cli import (
     CONJECTURE_IDS,
     EXIT_ERROR,
     EXIT_FALSIFIED,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     _format_csv,
     _format_json,
@@ -381,6 +385,54 @@ class TestGenerateErrors:
         assert "error" in err
 
 
+class TestCleanExits:
+    """An interrupted run and one that runs out of memory end with one
+    stderr line and no traceback."""
+
+    @pytest.fixture
+    def raising(self, monkeypatch):
+        """raising(exc) makes the engine's generate_runs raise exc."""
+
+        def raising(exc):
+            def generate_runs(specs):
+                raise exc
+
+            monkeypatch.setattr(trifix.engine, "generate_runs", generate_runs)
+
+        return raising
+
+    def test_an_interrupt_exits_130(self, capsys, raising):
+        raising(KeyboardInterrupt())
+        code, out, err = run_cli(capsys, "generate", "--p", "7", "--terms", "25")
+        assert (code, out, err) == (EXIT_INTERRUPTED, "", "trifix: interrupted\n")
+
+    def test_running_out_of_memory_is_an_error(self, capsys, raising):
+        raising(MemoryError())
+        code, out, err = run_cli(capsys, "generate", "--p", "7", "--terms", "25")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "trifix: error: out of memory at --terms 25; try fewer terms\n"
+
+    def test_sigint_mid_run_exits_130(self):
+        """SIGINT a second into conjecture 6.1 at 3*10^6 terms, which takes
+        many seconds: the engine is stepping when it lands.  The child
+        starts with SIGINT at its default even where this process ignores
+        it (a background job's does), so that Python turns it into
+        KeyboardInterrupt."""
+        child = subprocess.Popen(
+            [sys.executable, "-m", "trifix.cli", "conjecture", "--id", "6.1", "--terms", "3000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            time.sleep(1)
+            child.send_signal(signal.SIGINT)
+            out, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert (child.returncode, out, err) == (EXIT_INTERRUPTED, b"", b"trifix: interrupted\n")
+
+
 class TestAnalyze:
     def test_text_report(self, capsys):
         code, out, _ = run_cli(
@@ -717,6 +769,29 @@ class TestSweep:
             code, second, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK and second == first
         assert json.loads(manifest.read_text())["term_count"] == 121
+
+    @pytest.mark.parametrize("suffix, read", [(".manifest.json", "read_text"),
+                                              (".bfile.txt", "read_bytes")])
+    def test_a_cache_file_removed_mid_read_is_a_miss(self, capsys, tmp_path, monkeypatch,
+                                                     suffix, read):
+        """A file of the entry found but gone when it is read: the sweep
+        regenerates A(3), prints what a cold sweep does and warns of nothing."""
+        cache = tmp_path / "cache"
+        argv = ("sweep", "--p-list", "3", "--terms", "299", "--cache", str(cache))
+        _, cold, _ = run_cli(capsys, *argv)
+        original = getattr(Path, read)
+
+        def vanished(path, *args, **kwargs):
+            if path.name.endswith(suffix):
+                raise FileNotFoundError(2, "No such file or directory", str(path))
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, read, vanished)
+        generated = TestConjecture.count_generated(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, again, err = run_cli(capsys, *argv)
+        assert (code, again, err, generated) == (EXIT_OK, cold, "", [3])
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize("command", ["sweep", "export"])
