@@ -392,13 +392,12 @@ class SequenceEngine:
 
 
 def _feed(engines: list[SequenceEngine], count: int) -> None:
-    """Step ``engines``, of one offset and at one position (their term
-    count), through their next ``count`` terms in lockstep over one stream
-    of divisor lists: each block is sieved once for all of them, and
-    dropped before the next is.  A chunk of at least SHARED_SEARCH_MIN
-    engines also shares each step's sorted divisors of T, built for
-    SUB_BLOCK steps at a time, which each engine bisects in place of its
-    own pair scan."""
+    """Step ``engines``, of one offset and at one position (their term count),
+    through their next ``count`` terms in lockstep over one stream of
+    divisor lists, each block sieved once for all of them and dropped before
+    the next.  A chunk of at least SHARED_SEARCH_MIN also shares each step's
+    sorted divisors of T, built SUB_BLOCK steps at a time, which each engine
+    bisects in place of its pair scan."""
     share, first = len(engines) >= SHARED_SEARCH_MIN, engines[0]
     xs, start = first._xs, len(first._a) + 1 + first.spec.offset  # carried list, next n + o
     for block in halved_divisor_blocks(start, start + count):
@@ -424,8 +423,9 @@ def generate_runs(specs: Iterable[SequenceSpec]) -> Iterator[SequenceRun]:
         for i in range(0, len(like), fit):
             engines = [SequenceEngine(spec) for spec in like[i:i + fit]]
             _feed(engines, count)
+            engines.reverse()
             while engines:
-                yield engines.pop(0).run()
+                yield engines.pop().run()
 
 
 def _triangular_divisors(xs: list[int], lists: list[list[int]]) -> list[list[int]]:
