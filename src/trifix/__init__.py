@@ -13,7 +13,7 @@ from .engine import (
     fixed_points,
     generate,
 )
-from .numtheory import build_spf, is_prime, q_value
+from .numtheory import is_prime, q_value
 
 __all__ = [
     "NO_ZERO",
@@ -22,7 +22,6 @@ __all__ = [
     "SequenceRun",
     "SequenceSpec",
     "TermRecord",
-    "build_spf",
     "fixed_points",
     "generate",
     "is_prime",

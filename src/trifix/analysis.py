@@ -25,7 +25,8 @@ def percent(rate: Fraction) -> str:
 
 
 class ClassificationReport(FrozenValue):
-    """Prime-detection statistics for one run over indices 1..n_limit.
+    """Prime-detection statistics for one run over indices 1..n_limit, its
+    term count less one.
 
     Rates are exact Fractions; use :func:`percent` for two-decimal display.
     ``false_negatives`` counts nonprime n > 1 with a(n) = n (n = 1 is a
@@ -65,22 +66,18 @@ def report_to_json(report: ClassificationReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def classify(run: SequenceRun, n_limit: int | None = None) -> ClassificationReport:
-    """Classify indices 1..n_limit of a run.
+def _n_limit(run: SequenceRun) -> int:
+    """The last index a check of run decides: every one but the last term's."""
+    if len(run.a) < 2:
+        raise ValueError(f"run holds {len(run.a)} term(s); a check needs at least 2")
+    return len(run.a) - 1
 
-    The run must hold at least n_limit + 1 terms: deciding whether prime n
-    is a near match (a(n+1) = n) needs term n + 1.
-    """
-    if n_limit is None:
-        n_limit = len(run.a) - 1
-    if n_limit < 1:
-        raise ValueError(f"n_limit must be >= 1, got {n_limit}")
-    if len(run.a) < n_limit + 1:
-        raise ValueError(
-            f"run holds {len(run.a)} terms; classifying up to n={n_limit} "
-            f"needs {n_limit + 1} (near matches at n={n_limit} are undecidable)"
-        )
 
+def classify(run: SequenceRun) -> ClassificationReport:
+    """Classify indices 1..N of a run of N + 1 terms: deciding whether
+    prime n is a near match (a(n+1) = n) needs term n + 1.  To classify a
+    prefix, classify a run of that prefix plus one term."""
+    n_limit = _n_limit(run)
     prime = prime_flags(n_limit)
 
     p = run.spec.multiplier  # 1 outside the standard variant: never prime
@@ -174,26 +171,22 @@ def _check_conjecture_id(conjecture_id: str) -> None:
         raise ValueError(f"unknown conjecture {conjecture_id!r}")
 
 
-def check_conjecture(conjecture_id: str, run: SequenceRun,
-                     n_limit: int | None = None) -> ConjectureResult:
-    """Check one run at indices 1..n_limit for conjecture 3.1 (every fixed
-    point is odd; n_limit defaults to every term), 3.2 (every eligible
-    prime n is a(n) or a(n+1)), or 5.1 and 6.1 (every eligible prime is a
-    fixed point, for the shifted sequence and for a large p).  3.2, 5.1 and
-    6.1 need term n_limit + 1.  Reports raw facts: a run outside a
-    conjecture's scope (e.g. A(2) for 3.1) simply fails."""
+def check_conjecture(conjecture_id: str, run: SequenceRun) -> ConjectureResult:
+    """Check indices 1..N of a run of N + 1 terms, as classify does, for
+    conjecture 3.1 (every fixed point is odd), 3.2 (every eligible prime n
+    is a(n) or a(n+1)), or 5.1 and 6.1 (every eligible prime is a fixed
+    point, for the shifted sequence and for a large p).  Reports raw facts:
+    a run outside a conjecture's scope (e.g. A(2) for 3.1) simply fails."""
     _check_conjecture_id(conjecture_id)
     a = run.a
+    n_limit = _n_limit(run)
     if conjecture_id == "3.1":
-        n_limit = len(a) if n_limit is None else n_limit
-        if len(a) < n_limit:
-            raise ValueError(f"checking up to n={n_limit} needs {n_limit} terms")
         bad = {n: f"even fixed point a({n}) = {n}"
                for n in fixed_points(run) if n % 2 == 0 and n <= n_limit}
         checked = 0
     else:
-        report = classify(run, n_limit)
-        n_limit, checked, missed = report.n_limit, report.total_eligible_primes, report.missed_primes
+        report = classify(run)
+        checked, missed = report.total_eligible_primes, report.missed_primes
         if conjecture_id == "3.2":
             bad = {n: f"a({n}) = {a[n - 1]}, a({n + 1}) = {a[n]}" for n in missed if a[n] != n}
         elif conjecture_id == "5.1":
@@ -221,7 +214,7 @@ def run_conjecture(conjecture_id: str, n_limit: int,
     else:
         p_list = _DEFAULT_P_LISTS[conjecture_id] if p_list is None else p_list
         specs = [SequenceSpec.standard(p, n_limit + 1) for p in p_list]
-    results = _each_run(specs, partial(check_conjecture, conjecture_id, n_limit=n_limit))
+    results = _each_run(specs, partial(check_conjecture, conjecture_id))
     if conjecture_id in ("3.1", "3.2"):
         return tuple(results)
     return (ConjectureResult(conjecture_id, tuple(spec.label() for spec in specs), n_limit,
@@ -324,11 +317,8 @@ def sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    from functools import partial
-
     specs = [SequenceSpec.standard(p, n_limit + 1) for p in p_list]
-    reports = tuple(_each_run(specs, partial(classify, n_limit=n_limit),
-                              jobs=jobs, cache_dir=cache_dir))
+    reports = tuple(_each_run(specs, classify, jobs=jobs, cache_dir=cache_dir))
 
     missed = [set(r.missed_primes) for r in reports]
     union = set.intersection(*missed) if missed else set()

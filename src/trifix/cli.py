@@ -218,7 +218,7 @@ def _cmd_analyze(args) -> int:
         small = _parse_p_list(args.filter_small_primes, "--filter-small-primes")
         analysis.check_small_primes(small)  # before the run, which may be long
     run = generate(spec)
-    report = analysis.classify(run, args.terms)
+    report = analysis.classify(run)
     if args.format == "json":
         _emit([analysis.report_to_json(report)], args.out)
         return EXIT_OK
@@ -291,8 +291,6 @@ def _format_conjecture(result: analysis.ConjectureResult) -> str:
 def _cmd_conjecture(args) -> int:
     from . import analysis
 
-    if args.terms < 1:
-        raise ValueError(f"--terms must be >= 1, got {args.terms}")
     if args.id == "5.1" and args.p_list is not None:
         raise ValueError("--p-list does not apply to --id 5.1, "
                          "which checks the shifted sequence")
@@ -452,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --help/--version/flag errors
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
+        least = 2 if args.command in ("sweep", "export") else 1  # analysis.sweep's least N
+        if args.terms < least:
+            raise ValueError(f"--terms must be >= {least}, got {args.terms}")
         return args.func(args)
     except BrokenPipeError:
         return EXIT_ERROR

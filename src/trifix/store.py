@@ -9,10 +9,11 @@ little-endian host, so a hit decodes its N words in one call and parses no
 text.  Payloads are not human-readable: ``generate --format bfile`` and
 ``oeis-check`` are the way to compare runs with OEIS data.  The payload's
 ``.bfile.txt`` suffix is historical, kept because the benchmark harness
-finds entries by it.  A JSON manifest alongside each payload carries
-creation parameters and a sha256 checksum of the payload.  Writes go to a
-temporary file then rename, so a crashed sweep never leaves a truncated
-entry observable.
+finds entries by it.  A JSON manifest alongside each payload names the
+entry's sequence, layout and engine, which a read compares with its own,
+and carries the term count and a sha256 checksum of the payload.  Writes
+go to a temporary file then rename, so a crashed sweep never leaves a
+truncated entry observable.
 """
 
 from __future__ import annotations
@@ -64,21 +65,25 @@ def _write_atomic(path: Path, data: bytes | array) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _identity(spec: SequenceSpec) -> dict:
+    """The manifest fields that name an entry's sequence and writer: an
+    entry whose fields differ is another sequence's, layout's or engine's."""
+    from . import __version__
+
+    return {"variant": spec.variant, "p": spec.p, "format_version": FORMAT_VERSION,
+            "engine_version": __version__}
+
+
 def save_run(run: SequenceRun, cache_dir: str | os.PathLike) -> CacheEntry:
     """Persist a run as its sequence's entry, replacing any earlier one;
     the payload is its a-values as little-endian 64-bit words."""
-    from . import __version__
-
     payload = run.a
     if sys.byteorder == "big":  # swap a copy; else run.a is written as it is
         payload = array("q", payload)
         payload.byteswap()
     manifest = {
-        "variant": run.spec.variant,
-        "p": run.spec.p,
+        **_identity(run.spec),
         "term_count": run.spec.term_count,
-        "format_version": FORMAT_VERSION,
-        "engine_version": __version__,
         "sha256": hashlib.sha256(payload).hexdigest(),
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
@@ -93,8 +98,6 @@ def _cached_values(spec: SequenceSpec, payload_path: Path, manifest_path: Path) 
     """a(1..N) of spec from its cache entry as an ``array('q')``, or None if
     the entry is a shorter run.  Raises ValueError (malformed or too deeply
     nested JSON included) saying why the entry is damaged, stale or not a run of spec."""
-    from . import __version__
-
     payload = payload_path.read_bytes()
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -103,10 +106,9 @@ def _cached_values(spec: SequenceSpec, payload_path: Path, manifest_path: Path) 
     digest = hashlib.sha256(payload).hexdigest()
     if not isinstance(manifest, dict) or digest != manifest.get("sha256"):
         raise ValueError("payload does not match the manifest's sha256 checksum")
-    if manifest.get("engine_version") != __version__:
-        raise ValueError(
-            f"engine version {manifest.get('engine_version')!r}, expected {__version__!r}"
-        )
+    for field, expected in _identity(spec).items():
+        if manifest.get(field) != expected:
+            raise ValueError(f"{field.replace('_', ' ')} {manifest.get(field)!r}, expected {expected!r}")
     held = manifest.get("term_count")
     if not isinstance(held, int):
         raise ValueError(f"manifest term count {held!r} is not an integer")

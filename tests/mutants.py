@@ -118,6 +118,9 @@ MUTANTS = [
            "memoryview(payload)[:8 * count]", "memoryview(payload)[:8 * held]"),
     Mutant("the checksum is not compared", STORE, "_cached_values",
            'digest != manifest.get("sha256")', 'digest is None'),
+    Mutant("the manifest's p is not compared", STORE, "_cached_values",
+           "if manifest.get(field) != expected:",
+           'if manifest.get(field) != expected and field != "p":'),
 ]
 
 

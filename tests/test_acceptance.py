@@ -121,7 +121,7 @@ def test_criterion_6_triangular_variants(shifted_run):
     assert tuple(no_zero.a[:12]) == (1, 3, 2, 5, 15, 7, 4, 6, 9, 11, 22, 13)
     assert fixed_points(no_zero)[:6] == [1, 9, 25, 49, 57, 65]
 
-    report = classify(shifted_run, N)
+    report = classify(shifted_run)
     assert report.excluded_primes == (2,)
     assert report.detected == report.total_eligible_primes == 1228
     assert report.missed_primes == ()
@@ -165,7 +165,7 @@ def test_criterion_7_a9_equals_a3_full_range(family_runs):
 
 
 def test_criterion_8_large_multiplier_full_detection():
-    report = classify(generate(SequenceSpec.standard(541, N + 1)), N)
+    report = classify(generate(SequenceSpec.standard(541, N + 1)))
     assert report.excluded_primes == (2, 541)
     assert report.detected == report.total_eligible_primes == 1227
     assert report.missed_primes == ()

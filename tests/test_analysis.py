@@ -23,7 +23,7 @@ def a3_run():
 
 @pytest.fixture(scope="module")
 def a3_report(a3_run):
-    return classify(a3_run, 200)
+    return classify(a3_run)
 
 
 class TestPercent:
@@ -59,7 +59,7 @@ class TestClassify:
         expected_fn = [n for n in range(2, n_limit + 1)
                        if not naive_is_prime(n) and a[n - 1] == n]
 
-        report = classify(generate(SequenceSpec.standard(3, n_limit + 1)), n_limit)
+        report = classify(generate(SequenceSpec.standard(3, n_limit + 1)))
         assert report.detected == expected_detected
         assert report.near_matches == expected_near
         assert report.false_negative_values == tuple(expected_fn)
@@ -83,28 +83,31 @@ class TestClassify:
         assert 1 not in a3_report.false_negative_values
 
     def test_bootstrap_duplicate_not_a_false_negative(self):
-        report = classify(generate(SequenceSpec.shifted(101)), 100)
+        report = classify(generate(SequenceSpec.shifted(101)))
         assert 2 not in report.false_negative_values
         assert report.excluded_primes == (2,)
 
     def test_requires_one_extra_term(self):
-        run = generate(SequenceSpec.standard(3, 100))
-        with pytest.raises(ValueError):
-            classify(run, 100)
-        classify(run, 99)  # fine
+        """The last term only decides near matches: a run of 100 terms
+        classifies n <= 99, and a run of one term classifies nothing."""
+        assert classify(generate(SequenceSpec.standard(3, 100))).n_limit == 99
+        with pytest.raises(ValueError, match=r"^run holds 1 term\(s\); a check needs at least 2$"):
+            classify(generate(SequenceSpec.standard(3, 1)))
 
-    def test_default_n_limit(self, a3_run, a3_report):
-        assert classify(a3_run) == a3_report
+    def test_n_limit_is_the_term_count_less_one(self, a3_report):
+        """A prefix is classified from a run of its own N + 1 terms."""
+        assert a3_report.n_limit == 200
+        assert classify(generate(SequenceSpec.standard(3, 101))).missed_primes == (17,)
 
     def test_excluded_primes_variants(self):
-        assert classify(generate(SequenceSpec.standard(2, 51)), 50).excluded_primes == (2,)
-        assert classify(generate(SequenceSpec.standard(9, 51)), 50).excluded_primes == (2,)
-        assert classify(generate(SequenceSpec.no_zero(51)), 50).excluded_primes == (2,)
+        assert classify(generate(SequenceSpec.standard(2, 51))).excluded_primes == (2,)
+        assert classify(generate(SequenceSpec.standard(9, 51))).excluded_primes == (2,)
+        assert classify(generate(SequenceSpec.no_zero(51))).excluded_primes == (2,)
         # p beyond the classified range is not excluded
-        assert classify(generate(SequenceSpec.standard(199, 51)), 50).excluded_primes == (2,)
+        assert classify(generate(SequenceSpec.standard(199, 51))).excluded_primes == (2,)
 
     def test_determinism(self, a3_run):
-        assert classify(a3_run, 200) == classify(a3_run, 200)
+        assert classify(a3_run) == classify(a3_run)
 
 
 class TestClassificationMatrix:
@@ -114,7 +117,7 @@ class TestClassificationMatrix:
         assert matrix[0][1] + matrix[1][1] == 1
 
     def test_zero_miss_structure(self):
-        report = classify(generate(SequenceSpec.standard(2, 101)), 100)
+        report = classify(generate(SequenceSpec.standard(2, 101)))
         matrix = classification_matrix(report)
         assert matrix[0][0] == 1 and matrix[1][0] == 0
 
@@ -138,13 +141,15 @@ class TestConjecture31:
         assert [c.n for c in result.counterexamples[:3]] == [2, 4, 6]
 
     def test_n_limit_bounds_the_check(self):
-        run = generate(SequenceSpec.standard(2, 100))  # a(n) = n for every n
-        assert check_conjecture("3.1", run).n_limit == 100
-        result = check_conjecture("3.1", run, 7)
+        """The library and run_conjecture check the same indices: n <= N
+        of a run of N + 1 terms, so A(2)'s a(8) = 8 is not checked at N = 7."""
+        run = generate(SequenceSpec.standard(2, 8))  # a(n) = n for every n
+        result = check_conjecture("3.1", run)
         assert result.n_limit == 7
         assert [c.n for c in result.counterexamples] == [2, 4, 6]
-        with pytest.raises(ValueError, match="needs 101 terms"):
-            check_conjecture("3.1", run, 101)
+        assert analysis.run_conjecture("3.1", 7, [2]) == (result,)
+        with pytest.raises(ValueError, match="run holds 1 term"):
+            check_conjecture("3.1", generate(SequenceSpec.standard(2, 1)))
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_family_at_moderate_depth(self, p):
@@ -153,20 +158,21 @@ class TestConjecture31:
 
 class TestConjecture32:
     def test_a3_holds(self, a3_run, a3_report):
-        result = check_conjecture("3.2", a3_run, 200)
+        result = check_conjecture("3.2", a3_run)
         assert result.holds
         assert a3_report.detected + a3_report.near_matches == a3_report.total_eligible_primes
 
     def test_a7_prefix_has_no_near_matches(self):
         run = generate(SequenceSpec.standard(7, 26))
-        report = classify(run, 24)
+        report = classify(generate(SequenceSpec.standard(7, 25)))
         assert report.near_matches == 0
         assert report.detected == report.total_eligible_primes == 7
-        assert check_conjecture("3.2", run, 25).holds
+        assert check_conjecture("3.2", run).holds
 
     def test_requires_one_extra_term(self):
-        with pytest.raises(ValueError):
-            check_conjecture("3.2", generate(SequenceSpec.standard(3, 100)), 100)
+        assert check_conjecture("3.2", generate(SequenceSpec.standard(3, 100))).n_limit == 99
+        with pytest.raises(ValueError, match="run holds 1 term"):
+            check_conjecture("3.2", generate(SequenceSpec.standard(3, 1)))
 
 
 class TestConjecture51:
@@ -220,7 +226,7 @@ class TestCheckConjecture:
             raise AssertionError("check_conjecture must not generate")
 
         monkeypatch.setattr(analysis, "generate_runs", no_generate)
-        result = check_conjecture(cid, a3_run, 200)
+        result = check_conjecture(cid, a3_run)
         assert (result.conjecture_id, result.sequences, result.n_limit) == (cid, ("A(3)",), 200)
 
     def test_unknown_id(self, a3_run):
@@ -264,7 +270,7 @@ class TestRunConjecture:
         calls = generated_specs(monkeypatch)
         results = analysis.run_conjecture(cid, 300, [3, 2, 3, 3])
         assert calls == [SequenceSpec.standard(3, 301), SequenceSpec.standard(2, 301)]
-        by_p = {p: check_conjecture(cid, generate(SequenceSpec.standard(p, 301)), 300)
+        by_p = {p: check_conjecture(cid, generate(SequenceSpec.standard(p, 301)))
                 for p in (2, 3)}
         assert results == tuple(by_p[p] for p in (3, 2, 3, 3))
 
@@ -355,7 +361,7 @@ def test_composite_fixed_point_criterion(p):
 def test_landscape_at_10_4(p, first_miss):
     # A(127) and A(131) miss no eligible prime up to 10^4; a composite p
     # misses 3, which a(2) = 3, the least divisor of q(2) = p above 1, takes
-    report = classify(standard_run(p, 10_000), 10_000)
+    report = classify(standard_run(p, 10_000))
     assert report.missed_primes[:1] == first_miss
 
 
@@ -374,7 +380,7 @@ class TestFilterFalseNegatives:
             filter_false_negatives(a3_report, [3, bad])
 
     def test_multiples_removed(self):
-        report = classify(generate(SequenceSpec.no_zero(101)), 100)
+        report = classify(generate(SequenceSpec.no_zero(101)))
         assert 9 in report.false_negative_values
         remaining = filter_false_negatives(report, [3])
         assert 9 not in remaining
@@ -404,7 +410,7 @@ class TestSweep:
     @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
     def test_jobs_split_repeated_p_without_changing_results(self, jobs):
         p_list = [7, 3, 199, 3, 5, 7, 11, 7]
-        alone = {p: classify(generate(SequenceSpec.standard(p, 301)), 300)
+        alone = {p: classify(generate(SequenceSpec.standard(p, 301)))
                  for p in set(p_list)}
         result = sweep(p_list, 300, jobs=jobs)
         assert result.reports == tuple(alone[p] for p in p_list)

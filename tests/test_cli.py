@@ -385,6 +385,26 @@ class TestGenerateErrors:
         assert "error" in err
 
 
+@pytest.mark.parametrize("argv, least", [
+    (["generate", "--p", "3"], 1),
+    (["analyze", "--p", "3"], 1),
+    (["oeis-check", "--bfile", "{data}/b000217.txt", "--p", "3"], 1),
+    (["conjecture", "--id", "3.1", "--p-list", "3"], 1),
+    (["sweep", "--p-list", "3"], 2),
+    (["export", "--what", "table2", "--p-list", "3", "--cache", "{tmp}/cache"], 2),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_terms_below_the_least_are_named_by_the_flag(capsys, data_dir, tmp_path, argv, least):
+    """Each command refuses --terms below its least value, before any work,
+    naming the flag; at the least value it runs."""
+    argv = [arg.format(data=data_dir, tmp=tmp_path) for arg in argv]
+    for terms in (least - 1, -3):
+        code, out, err = run_cli(capsys, *argv, "--terms", str(terms))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"trifix: error: --terms must be >= {least}, got {terms}\n"
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(capsys, *argv, "--terms", str(least))[0] == EXIT_OK
+
+
 class TestCleanExits:
     """An interrupted run and one that runs out of memory end with one
     stderr line and no traceback."""
@@ -869,9 +889,9 @@ class TestSweep:
             looked_up.append(spec.p)
             return load_run(spec, cache_dir)
 
-        def counting_classify(run, n_limit=None):
+        def counting_classify(run):
             classified.append(run.spec.p)
-            return classify(run, n_limit)
+            return classify(run)
 
         monkeypatch.setattr(trifix.store, "load_run", counting_load)
         monkeypatch.setattr(trifix.analysis, "classify", counting_classify)

@@ -121,7 +121,7 @@ class TestRunCache:
         entry_files = ["p3_v2.bfile.txt", "p3_v2.manifest.json"]
         for n_limit in (120, 300):
             assert sweep([3], n_limit, cache_dir=cache).reports[0] == \
-                classify(generate(SequenceSpec.standard(3, n_limit + 1)), n_limit)
+                classify(generate(SequenceSpec.standard(3, n_limit + 1)))
             assert sorted(f.name for f in (cache / "standard").iterdir()) == entry_files
         manifest = json.loads((cache / "standard" / "p3_v2.manifest.json").read_text())
         assert manifest["term_count"] == 301
@@ -134,7 +134,7 @@ class TestRunCache:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert load_run(spec, cache) == generate(spec)
-            assert sweep([3], 120, cache_dir=cache).reports[0] == classify(generate(spec), 120)
+            assert sweep([3], 120, cache_dir=cache).reports[0] == classify(generate(spec))
         assert sorted(f.name for f in (cache / "standard").iterdir()) == entry_files
 
     def test_shorter_request_reads_only_its_words(self, cache):
@@ -197,7 +197,7 @@ class TestRunCache:
             warnings.simplefilter("error")
             assert load_run(run.spec, cache) is None
             for _ in range(2):  # a miss that writes the v2 entry, then a hit
-                assert sweep([3], 100, cache_dir=cache).reports[0] == classify(run, 100)
+                assert sweep([3], 100, cache_dir=cache).reports[0] == classify(run)
             assert load_run(run.spec, cache) == run
         assert (cache / "standard" / "p3_v2.bfile.txt").read_bytes() == words(run.a)
         assert {path: path.read_text() for path in v1} == v1
@@ -270,7 +270,7 @@ class TestDamagedEntries:
         with pytest.warns(UserWarning, match="nests too deeply to parse; treating as absent$") as caught:
             report = sweep([7], 24, cache_dir=cache).reports[0]
         assert len(caught) == 1
-        assert report == classify(generate(run.spec), 24)
+        assert report == classify(generate(run.spec))
         assert json.loads(manifest_path(entry).read_text())["term_count"] == 25
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -337,6 +337,42 @@ class TestDamagedEntries:
         rewrite_entry(entry, engine_version="0.0.0")
         self.assert_absent(run.spec, cache, "engine version '0.0.0'")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("variant", "shifted", "variant 'shifted', expected 'standard'"),
+        ("p", 21, "p 21, expected 7"),
+        ("p", None, "p None, expected 7"),
+        ("format_version", 1, "format version 1, expected 2"),
+    ])
+    def test_identity_must_match(self, cache, a7, field, value, message):
+        """The manifest names the entry's sequence and layout; an entry
+        filed under another's names is not served."""
+        run, entry = a7
+        rewrite_entry(entry, **{field: value})
+        self.assert_absent(run.spec, cache, rf"invalid: {message}; treating as absent$")
+
+    def test_entry_filed_under_another_p(self, cache):
+        """A(3)'s terms divide A(9)'s q(n) and pass every other check, so
+        only the manifest's p tells an A(3) entry copied to A(9)'s names
+        apart: a load warns once and misses, and a sweep regenerates A(9)
+        and reports its cold numbers."""
+        sweep([3], 3000, cache_dir=cache)
+        standard = cache / "standard"
+        for suffix in (".bfile.txt", ".manifest.json"):
+            (standard / f"p9_v2{suffix}").write_bytes((standard / f"p3_v2{suffix}").read_bytes())
+        spec = SequenceSpec.standard(9, 3001)
+        match = r"p9_v2\.bfile\.txt is damaged or invalid: p 3, expected 9; treating as absent$"
+        with pytest.warns(UserWarning, match=match) as caught:
+            assert load_run(spec, cache) is None
+        assert len(caught) == 1
+        with pytest.warns(UserWarning, match=match) as caught:
+            report = sweep([9], 3000, cache_dir=cache).reports[0]
+        assert len(caught) == 1
+        assert (report.detected, report.near_matches, len(report.missed_primes)) == (401, 27, 28)
+        assert report == classify(generate(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_run(spec, cache) == generate(spec)
+
     def test_first_term_must_be_1(self, cache, a7):
         # q(1) = 0, so divisibility alone would accept any a(1)
         run, entry = a7
@@ -373,7 +409,7 @@ class TestDamagedEntries:
         with pytest.warns(UserWarning, match="treating as absent") as caught:
             report = sweep([7], 24, cache_dir=cache).reports[0]
         assert len(caught) == 1
-        assert report == classify(run, 24)
+        assert report == classify(run)
         assert entry.payload_path.read_bytes() == words(run.a)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -399,7 +435,7 @@ class TestDamageDeepInALongEntry:
         with pytest.warns(UserWarning, match=rf"invalid: a\(9000\) = {q + 1} does not "
                                              rf"divide q\(9000\); treating as absent$"):
             report = sweep([199], 10_000, cache_dir=cache).reports[0]
-        assert report == classify(a199_10k, 10_000)
+        assert report == classify(a199_10k)
         assert entry.payload_path.read_bytes() == words(a199_10k.a)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -598,7 +634,7 @@ class TestServedPrefix:
         with pytest.warns(UserWarning, match=r"invalid: a\(1500\) = 0 does not divide"):
             report = sweep([199], 1999, cache_dir=cache).reports[0]
         spec = SequenceSpec.standard(199, 2000)
-        assert report == classify(generate(spec), 1999)
+        assert report == classify(generate(spec))
         assert entry.payload_path.read_bytes() == words(generate(spec).a)
 
 
@@ -779,7 +815,7 @@ class TestExports:
 
 class TestReportJson:
     def test_fields_mirror_report(self):
-        report = classify(generate(SequenceSpec.standard(3, 101)), 100)
+        report = classify(generate(SequenceSpec.standard(3, 101)))
         doc = json.loads(report_to_json(report))
         assert set(doc) == {
             "spec", "n_limit", "excluded_primes", "detected", "near_matches",
@@ -793,5 +829,5 @@ class TestReportJson:
         assert doc["success_rate"] == pytest.approx(float(report.success_rate))
 
     def test_byte_stable(self):
-        report = classify(generate(SequenceSpec.standard(3, 101)), 100)
+        report = classify(generate(SequenceSpec.standard(3, 101)))
         assert report_to_json(report) == report_to_json(report)

@@ -22,7 +22,7 @@ from trifix.store import CacheEntry
 
 SPEC = SequenceSpec.standard(3, 31)
 RUN = generate(SPEC)
-REPORT = classify(RUN, 30)
+REPORT = classify(RUN)
 MISS = Counterexample("A(3)", 17, "eligible prime not a fixed point")
 
 # Each class with the fields of one valid instance, in field order.
