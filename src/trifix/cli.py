@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: generate, analyze, sweep, conjecture, oeis-check, export.
-Data goes to stdout (or --out); diagnostics go to stderr.  Exit codes:
-0 success, 1 operational error (bad flags, I/O, overflow, out of memory),
-2 a checked conjecture was falsified, 130 interrupted.
+Every one takes --terms and --out.  Data goes to stdout (or --out),
+written by ``main`` alone once the command's other work has succeeded;
+diagnostics go to stderr.  Exit codes: 0 success, 1 operational error
+(bad flags, I/O, overflow, out of memory), 2 a checked conjecture was
+falsified, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -36,14 +38,13 @@ CACHE_ENV_VAR = "TRIFIX_CACHE_DIR"
 
 CONJECTURE_IDS = ("3.1", "3.2", "5.1", "6.1")
 
+# The tables a sweep exports, in order: export --what's choices, the CSV
+# files of sweep --export-dir, and store's export_<name> functions.
+TABLES = ("table2", "table3", "figure2")
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad flags; 2 is reserved for
-    falsified conjectures, so flag errors are remapped to 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+# What a command returns: the pieces main writes to stdout (or --out) and
+# the exit code.
+Output = tuple[Iterable[str], int]
 
 
 def _parse_p_list(text: str, flag: str = "--p-list") -> list[int]:
@@ -56,21 +57,14 @@ def _parse_p_list(text: str, flag: str = "--p-list") -> list[int]:
     return values
 
 
-def _cache_dir(args) -> str | None:
-    """--cache, else $TRIFIX_CACHE_DIR; an empty value counts as unset."""
-    return args.cache or os.environ.get(CACHE_ENV_VAR) or None
-
-
 def _spec_from_args(args, term_count: int) -> SequenceSpec:
-    variant = getattr(args, "variant", None)
-    p = getattr(args, "p", None)
-    if variant in (None, STANDARD):
-        if p is None:
+    if args.variant in (None, STANDARD):
+        if args.p is None:
             raise ValueError("standard variant requires --p")
-        return SequenceSpec.standard(p, term_count)
-    if p is not None:
-        raise ValueError(f"--p is meaningless for variant {variant!r}")
-    return SequenceSpec(variant, term_count)
+        return SequenceSpec.standard(args.p, term_count)
+    if args.p is not None:
+        raise ValueError(f"--p is meaningless for variant {args.variant!r}")
+    return SequenceSpec(args.variant, term_count)
 
 
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
@@ -151,18 +145,14 @@ def _format_json(run: SequenceRun) -> Iterator[str]:
     )
 
 
-def _cmd_generate(args) -> int:
-    spec = _spec_from_args(args, args.terms)
-    run = generate(spec)
+def _cmd_generate(args) -> Output:
+    run = generate(_spec_from_args(args, args.terms))
     if args.format == "bfile":
         from .oeis import write_bfile
 
-        pieces = [write_bfile(run)]
-    else:
-        formatter = {"table": _format_table, "csv": _format_csv, "json": _format_json}
-        pieces = formatter[args.format](run)
-    _emit(pieces, args.out)
-    return EXIT_OK
+        return [write_bfile(run)], EXIT_OK
+    formatter = {"table": _format_table, "csv": _format_csv, "json": _format_json}
+    return formatter[args.format](run), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +193,7 @@ def _format_report(report: analysis.ClassificationReport, near_list: list[int] |
     return "\n".join(lines) + "\n"
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> Output:
     from . import analysis
 
     spec = _spec_from_args(args, args.terms + 1)
@@ -220,15 +210,13 @@ def _cmd_analyze(args) -> int:
     run = generate(spec)
     report = analysis.classify(run)
     if args.format == "json":
-        _emit([analysis.report_to_json(report)], args.out)
-        return EXIT_OK
+        return [analysis.report_to_json(report)], EXIT_OK
 
     near_list = None
     if args.near_matches:
         near_list = [n for n in report.missed_primes if run.a[n] == n]
     remaining = () if small is None else analysis.filter_false_negatives(report, small)
-    _emit([_format_report(report, near_list, small, remaining)], args.out)
-    return EXIT_OK
+    return [_format_report(report, near_list, small, remaining)], EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +242,36 @@ def _format_sweep(sweep: analysis.SweepReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_sweep(args) -> int:
-    from . import analysis, store
+def _sweep(args) -> analysis.SweepReport:
+    """The sweep that sweep and export run.  Its cache is --cache, else
+    $TRIFIX_CACHE_DIR (an empty value counts as unset); export requires one."""
+    from . import analysis
 
     p_list = _parse_p_list(args.p_list)
-    sweep = analysis.sweep(p_list, args.terms, jobs=args.jobs, cache_dir=_cache_dir(args))
-    _emit([_format_sweep(sweep)], args.out)
+    cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR) or None
+    if cache_dir is None and args.command == "export":
+        raise ValueError(f"export needs --cache or ${CACHE_ENV_VAR}")
+    return analysis.sweep(p_list, args.terms, jobs=args.jobs, cache_dir=cache_dir)
+
+
+def _export(name: str, sweep: analysis.SweepReport) -> str:
+    """Table ``name`` of TABLES as CSV text, by store's exporter of that name."""
+    from . import store
+
+    return getattr(store, f"export_{name}")(sweep)
+
+
+def _cmd_sweep(args) -> Output:
+    sweep = _sweep(args)
     if args.export_dir:
         from pathlib import Path
 
         out = Path(args.export_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "table2.csv").write_text(store.export_table2(sweep), encoding="utf-8")
-        (out / "table3.csv").write_text(store.export_table3(sweep), encoding="utf-8")
-        (out / "figure2.csv").write_text(store.export_figure2(sweep), encoding="utf-8")
-        print(f"wrote table2.csv, table3.csv, figure2.csv to {out}", file=sys.stderr)
-    return EXIT_OK
+        for name in TABLES:
+            (out / f"{name}.csv").write_text(_export(name, sweep), encoding="utf-8")
+        print(f"wrote {', '.join(f'{name}.csv' for name in TABLES)} to {out}", file=sys.stderr)
+    return [_format_sweep(sweep)], EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +290,7 @@ def _format_conjecture(result: analysis.ConjectureResult) -> str:
     )
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args) -> Output:
     from . import analysis
 
     if args.id == "5.1" and args.p_list is not None:
@@ -301,8 +303,7 @@ def _cmd_conjecture(args) -> int:
         total = results[0].primes_checked
         text = (f"{total - len(results[0].counterexamples)}/{total} odd primes detected "
                 f"as fixed points of the shifted sequence\n") + text
-    _emit([text], args.out)
-    return EXIT_OK if all(r.holds for r in results) else EXIT_FALSIFIED
+    return [text], EXIT_OK if all(r.holds for r in results) else EXIT_FALSIFIED
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +314,7 @@ _BFILE_NAME = re.compile(r"b(\d{6})\.txt")
 _OEIS_ID = re.compile(r"A\d{6}")
 
 
-def _cmd_oeis_check(args) -> int:
+def _cmd_oeis_check(args) -> Output:
     from pathlib import Path
 
     from . import oeis
@@ -342,118 +343,93 @@ def _cmd_oeis_check(args) -> int:
     else:
         idx, expected, actual = result.first_mismatch
         verdict = f"MISMATCH at index {idx}: expected {expected}, got {actual}"
-    _emit([f"{spec.label()} [{args.field}] vs {sequence_id} shift {args.shift}: {verdict}\n"],
-          args.out)
-    return EXIT_OK
+    return [f"{spec.label()} [{args.field}] vs {sequence_id} shift {args.shift}: {verdict}\n"], EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # export
 
 
-def _cmd_export(args) -> int:
-    from . import analysis, store
-
-    p_list = _parse_p_list(args.p_list)
-    cache_dir = _cache_dir(args)
-    if cache_dir is None:
-        raise ValueError(f"export needs --cache or ${CACHE_ENV_VAR}")
-    sweep = analysis.sweep(p_list, args.terms, jobs=args.jobs, cache_dir=cache_dir)
-    exporter = {
-        "table2": store.export_table2,
-        "table3": store.export_table3,
-        "figure2": store.export_figure2,
-    }[args.what]
-    _emit([exporter(sweep)], args.out)
-    return EXIT_OK
+def _cmd_export(args) -> Output:
+    return [_export(args.what, _sweep(args))], EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="trifix", description=__doc__)
+    parser = argparse.ArgumentParser(prog="trifix", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_flags(p):
-        p.add_argument("--p", type=int, default=None, help="multiplier for the standard variant")
-        p.add_argument(
-            "--variant",
-            choices=(STANDARD, NO_ZERO, SHIFTED),
-            default=None,
-            help="sequence variant (default standard, which requires --p)",
-        )
-        p.add_argument("--terms", type=int, default=10_000, metavar="N",
-                       help="number of term indices (default %(default)s)")
+    # the flags commands share, each declared once in a parent parser
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--terms", type=int, default=10_000, metavar="N",
+                        help="number of term indices (default %(default)s)")
+    shared.add_argument("--out", default=None, help="write to file instead of stdout")
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--p", type=int, default=None, help="multiplier for the standard variant")
+    spec.add_argument("--variant", choices=(STANDARD, NO_ZERO, SHIFTED), default=None,
+                      help="sequence variant (default standard, which requires --p)")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--p-list", required=True, metavar="LIST", help="comma-separated p values")
+    family.add_argument("--jobs", type=int, default=1, help="parallel workers across p values")
+    family.add_argument("--cache", default=None,
+                        help=f"run cache directory (default ${CACHE_ENV_VAR})")
 
-    g = sub.add_parser("generate", help="generate a sequence and print its terms")
-    add_spec_flags(g)
+    def command(name, func, parents, summary):
+        p = sub.add_parser(name, parents=[shared, *parents], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    g = command("generate", _cmd_generate, [spec], "generate a sequence and print its terms")
     g.add_argument("--format", choices=("table", "csv", "json", "bfile"), default="table")
-    g.add_argument("--out", default=None, help="write to file instead of stdout")
-    g.set_defaults(func=_cmd_generate)
 
-    a = sub.add_parser("analyze", help="classification report for one sequence")
-    add_spec_flags(a)
+    a = command("analyze", _cmd_analyze, [spec], "classification report for one sequence")
     a.add_argument("--near-matches", action="store_true",
                    help="also list primes appearing one position late")
     a.add_argument("--filter-small-primes", metavar="LIST", default=None,
                    help="comma-separated primes; report false negatives not divisible by any")
     a.add_argument("--format", choices=("text", "json"), default="text")
-    a.add_argument("--out", default=None)
-    a.set_defaults(func=_cmd_analyze)
 
-    s = sub.add_parser("sweep", help="classify a family of standard sequences")
-    s.add_argument("--p-list", required=True, metavar="LIST", help="comma-separated p values")
-    s.add_argument("--terms", type=int, default=10_000, metavar="N")
-    s.add_argument("--jobs", type=int, default=1, help="parallel workers across p values")
-    s.add_argument("--cache", default=None, help=f"run cache directory (default ${CACHE_ENV_VAR})")
+    s = command("sweep", _cmd_sweep, [family], "classify a family of standard sequences")
     s.add_argument("--export-dir", default=None,
-                   help="also write table2/table3/figure2 CSV files here")
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=_cmd_sweep)
+                   help=f"also write {'/'.join(TABLES)} CSV files here")
 
-    c = sub.add_parser("conjecture", help="check a stated conjecture; exit 2 if falsified")
+    c = command("conjecture", _cmd_conjecture, [],
+                "check a stated conjecture; exit 2 if falsified")
     c.add_argument("--id", choices=CONJECTURE_IDS, required=True)
-    c.add_argument("--terms", type=int, default=10_000, metavar="N")
     c.add_argument("--p-list", metavar="LIST", default=None,
                    help="p values for 3.1/3.2/6.1 (defaults: family / 541)")
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=_cmd_conjecture)
 
-    o = sub.add_parser("oeis-check", help="compare a generated sequence against a local b-file")
+    o = command("oeis-check", _cmd_oeis_check, [spec],
+                "compare a generated sequence against a local b-file")
     o.add_argument("--bfile", required=True, help="path to a b-file (bNNNNNN.txt)")
-    add_spec_flags(o)
     o.add_argument("--shift", type=int, default=0,
                    help="compare run index n against b-file index n-shift")
     o.add_argument("--field", choices=("a", "q", "fixed-points"), default="a")
     o.add_argument("--sequence-id", default=None, help="override the id derived from the filename")
-    o.add_argument("--out", default=None)
-    o.set_defaults(func=_cmd_oeis_check)
 
-    e = sub.add_parser("export", help="rebuild a table/figure CSV from cached runs")
-    e.add_argument("--cache", default=None, help=f"run cache directory (default ${CACHE_ENV_VAR})")
-    e.add_argument("--what", choices=("table2", "table3", "figure2"), required=True)
-    e.add_argument("--p-list", required=True, metavar="LIST")
-    e.add_argument("--terms", type=int, default=10_000, metavar="N")
-    e.add_argument("--jobs", type=int, default=1)
-    e.add_argument("--out", default=None)
-    e.set_defaults(func=_cmd_export)
+    e = command("export", _cmd_export, [family], "rebuild a table/figure CSV from cached runs")
+    e.add_argument("--what", choices=TABLES, required=True)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles --help/--version/flag errors
-        return exc.code if isinstance(exc.code, int) else EXIT_ERROR
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help or --version and 2 on a bad flag,
+        # but 2 means a falsified conjecture: a bad flag is an error
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         least = 2 if args.command in ("sweep", "export") else 1  # analysis.sweep's least N
         if args.terms < least:
             raise ValueError(f"--terms must be >= {least}, got {args.terms}")
-        return args.func(args)
+        pieces, code = args.func(args)
+        _emit(pieces, args.out)
+        return code
     except BrokenPipeError:
         return EXIT_ERROR
     except (ValueError, OverflowError, CapacityError, OSError) as exc:

@@ -30,7 +30,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, groupby
 
-from .numtheory import _check_sieve_limit, divisors, factorize_trial, halved_divisor_blocks, q_value
+from .numtheory import _check_sieve_limit, _halved_divisor_blocks, divisors, factorize_trial, q_value
 
 STANDARD = "standard"
 NO_ZERO = "no-zero"
@@ -400,7 +400,7 @@ def _feed(engines: list[SequenceEngine], count: int) -> None:
     bisects in place of its pair scan."""
     share, first = len(engines) >= SHARED_SEARCH_MIN, engines[0]
     xs, start = first._xs, len(first._a) + 1 + first.spec.offset  # carried list, next n + o
-    for block in halved_divisor_blocks(start, start + count):
+    for block in _halved_divisor_blocks(start, start + count):
         for j in range(0, len(block), SUB_BLOCK):
             lists = block[j:j + SUB_BLOCK]
             shared = _triangular_divisors(xs, lists) if share else None

@@ -141,21 +141,13 @@ def factorize_q(p_factors: list[tuple[int, int]], n: int, spf: array) -> list[tu
     return sorted(counts.items())
 
 
-def halved_divisor_blocks(start: int, stop: int) -> Iterator[list[list[int]]]:
+def _halved_divisor_blocks(start: int, stop: int) -> Iterator[list[list[int]]]:
     """The ascending divisors of halve_even(m) for m = start, ..., stop - 1,
-    in blocks of about max(1024, 4*isqrt(stop)) consecutive m.
-
-    Each block is sieved when it is read, so no factorization is stored.
-    Raises CapacityError, before any work, when stop - 1 exceeds
-    SIEVE_CEILING.
-    """
-    if start < 1:
-        raise ValueError(f"divisor lists start at m >= 1, got {start}")
-    _check_sieve_limit(stop - 1)
-    return _halved_divisor_blocks(start, stop, max(1024, 4 * isqrt(stop)))
-
-
-def _halved_divisor_blocks(start: int, stop: int, size: int) -> Iterator[list[list[int]]]:
+    in blocks of about max(1024, 4*isqrt(stop)) consecutive m, each sieved
+    when it is read, so no factorization is stored.  The engine's feed is
+    the one caller: it starts at an index n + offset >= 1, and its spec has
+    checked stop - 1 against SIEVE_CEILING, so neither is checked here."""
+    size = max(1024, 4 * isqrt(stop))
     for lo in range(start, stop, size):
         hi = min(lo + size, stop)
         block = [None] * (hi - lo)

@@ -10,13 +10,10 @@ to the copy alone and runs ``pytest -x -q`` on the subset against it.  The
 checkout is never written.  Stdlib only; pytest never collects this file.
 
 The subset is the engine's work pins, then the acceptance, cache and
-engine tests.  Known survivors change how many loop iterations a step
-makes but neither a term nor the used-map reads the work pins count; they
-are run and reported, and need not fail.
+engine tests.
 
-Exit status: 0 when every other mutant failed the subset, 1 when one passed
-it (or a known survivor is now killed, so the list is out of date), 2 when
-the unmutated copy fails it or a mutant no longer applies.
+Exit status: 0 when every mutant failed the subset, 1 when one passed it,
+2 when the unmutated copy fails it or a mutant no longer applies.
 """
 
 from __future__ import annotations
@@ -39,16 +36,15 @@ SUBSET = [["tests/test_engine.py::TestWorkPins"],
 TIMEOUT = 600  # seconds a mutant's run may take; a hang counts as killed
 ENGINE, NUMTHEORY = "src/trifix/engine.py", "src/trifix/numtheory.py"
 ANALYSIS, STORE = "src/trifix/analysis.py", "src/trifix/store.py"
-WORK_ONLY = "changes loop iterations but no term and no used-map read"
 
 
 class Mutant:
     """Replace ``old``, which must occur exactly once in ``function`` of
     ``path`` (in the whole file when function is None), by ``new``."""
 
-    def __init__(self, name, path, function, old, new, survives=None):
+    def __init__(self, name, path, function, old, new):
         self.name, self.path, self.function = name, path, function
-        self.old, self.new, self.survives = old, new, survives
+        self.old, self.new = old, new
 
     def apply(self, source: str) -> str:
         lines = source.splitlines(keepends=True)
@@ -65,7 +61,7 @@ class Mutant:
 
 
 MUTANTS = [
-    # _extend, work only: the pins see each but the last two
+    # _extend, work only: the pins see each
     Mutant("forward pair scan keeps its hit below hi", ENGINE, "_extend",
            "if w >= lo and not (used[w] if w < size else w in spill):\n"
            "                                        v = w\n"
@@ -81,12 +77,12 @@ MUTANTS = [
            "while used[mex]:\n                        mex += 1\n                    xs = ys",
            "if used[mex]:\n                        mex += 1\n                    xs = ys"),
     Mutant("downward scan from zx*zx <= lo", ENGINE, "_extend",
-           "if zx * zx < lo:", "if zx * zx <= lo:", survives=WORK_ONLY),
+           "if zx * zx < lo:", "if zx * zx <= lo:"),
     Mutant("pair scan continues past z > hi", ENGINE, "_extend",
            "for z in zs:\n                        if z > hi:\n                            break\n"
            "                        for x in short:",
            "for z in zs:\n                        if z > hi:\n                            continue\n"
-           "                        for x in short:", survives=WORK_ONLY),
+           "                        for x in short:"),
     # _extend, output changing
     Mutant("pair scan carries a stale list", ENGINE, "_extend",
            "                    xs = ys\n", "                    xs = xs\n"),
@@ -176,12 +172,9 @@ def main() -> int:
             finally:
                 path.write_text(source, encoding="utf-8")
             took = f"{time.perf_counter() - began:5.1f} s"
-            if passed == bool(mutant.survives):
-                verdict = "survived (known)" if passed else "killed"
-            else:
-                verdict = "SURVIVED" if passed else "KILLED (listed as a survivor)"
+            if passed:
                 status = max(status, 1)
-            print(f"{verdict:<28} {took}  {mutant.name}: {last}", flush=True)
+            print(f"{'SURVIVED' if passed else 'killed':<8} {took}  {mutant.name}: {last}", flush=True)
     return status
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -405,6 +406,46 @@ def test_terms_below_the_least_are_named_by_the_flag(capsys, data_dir, tmp_path,
     assert run_cli(capsys, *argv, "--terms", str(least))[0] == EXIT_OK
 
 
+# each subcommand with its required flags
+COMMANDS = {
+    "generate": [],
+    "analyze": [],
+    "sweep": ["--p-list", "3"],
+    "conjecture": ["--id", "3.1"],
+    "oeis-check": ["--bfile", "b000217.txt"],
+    "export": ["--what", "table2", "--p-list", "3"],
+}
+
+
+class TestSharedFlags:
+    """What every subcommand shares is declared once, so each describes it
+    and each refuses a flag it does not know the same way."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_describes_terms_and_out(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert (code, err) == (EXIT_OK, "")
+        assert re.search(r"\n  --terms N\s+number of term indices \(default 10000\)\n", out)
+        assert re.search(r"\n  --out OUT\s+write to file instead of stdout\n", out)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_an_unknown_flag_is_an_error(self, capsys, tmp_path, command):
+        code, out, err = run_cli(capsys, command, *COMMANDS[command], "--bogus",
+                                 "--out", str(tmp_path / "out.txt"))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("usage: trifix ")
+        assert err.endswith("\ntrifix: error: unrecognized arguments: --bogus\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_export_choices_are_the_files_a_sweep_exports(self, capsys, tmp_path):
+        assert run_cli(capsys, "sweep", "--p-list", "3", "--terms", "50",
+                       "--export-dir", str(tmp_path))[0] == EXIT_OK
+        written = sorted(f.name for f in tmp_path.iterdir())
+        choices = re.search(r"--what \{([^}]*)\}", run_cli(capsys, "export", "--help")[1])[1]
+        assert sorted(f"{name}.csv" for name in choices.split(",")) == written
+        assert written == ["figure2.csv", "table2.csv", "table3.csv"]
+
+
 class TestCleanExits:
     """An interrupted run and one that runs out of memory end with one
     stderr line and no traceback."""
@@ -766,6 +807,16 @@ class TestSweep:
         for name in ("table2.csv", "table3.csv", "figure2.csv"):
             assert (export_dir / name).exists()
         assert (export_dir / "table2.csv").read_text().startswith("row,p=3,p=5\n")
+
+    def test_an_export_dir_that_is_a_file_prints_nothing(self, capsys, tmp_path):
+        """stdout is written only once the exports have succeeded."""
+        target = tmp_path / "afile"
+        target.write_text("x")
+        code, out, err = run_cli(capsys, "sweep", "--p-list", "3", "--terms", "50",
+                                 "--export-dir", str(target))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("trifix: error: ") and err.count("\n") == 1
+        assert target.read_text() == "x"
 
     def test_cache_populated_and_reused(self, capsys, tmp_path):
         cache = tmp_path / "cache"

@@ -29,7 +29,7 @@ from trifix.engine import (
     generate,
     generate_runs,
 )
-from trifix.numtheory import CapacityError, halved_divisor_blocks, is_prime
+from trifix.numtheory import CapacityError, _halved_divisor_blocks, is_prime
 from trifix.store import load_run, save_run
 
 # Published golden prefix of A(7): (n, mult, q, a), fixed points marked below.
@@ -254,7 +254,7 @@ class TestEngineStepping:
         """Stepped with the shared divisors of T, as in a lockstep chunk, an
         engine fails where the pair scan does, with its error, and keeps the
         terms before the step, their carried list and the mex."""
-        [lists] = halved_divisor_blocks(2, 5)  # h(2), h(3), h(4)
+        [lists] = _halved_divisor_blocks(2, 5)  # h(2), h(3), h(4)
         ends = []
         for shared in (None, engine_module._triangular_divisors([1], lists)):
             engine = SequenceEngine(SequenceSpec.standard(7, 5))
@@ -301,7 +301,7 @@ class TestSearchRange:
         for _ in range(n - 1):
             engine.next_term()
         o = spec.offset
-        [[ys]] = halved_divisor_blocks(n + o, n + o + 1)
+        [[ys]] = _halved_divisor_blocks(n + o, n + o + 1)
         top = engine._p_divisors[-1] * engine._xs[-1] * ys[-1]
         assert top == spec.q(n)
         return (engine._mex, top), engine.next_term().a
@@ -583,7 +583,7 @@ class TestGenerateRuns:
         one sub-block of their products, at most."""
         family = [SequenceSpec.standard(p, 10_000) for p in (3, 5, 7, 11, 41, 97, 199)]
         xs, block_bytes, sub_block_bytes = [1], 0, 0
-        for block in halved_divisor_blocks(1, 10_001):
+        for block in _halved_divisor_blocks(1, 10_001):
             block_bytes = max(block_bytes, self.held(block))
             for j in range(0, len(block), engine_module.SUB_BLOCK):
                 lists = block[j:j + engine_module.SUB_BLOCK]
@@ -596,7 +596,7 @@ class TestGenerateRuns:
         """A(199) at N = 10^4 peaks at its engine's own state and one block
         of divisor lists: the last block is dropped before the stream sieves
         the next."""
-        block_bytes = max(map(self.held, halved_divisor_blocks(1, 10_001)))
+        block_bytes = max(map(self.held, _halved_divisor_blocks(1, 10_001)))
         own, peak = self.traced([SequenceSpec.standard(199, 10_000)])
         assert peak <= own + block_bytes + self.SLACK
 
@@ -655,9 +655,11 @@ class TestGenerateRuns:
 
 
 class TestWorkPins:
-    """The used-map reads a run makes, pinned: a change to the search that
-    keeps every term but does more (or less) work shows here.  A pinned
-    count changes only with a CHANGES.md line saying why."""
+    """The work a run does, pinned: a change to the search that keeps every
+    term but does more (or less) work shows here.  Each count is read by a
+    test-side shadow of a name the engine module looks up, so the engine
+    itself counts nothing.  A pinned count changes only with a CHANGES.md
+    line saying why."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -695,6 +697,35 @@ class TestWorkPins:
         """A chunk below SHARED_SEARCH_MIN keeps the pair scan."""
         specs = [SequenceSpec.standard(p, 10_001) for p in (3, 5)]
         assert reads(lambda: list(generate_runs(specs))) == 145_525
+
+    def test_the_pair_scans_downward_scans(self, monkeypatch):
+        """One reversed() call per downward scan of a lone engine."""
+        scans = []
+
+        def counting(seq):
+            scans.append(None)
+            return reversed(seq)
+
+        monkeypatch.setattr(engine_module, "reversed", counting, raising=False)
+        generate(SequenceSpec.standard(199, 10_000))
+        assert len(scans) == 19_193
+
+    def test_the_pair_scans_divisors_of_m(self, monkeypatch):
+        """The divisors z of m = 9 that a lone A(9)'s pair scan takes: all
+        three at every step but two, where a hit below the next z ends it."""
+
+        class Counting(list):
+            count = 0
+
+            def __iter__(self):
+                for z in super().__iter__():
+                    Counting.count += 1
+                    yield z
+
+        divisors = engine_module.divisors
+        monkeypatch.setattr(engine_module, "divisors", lambda factors: Counting(divisors(factors)))
+        generate(SequenceSpec.standard(9, 10_000))
+        assert Counting.count == 29_998
 
 
 def test_oracle_fixed_points_agree():

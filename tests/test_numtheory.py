@@ -9,12 +9,12 @@ from trifix.numtheory import (
     MAX_SUPPORTED_VALUE,
     SIEVE_CEILING,
     CapacityError,
+    _halved_divisor_blocks,
     build_spf,
     divisors,
     factorize_q,
     factorize_trial,
     halve_even,
-    halved_divisor_blocks,
     is_prime,
     prime_flags,
     q_value,
@@ -200,8 +200,8 @@ class TestDivisors:
 
 
 def flattened(start, stop):
-    """The lists of halved_divisor_blocks(start, stop), blocks joined."""
-    return [ds for block in halved_divisor_blocks(start, stop) for ds in block]
+    """The lists of _halved_divisor_blocks(start, stop), blocks joined."""
+    return [ds for block in _halved_divisor_blocks(start, stop) for ds in block]
 
 
 class TestHalvedDivisorLists:
@@ -224,15 +224,6 @@ class TestHalvedDivisorLists:
     def test_short_ranges(self, start, stop):
         assert flattened(start, stop) == [
             naive_divisors(halve_even(m)) for m in range(start, stop)]
-
-    def test_ceiling_is_checked_before_any_block(self):
-        with pytest.raises(CapacityError, match=r"^sieve limit 50000001 exceeds the ceiling"):
-            halved_divisor_blocks(1, SIEVE_CEILING + 2)
-        halved_divisor_blocks(2, SIEVE_CEILING + 1)  # nothing is sieved until read
-
-    def test_start_below_1_is_rejected(self):
-        with pytest.raises(ValueError):
-            halved_divisor_blocks(0, 10)
 
 
 class TestHalveEven:
