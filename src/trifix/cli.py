@@ -11,9 +11,11 @@ falsified, 130 interrupted.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import os
 import re
+import stat
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, count
@@ -65,6 +67,41 @@ def _spec_from_args(args, term_count: int) -> SequenceSpec:
     if args.p is not None:
         raise ValueError(f"--p is meaningless for variant {args.variant!r}")
     return SequenceSpec(args.variant, term_count)
+
+
+def _refuse_unwritable(out_path: str | None, export_dir: str | None) -> None:
+    """Raise now the OSError that writing --out, or making --export-dir,
+    would raise once the run is done, wherever the file system already
+    decides it.  Creates nothing."""
+
+    def is_dir(path: str, name: str) -> bool | None:
+        """Whether path is a directory, None if nothing is there.  Any
+        other stat error (ENOTDIR, EACCES) is the write's, naming name."""
+        try:
+            return stat.S_ISDIR(os.stat(path).st_mode)
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, name) from None
+
+    def fail(code: int, name: str):
+        raise OSError(code, os.strerror(code), name)
+
+    if out_path:
+        base = out_path.rstrip(os.sep)
+        parent = is_dir(os.path.dirname(base) or os.curdir, out_path)
+        if base != out_path:  # open() refuses a trailing separator, whatever is there
+            fail({None: errno.ENOENT, False: errno.ENOTDIR, True: errno.EISDIR}[parent], out_path)
+        if parent is None:
+            fail(errno.ENOENT, out_path)
+        if is_dir(out_path, out_path):
+            fail(errno.EISDIR, out_path)
+    if export_dir:
+        from pathlib import Path
+
+        name = str(Path(export_dir))  # as Path.mkdir names it
+        if is_dir(name, name) is False:
+            fail(errno.EEXIST, name)
 
 
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
@@ -427,6 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         least = 2 if args.command in ("sweep", "export") else 1  # analysis.sweep's least N
         if args.terms < least:
             raise ValueError(f"--terms must be >= {least}, got {args.terms}")
+        _refuse_unwritable(args.out, getattr(args, "export_dir", None))
         pieces, code = args.func(args)
         _emit(pieces, args.out)
         return code

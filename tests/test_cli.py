@@ -35,6 +35,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def exported(directory: Path) -> dict[str, bytes]:
+    """The files a sweep wrote to --export-dir, by name."""
+    return {f.name: f.read_bytes() for f in directory.iterdir()}
+
+
 def child_env(**extra):
     """The environment of a child Python that imports this trifix."""
     src = str(Path(trifix.__file__).resolve().parent.parent)
@@ -229,6 +234,24 @@ def modules_loaded_by(code: str, names: list[str]) -> list[str]:
     return done.stdout.splitlines()[-1].split()  # the lines above are main's output
 
 
+def importer_of(code: str, name: str) -> str | None:
+    """The module whose import first loaded name while a child Python ran
+    code, read from its -X importtime log (a module's line comes after the
+    lines of what it imports, one level deeper); "__main__" if code itself
+    did, None if nothing did."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = [line.rsplit("|", 1)[1] for line in done.stderr.splitlines()
+            if line.startswith("import time:")][1:]  # past the header
+    depth = [len(row) - len(row.lstrip()) for row in rows]
+    for i, row in enumerate(rows):
+        if row.strip() == name:
+            return next((rows[j].strip() for j in range(i + 1, len(rows)) if depth[j] < depth[i]),
+                        "__main__")
+    return None
+
+
 def quiet_main(argv: list[str]) -> str:
     """Code for modules_loaded_by that runs main(argv) with its stderr
     notes (sweep --export-dir names the files it wrote) set aside.  A
@@ -312,6 +335,18 @@ class TestImports:
         assert modules_loaded_by(quiet_main(argv), ["dataclasses", "inspect", "csv"]) == []
         assert {f.name: f.stat().st_mtime_ns for f in cache.glob("*/*")} == written
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--p", "3", "--terms", "50"],
+        ["conjecture", "--id", "3.1", "--p-list", "3", "--terms", "50"],
+        ["sweep", "--p-list", "3,5", "--terms", "50", "--cache", "cache", "--export-dir", "exports"],
+        ["export", "--what", "table2", "--p-list", "3,5", "--terms", "50", "--cache", "cache"],
+    ], ids=lambda argv: argv[0])
+    def test_analysis_layer_loads_no_decimal(self, argv, tmp_path):
+        """percent() rounds in integers, so the analysis layer does not load
+        decimal itself; only fractions, which its exact rates need, may."""
+        argv = [str(tmp_path / a) if a in ("cache", "exports") else a for a in argv]
+        assert importer_of(quiet_main(argv), "decimal") in (None, "fractions")
+
     def test_cache_layer_loads_the_module_the_tracer_wraps(self):
         """The benchmark's traced pass imports trifix.cli and trifix.store,
         then wraps a function in each module of its target list, trifix.oeis
@@ -374,11 +409,15 @@ class TestGenerateErrors:
         assert run_cli(capsys, "frobnicate")[0] == EXIT_ERROR
 
     def test_sieve_ceiling_is_an_operational_error(self, capsys, time_limit):
-        # the sieve for N = 50,000,001 terms would pass the 5*10^7-entry ceiling
-        with time_limit(10):
-            code, out, err = run_cli(capsys, "generate", "--p", "3", "--terms", "50000001")
-        assert code == EXIT_ERROR and out == ""
-        assert err == "trifix: error: sieve limit 50000001 exceeds the ceiling of 50000000 entries\n"
+        """The sieve for N = 50,000,001 terms would pass the 5*10^7-entry
+        ceiling, and so would no-zero's for 50,000,000: its index offset
+        counts against the ceiling."""
+        for argv in (["--p", "3", "--terms", "50000001"],
+                     ["--variant", "no-zero", "--terms", "50000000"]):
+            with time_limit(10):
+                code, out, err = run_cli(capsys, "generate", *argv)
+            assert code == EXIT_ERROR and out == ""
+            assert err == "trifix: error: sieve limit 50000001 exceeds the ceiling of 50000000 entries\n"
 
     def test_overflow_is_operational_error(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--p", str(2**62), "--terms", "5")
@@ -436,6 +475,37 @@ class TestSharedFlags:
         assert err.startswith("usage: trifix ")
         assert err.endswith("\ntrifix: error: unrecognized arguments: --bogus\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, error", [
+        (["generate", "--p", "7", "--terms", "25", "--out", "{tmp}/missing/x.txt"],
+         "[Errno 2] No such file or directory: '{tmp}/missing/x.txt'"),
+        (["generate", "--p", "7", "--terms", "25", "--out", "{tmp}"],
+         "[Errno 21] Is a directory: '{tmp}'"),
+        (["generate", "--p", "7", "--terms", "25", "--out", "{tmp}/newdir/"],
+         "[Errno 21] Is a directory: '{tmp}/newdir/'"),
+        (["analyze", "--p", "7", "--terms", "25", "--out", "{tmp}/afile/x.txt"],
+         "[Errno 20] Not a directory: '{tmp}/afile/x.txt'"),
+        (["sweep", "--p-list", "3", "--terms", "50", "--export-dir", "{tmp}/afile"],
+         "[Errno 17] File exists: '{tmp}/afile'"),
+    ], ids=["out in a missing directory", "out a directory", "out ending in a separator",
+            "out under a file", "export-dir a file"])
+    def test_an_unwritable_target_fails_before_the_run(self, capsys, monkeypatch, tmp_path,
+                                                      argv, error):
+        """The OSError that writing the output would raise once the run is
+        done is raised before the engine takes a step, and creates nothing."""
+        (tmp_path / "afile").write_text("x")
+        steps = []
+        feed = trifix.engine._feed
+
+        def counting(engines, count):
+            steps.append(len(engines) * count)
+            feed(engines, count)
+
+        monkeypatch.setattr(trifix.engine, "_feed", counting)
+        code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert (code, out, err) == (EXIT_ERROR, "", f"trifix: error: {error.format(tmp=tmp_path)}\n")
+        assert steps == []
+        assert [f.name for f in tmp_path.iterdir()] == ["afile"]
 
     def test_export_choices_are_the_files_a_sweep_exports(self, capsys, tmp_path):
         assert run_cli(capsys, "sweep", "--p-list", "3", "--terms", "50",
@@ -661,6 +731,28 @@ class TestConjecture:
          "conjecture 3.2 [A(2)]: HOLDS up to N=300\n"
          "conjecture 3.2 [A(3)]: HOLDS up to N=300\n"
          "conjecture 3.2 [A(3)]: HOLDS up to N=300\n"),
+        # the paper's four conjectures at the default N = 10^4
+        (["--id", "3.1"],
+         "conjecture 3.1 [A(3)]: HOLDS up to N=10000\n"
+         "conjecture 3.1 [A(5)]: HOLDS up to N=10000\n"
+         "conjecture 3.1 [A(7)]: HOLDS up to N=10000\n"
+         "conjecture 3.1 [A(11)]: HOLDS up to N=10000\n"
+         "conjecture 3.1 [A(41)]: HOLDS up to N=10000\n"
+         "conjecture 3.1 [A(97)]: HOLDS up to N=10000\n"
+         "conjecture 3.1 [A(199)]: HOLDS up to N=10000\n"),
+        (["--id", "3.2"],
+         "conjecture 3.2 [A(3)]: HOLDS up to N=10000\n"
+         "conjecture 3.2 [A(5)]: HOLDS up to N=10000\n"
+         "conjecture 3.2 [A(7)]: HOLDS up to N=10000\n"
+         "conjecture 3.2 [A(11)]: HOLDS up to N=10000\n"
+         "conjecture 3.2 [A(41)]: HOLDS up to N=10000\n"
+         "conjecture 3.2 [A(97)]: HOLDS up to N=10000\n"
+         "conjecture 3.2 [A(199)]: HOLDS up to N=10000\n"),
+        (["--id", "5.1"],
+         "1228/1228 odd primes detected as fixed points of the shifted sequence\n"
+         "conjecture 5.1 [shifted]: HOLDS up to N=10000\n"),
+        (["--id", "6.1"],
+         "conjecture 6.1 [A(541)]: HOLDS up to N=10000\n"),
     ])
     def test_exact_output(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, "conjecture", *argv)
@@ -818,17 +910,28 @@ class TestSweep:
         assert err.startswith("trifix: error: ") and err.count("\n") == 1
         assert target.read_text() == "x"
 
-    def test_cache_populated_and_reused(self, capsys, tmp_path):
+    def test_an_export_that_fails_mid_write_prints_nothing(self, capsys, tmp_path):
+        """A table path that is a directory fails only on its write, after
+        the run and the pre-run check: stdout still stays empty."""
+        (tmp_path / "table3.csv").mkdir()
+        code, out, err = run_cli(capsys, "sweep", "--p-list", "3", "--terms", "50",
+                                 "--export-dir", str(tmp_path))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"trifix: error: [Errno 21] Is a directory: '{tmp_path / 'table3.csv'}'\n"
+
+    def test_cache_populated_and_reused(self, capsys, monkeypatch, tmp_path):
+        """A sweep into a cache, then the same sweep read back from it, each
+        writing the tables: the second generates nothing and prints and
+        exports the first's bytes."""
         cache = tmp_path / "cache"
-        code, first, _ = run_cli(
-            capsys, "sweep", "--p-list", "3", "--terms", "120", "--cache", str(cache)
-        )
+        argv = ["sweep", "--p-list", "3,5", "--terms", "300", "--cache", str(cache), "--export-dir"]
+        code, first, _ = run_cli(capsys, *argv, str(tmp_path / "cold"))
         assert code == EXIT_OK
         assert (cache / "standard" / "p3_v2.bfile.txt").exists()
-        code, second, _ = run_cli(
-            capsys, "sweep", "--p-list", "3", "--terms", "120", "--cache", str(cache)
-        )
-        assert code == EXIT_OK and second == first
+        generated = TestConjecture.count_generated(monkeypatch)
+        code, second, _ = run_cli(capsys, *argv, str(tmp_path / "warm"))
+        assert (code, second, generated) == (EXIT_OK, first, [])
+        assert exported(tmp_path / "warm") == exported(tmp_path / "cold")
 
     def test_damaged_cache_entry_is_regenerated(self, capsys, tmp_path):
         cache = tmp_path / "cache"
@@ -863,6 +966,56 @@ class TestSweep:
             warnings.simplefilter("error")
             code, again, err = run_cli(capsys, *argv)
         assert (code, again, err, generated) == (EXIT_OK, cold, "", [3])
+
+    def test_a_served_prefix_equals_a_cold_sweep(self, capsys, tmp_path):
+        """20,000-term entries of A(3) and A(199) serve a sweep at N = 10^4
+        as a prefix: it prints and exports what a cold sweep does, with no
+        warning, and leaves the entries as they are."""
+        served, cold = tmp_path / "served", tmp_path / "cold"
+        assert run_cli(capsys, "sweep", "--p-list", "3,199", "--terms", "20000",
+                       "--cache", str(served))[0] == EXIT_OK
+        argv = ["sweep", "--p-list", "3,199", "--terms", "10000"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, *argv, "--cache", str(served),
+                                   "--export-dir", str(served / "tables"))
+        assert (code, out) == run_cli(capsys, *argv, "--cache", str(cold),
+                                      "--export-dir", str(cold / "tables"))[:2]
+        assert code == EXIT_OK
+        assert exported(served / "tables") == exported(cold / "tables")
+        for p in (3, 199):
+            manifest = json.loads((served / "standard" / f"p{p}_v2.manifest.json").read_text())
+            assert manifest["term_count"] == 20001
+
+    def test_a_lockstepped_sweep_equals_itself_every_way(self, capsys, tmp_path):
+        """The family at N = 10^4 swept cold in one process, split over two
+        and over four workers, and with A(3), A(41) and A(199) cached
+        beforehand (a warning would be an error).  The uncached runs of
+        each share one stream of divisor lists; all four print and export
+        the same bytes.  Four workers step chunks of 1, 2, 2 and 2 engines,
+        below SHARED_SEARCH_MIN, so they scan pairs where the others bisect
+        the shared divisors of T.  So do three workers for A(1), A(2) and
+        A(3), where one process steps them as one shared chunk that holds
+        A(1)'s n = 2 bootstrap: that search must never take T's sentinel."""
+
+        def swept(p_list, name, *flags):
+            code, out, _ = run_cli(capsys, "sweep", "--p-list", p_list, "--terms", "10000",
+                                   "--cache", str(tmp_path / name), *flags)
+            assert code == EXIT_OK
+            return out
+
+        family = "3,5,7,11,41,97,199"
+        printed = {jobs: swept(family, f"C{jobs}", "--jobs", jobs,
+                               "--export-dir", str(tmp_path / f"E{jobs}"))
+                   for jobs in ("1", "2", "4")}
+        swept("3,41,199", "C3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            printed["3"] = swept(family, "C3", "--export-dir", str(tmp_path / "E3"))
+        for run in ("2", "4", "3"):
+            assert printed[run] == printed["1"]
+            assert exported(tmp_path / f"E{run}") == exported(tmp_path / "E1")
+        assert swept("1,2,3", "B1", "--jobs", "1") == swept("1,2,3", "B3", "--jobs", "3")
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize("command", ["sweep", "export"])
@@ -993,6 +1146,17 @@ class TestOeisCheck:
         )
         assert code == EXIT_OK
         assert "MATCH" in out
+
+    def test_a_b_file_laid_out_as_oeis_serves_it(self, capsys, tmp_path):
+        """# header lines and CRLF line ends: generate's own 1,000 no-zero
+        terms still match."""
+        argv = ["--variant", "no-zero", "--terms", "1000"]
+        code, bfile, _ = run_cli(capsys, "generate", *argv, "--format", "bfile")
+        assert code == EXIT_OK
+        path = tmp_path / "b111273.txt"
+        path.write_bytes(("# A111273\n# header\n" + bfile).replace("\n", "\r\n").encode())
+        assert run_cli(capsys, "oeis-check", "--bfile", str(path), *argv) == (
+            EXIT_OK, "no-zero [a] vs A111273 shift 0: MATCH over 1000 position(s)\n", "")
 
     def test_mismatch_reported(self, capsys, tmp_path):
         bad = tmp_path / "b111273.txt"

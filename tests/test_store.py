@@ -263,18 +263,11 @@ class TestDamagedEntries:
 
     def test_manifest_nested_too_deeply(self, cache, a7):
         """A manifest nested past the JSON parser's recursion limit is damage
-        like any other: a sweep warns once, regenerates the run and rewrites
-        the entry."""
+        like any other; a sweep over it is a case of
+        test_sweep_warns_and_regenerates."""
         run, entry = a7
         manifest_path(entry).write_text("[" * 100_000)
-        with pytest.warns(UserWarning, match="nests too deeply to parse; treating as absent$") as caught:
-            report = sweep([7], 24, cache_dir=cache).reports[0]
-        assert len(caught) == 1
-        assert report == classify(generate(run.spec))
-        assert json.loads(manifest_path(entry).read_text())["term_count"] == 25
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert load_run(run.spec, cache) == generate(run.spec)
+        self.assert_absent(run.spec, cache, "nests too deeply to parse; treating as absent$")
 
     @pytest.mark.parametrize("cut", [
         pytest.param(lambda b: b[:-1], id="a byte short"),
@@ -387,7 +380,7 @@ class TestDamagedEntries:
     @pytest.mark.parametrize("damage", [
         "truncated", "size not a multiple of 8", "junk past N", "stale checksum",
         "non-divisor under a recomputed checksum", "repeat under a recomputed checksum",
-        "negative word", "a(1) is not 1",
+        "negative word", "a(1) is not 1", "manifest nested too deeply",
     ])
     def test_sweep_warns_and_regenerates(self, cache, a7, damage):
         """Whatever the damage, a sweep warns once, reports what the engine
@@ -396,6 +389,8 @@ class TestDamagedEntries:
         payload = entry.payload_path.read_bytes()
         if damage == "stale checksum":
             entry.payload_path.write_bytes(flipped(payload, 8 * 12, 0x02))
+        elif damage == "manifest nested too deeply":
+            manifest_path(entry).write_text("[" * 100_000)
         else:
             rewrite_entry(entry, {
                 "truncated": payload[:8 * 20],
