@@ -10,6 +10,7 @@ opposite of common machine-learning usage.
 from __future__ import annotations
 
 from collections.abc import Callable
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .engine import FrozenValue, SequenceRun, SequenceSpec, fixed_points, generate_runs
@@ -19,9 +20,8 @@ from .numtheory import prime_flags
 def percent(rate: Fraction) -> str:
     """Format a rate in [0,1] as a percentage string with two decimals,
     round-half-up, e.g. Fraction(1160, 1227) -> '94.54%'."""
-    den = rate.denominator
-    hundredths = (20000 * rate.numerator + den) // (2 * den)  # of a percent, half up
-    return f"{hundredths // 100}.{hundredths % 100:02d}%"
+    d = Decimal(rate.numerator) / Decimal(rate.denominator)
+    return f"{(d * 100).quantize(Decimal('0.01'), rounding=ROUND_HALF_UP)}%"
 
 
 class ClassificationReport(FrozenValue):

@@ -15,7 +15,6 @@ import errno
 import io
 import os
 import re
-import stat
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, count
@@ -69,39 +68,39 @@ def _spec_from_args(args, term_count: int) -> SequenceSpec:
     return SequenceSpec(args.variant, term_count)
 
 
-def _refuse_unwritable(out_path: str | None, export_dir: str | None) -> None:
-    """Raise now the OSError that writing --out, or making --export-dir,
-    would raise once the run is done, wherever the file system already
-    decides it.  Creates nothing."""
+def _refuse_unwritable(out_path: str | None, export_dir: str | None = None,
+                       cache_dir: str | None = None) -> None:
+    """Raise before the run the OSError that writing --out, or making
+    --export-dir, would raise once it is done, in three cases: an --out
+    that is a directory, an --out in a missing directory the run does not
+    make, and an --export-dir that is a file.  A sweep makes its export
+    directory and its cache's directory of standard runs, with the
+    directories above them.  Creates nothing; any other failure is left to
+    the write."""
 
-    def is_dir(path: str, name: str) -> bool | None:
-        """Whether path is a directory, None if nothing is there.  Any
-        other stat error (ENOTDIR, EACCES) is the write's, naming name."""
-        try:
-            return stat.S_ISDIR(os.stat(path).st_mode)
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, name) from None
-
-    def fail(code: int, name: str):
+    def refuse(code: int, name: str):
         raise OSError(code, os.strerror(code), name)
 
-    if out_path:
-        base = out_path.rstrip(os.sep)
-        parent = is_dir(os.path.dirname(base) or os.curdir, out_path)
-        if base != out_path:  # open() refuses a trailing separator, whatever is there
-            fail({None: errno.ENOENT, False: errno.ENOTDIR, True: errno.EISDIR}[parent], out_path)
-        if parent is None:
-            fail(errno.ENOENT, out_path)
-        if is_dir(out_path, out_path):
-            fail(errno.EISDIR, out_path)
-    if export_dir:
+    if export_dir and os.path.exists(export_dir) and not os.path.isdir(export_dir):
         from pathlib import Path
 
-        name = str(Path(export_dir))  # as Path.mkdir names it
-        if is_dir(name, name) is False:
-            fail(errno.EEXIST, name)
+        refuse(errno.EEXIST, str(Path(export_dir)))  # named as Path.mkdir names it
+    if not out_path:
+        return
+    if os.path.isdir(out_path):
+        refuse(errno.EISDIR, out_path)
+    if out_path.endswith(os.sep):  # open() refuses it its own way
+        return
+    parent = os.path.dirname(out_path) or os.curdir
+    try:
+        os.stat(parent)
+    except FileNotFoundError:
+        real = os.path.realpath(parent)
+        made = [export_dir, cache_dir and os.path.join(cache_dir, STANDARD)]  # as store files it
+        if not any(d and os.path.commonpath([real, os.path.realpath(d)]) == real for d in made):
+            refuse(errno.ENOENT, out_path)
+    except OSError:  # ENOTDIR, EACCES: left to the write
+        pass
 
 
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
@@ -183,7 +182,9 @@ def _format_json(run: SequenceRun) -> Iterator[str]:
 
 
 def _cmd_generate(args) -> Output:
-    run = generate(_spec_from_args(args, args.terms))
+    spec = _spec_from_args(args, args.terms)
+    _refuse_unwritable(args.out)
+    run = generate(spec)
     if args.format == "bfile":
         from .oeis import write_bfile
 
@@ -244,6 +245,7 @@ def _cmd_analyze(args) -> Output:
     if args.filter_small_primes is not None:
         small = _parse_p_list(args.filter_small_primes, "--filter-small-primes")
         analysis.check_small_primes(small)  # before the run, which may be long
+    _refuse_unwritable(args.out)
     run = generate(spec)
     report = analysis.classify(run)
     if args.format == "json":
@@ -288,6 +290,7 @@ def _sweep(args) -> analysis.SweepReport:
     cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR) or None
     if cache_dir is None and args.command == "export":
         raise ValueError(f"export needs --cache or ${CACHE_ENV_VAR}")
+    _refuse_unwritable(args.out, getattr(args, "export_dir", None), cache_dir)
     return analysis.sweep(p_list, args.terms, jobs=args.jobs, cache_dir=cache_dir)
 
 
@@ -334,6 +337,7 @@ def _cmd_conjecture(args) -> Output:
         raise ValueError("--p-list does not apply to --id 5.1, "
                          "which checks the shifted sequence")
     p_list = None if args.p_list is None else _parse_p_list(args.p_list)
+    _refuse_unwritable(args.out)
     results = analysis.run_conjecture(args.id, args.terms, p_list)
     text = "".join(map(_format_conjecture, results))
     if args.id == "5.1":
@@ -366,6 +370,7 @@ def _cmd_oeis_check(args) -> Output:
         raise ValueError(f"bad OEIS id {sequence_id!r} (expected 'A' + 6 digits)")
 
     spec = _spec_from_args(args, args.terms)
+    _refuse_unwritable(args.out)
     run = generate(spec)
     if args.field == "a":
         values = run.a
@@ -464,7 +469,6 @@ def main(argv: list[str] | None = None) -> int:
         least = 2 if args.command in ("sweep", "export") else 1  # analysis.sweep's least N
         if args.terms < least:
             raise ValueError(f"--terms must be >= {least}, got {args.terms}")
-        _refuse_unwritable(args.out, getattr(args, "export_dir", None))
         pieces, code = args.func(args)
         _emit(pieces, args.out)
         return code

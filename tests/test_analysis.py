@@ -1,8 +1,5 @@
 import concurrent.futures
-from collections import namedtuple
-from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -37,19 +34,6 @@ class TestPercent:
         assert percent(Fraction(1, 800)) == "0.13%"  # 0.125% rounds up, not to even
         assert percent(Fraction(1, 1)) == "100.00%"
         assert percent(Fraction(0)) == "0.00%"
-
-    def test_equals_the_decimal_formula(self):
-        """percent() rounds in integers; Decimal's 28-digit quotient,
-        quantized half up, is the reference, over every k/d with d <= 2000
-        in lowest terms, as a Fraction holds it.  percent() reads only the
-        rate's numerator and denominator, so a pair stands in for each
-        Fraction, which would take longer to build than both formulas."""
-        rate = namedtuple("Rate", "numerator denominator")
-        cent, dec = Decimal("0.01"), [Decimal(k) for k in range(2001)]
-        differ = [(k, d) for d in range(1, 2001) for k in range(d + 1) if gcd(k, d) == 1
-                  and percent(rate(k, d))
-                  != str((dec[k] / dec[d] * 100).quantize(cent, rounding=ROUND_HALF_UP)) + "%"]
-        assert differ == []
 
 
 class TestClassify:

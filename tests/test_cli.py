@@ -234,24 +234,6 @@ def modules_loaded_by(code: str, names: list[str]) -> list[str]:
     return done.stdout.splitlines()[-1].split()  # the lines above are main's output
 
 
-def importer_of(code: str, name: str) -> str | None:
-    """The module whose import first loaded name while a child Python ran
-    code, read from its -X importtime log (a module's line comes after the
-    lines of what it imports, one level deeper); "__main__" if code itself
-    did, None if nothing did."""
-    done = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
-                          capture_output=True, text=True, env=child_env(), timeout=60)
-    assert done.returncode == 0, done.stderr
-    rows = [line.rsplit("|", 1)[1] for line in done.stderr.splitlines()
-            if line.startswith("import time:")][1:]  # past the header
-    depth = [len(row) - len(row.lstrip()) for row in rows]
-    for i, row in enumerate(rows):
-        if row.strip() == name:
-            return next((rows[j].strip() for j in range(i + 1, len(rows)) if depth[j] < depth[i]),
-                        "__main__")
-    return None
-
-
 def quiet_main(argv: list[str]) -> str:
     """Code for modules_loaded_by that runs main(argv) with its stderr
     notes (sweep --export-dir names the files it wrote) set aside.  A
@@ -334,18 +316,6 @@ class TestImports:
         written = {f.name: f.stat().st_mtime_ns for f in cache.glob("*/*")}
         assert modules_loaded_by(quiet_main(argv), ["dataclasses", "inspect", "csv"]) == []
         assert {f.name: f.stat().st_mtime_ns for f in cache.glob("*/*")} == written
-
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "--p", "3", "--terms", "50"],
-        ["conjecture", "--id", "3.1", "--p-list", "3", "--terms", "50"],
-        ["sweep", "--p-list", "3,5", "--terms", "50", "--cache", "cache", "--export-dir", "exports"],
-        ["export", "--what", "table2", "--p-list", "3,5", "--terms", "50", "--cache", "cache"],
-    ], ids=lambda argv: argv[0])
-    def test_analysis_layer_loads_no_decimal(self, argv, tmp_path):
-        """percent() rounds in integers, so the analysis layer does not load
-        decimal itself; only fractions, which its exact rates need, may."""
-        argv = [str(tmp_path / a) if a in ("cache", "exports") else a for a in argv]
-        assert importer_of(quiet_main(argv), "decimal") in (None, "fractions")
 
     def test_cache_layer_loads_the_module_the_tracer_wraps(self):
         """The benchmark's traced pass imports trifix.cli and trifix.store,
@@ -481,19 +451,33 @@ class TestSharedFlags:
          "[Errno 2] No such file or directory: '{tmp}/missing/x.txt'"),
         (["generate", "--p", "7", "--terms", "25", "--out", "{tmp}"],
          "[Errno 21] Is a directory: '{tmp}'"),
-        (["generate", "--p", "7", "--terms", "25", "--out", "{tmp}/newdir/"],
-         "[Errno 21] Is a directory: '{tmp}/newdir/'"),
-        (["analyze", "--p", "7", "--terms", "25", "--out", "{tmp}/afile/x.txt"],
-         "[Errno 20] Not a directory: '{tmp}/afile/x.txt'"),
+        (["analyze", "--p", "7", "--terms", "25", "--out", "{tmp}/missing/x.txt"],
+         "[Errno 2] No such file or directory: '{tmp}/missing/x.txt'"),
+        (["conjecture", "--id", "3.1", "--p-list", "3", "--terms", "50", "--out", "{tmp}"],
+         "[Errno 21] Is a directory: '{tmp}'"),
+        (["oeis-check", "--variant", "no-zero", "--terms", "25", "--bfile", "{tmp}/afile",
+          "--out", "{tmp}/missing/x.txt"],
+         "[Errno 2] No such file or directory: '{tmp}/missing/x.txt'"),
         (["sweep", "--p-list", "3", "--terms", "50", "--export-dir", "{tmp}/afile"],
          "[Errno 17] File exists: '{tmp}/afile'"),
-    ], ids=["out in a missing directory", "out a directory", "out ending in a separator",
-            "out under a file", "export-dir a file"])
+        (["sweep", "--p-list", "3", "--terms", "50", "--export-dir", "{tmp}/exports",
+          "--out", "{tmp}/missing/x.txt"],
+         "[Errno 2] No such file or directory: '{tmp}/missing/x.txt'"),
+        (["sweep", "--p-list", "3", "--terms", "50", "--export-dir", "{tmp}/exports",
+          "--out", "{tmp}/exports/missing/x.txt"],
+         "[Errno 2] No such file or directory: '{tmp}/exports/missing/x.txt'"),
+        (["export", "--what", "table2", "--p-list", "3", "--terms", "50", "--cache", "{tmp}/cache",
+          "--out", "{tmp}"],
+         "[Errno 21] Is a directory: '{tmp}'"),
+    ], ids=["generate, out in a missing directory", "generate, out a directory",
+            "analyze", "conjecture", "oeis-check", "sweep, export-dir a file",
+            "sweep, out beside the export-dir", "sweep, out below the export-dir", "export"])
     def test_an_unwritable_target_fails_before_the_run(self, capsys, monkeypatch, tmp_path,
                                                       argv, error):
         """The OSError that writing the output would raise once the run is
         done is raised before the engine takes a step, and creates nothing."""
-        (tmp_path / "afile").write_text("x")
+        monkeypatch.delenv("TRIFIX_CACHE_DIR", raising=False)
+        (tmp_path / "afile").write_text("1 1\n")  # a file, and a b-file too
         steps = []
         feed = trifix.engine._feed
 
@@ -506,6 +490,51 @@ class TestSharedFlags:
         assert (code, out, err) == (EXIT_ERROR, "", f"trifix: error: {error.format(tmp=tmp_path)}\n")
         assert steps == []
         assert [f.name for f in tmp_path.iterdir()] == ["afile"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--export-dir", "{tmp}/exports", "--out", "{tmp}/exports/summary.txt"],
+        ["sweep", "--export-dir", "{tmp}/exports/deep", "--out", "{tmp}/exports/summary.txt"],
+        ["sweep", "--cache", "{tmp}/cache", "--out", "{tmp}/cache/summary.txt"],
+        ["sweep", "--cache", "{tmp}/cache", "--out", "{tmp}/cache/standard/summary.txt"],
+        ["export", "--what", "table2", "--cache", "{tmp}/cache", "--out", "{tmp}/cache/summary.txt"],
+    ], ids=["in the export-dir", "above the export-dir", "in the cache", "in a cache subdirectory",
+            "export, in the cache"])
+    def test_an_out_in_a_directory_the_run_makes_is_written(self, capsys, monkeypatch, tmp_path,
+                                                           argv):
+        """An --out whose directory the run itself makes (the export
+        directory, the cache, or what is above or inside them) is no
+        missing directory: the run writes it and its other files."""
+        monkeypatch.delenv("TRIFIX_CACHE_DIR", raising=False)
+        argv = [*(arg.format(tmp=tmp_path) for arg in argv), "--p-list", "3,5", "--terms", "50"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_OK, "")
+        at = argv.index("--out")
+        summary = Path(argv.pop(at + 1))
+        del argv[at]
+        if "--cache" in argv:
+            assert len(list(Path(argv[argv.index("--cache") + 1]).glob("standard/*.bfile.txt"))) == 2
+        if "--export-dir" in argv:
+            assert {"figure2.csv", "table2.csv", "table3.csv"} <= set(
+                exported(Path(argv[argv.index("--export-dir") + 1])))
+        assert summary.read_text(encoding="utf-8") == run_cli(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("argv, error", [
+        (["sweep", "--p-list", "abc", "--out", "{tmp}/missing/x.txt"],
+         "--p-list expects comma-separated integers, got 'abc'"),
+        (["export", "--what", "table2", "--p-list", "3", "--out", "{tmp}/missing/x.txt"],
+         "export needs --cache or $TRIFIX_CACHE_DIR"),
+        (["analyze", "--p", "7", "--format", "json", "--near-matches", "--out", "{tmp}"],
+         "--near-matches and --filter-small-primes add to the text report only; "
+         "they cannot be combined with --format json"),
+        (["generate", "--terms", "25", "--out", "{tmp}"], "standard variant requires --p"),
+    ], ids=["sweep", "export", "analyze", "generate"])
+    def test_a_flag_error_wins_over_an_unwritable_target(self, capsys, monkeypatch, tmp_path,
+                                                         argv, error):
+        """A command checks its own flags before its output target, so of
+        two errors it names the flag's."""
+        monkeypatch.delenv("TRIFIX_CACHE_DIR", raising=False)
+        code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert (code, out, err) == (EXIT_ERROR, "", f"trifix: error: {error}\n")
 
     def test_export_choices_are_the_files_a_sweep_exports(self, capsys, tmp_path):
         assert run_cli(capsys, "sweep", "--p-list", "3", "--terms", "50",
