@@ -10,58 +10,64 @@ opposite of common machine-learning usage.
 from __future__ import annotations
 
 from collections.abc import Callable
-from decimal import ROUND_HALF_UP, Decimal
-from fractions import Fraction
 
 from .engine import FrozenValue, SequenceRun, SequenceSpec, fixed_points, generate_runs
 from .numtheory import prime_flags
 
 
-def percent(rate: Fraction) -> str:
-    """Format a rate in [0,1] as a percentage string with two decimals,
-    round-half-up, e.g. Fraction(1160, 1227) -> '94.54%'."""
-    d = Decimal(rate.numerator) / Decimal(rate.denominator)
-    return f"{(d * 100).quantize(Decimal('0.01'), rounding=ROUND_HALF_UP)}%"
+def percent(part: int, whole: int) -> str:
+    """part/whole as a percentage with two decimals, rounded half up, e.g.
+    percent(1160, 1227) -> '94.54%'; '0.00%' when whole is 0."""
+    if not whole:
+        return "0.00%"
+    h = (20000 * part + whole) // (2 * whole)  # hundredths of a percent, half up
+    return f"{h // 100}.{h % 100:02d}%"
 
 
 class ClassificationReport(FrozenValue):
-    """Prime-detection statistics for one run over indices 1..n_limit, its
-    term count less one.
-
-    Rates are exact Fractions; use :func:`percent` for two-decimal display.
-    ``false_negatives`` counts nonprime n > 1 with a(n) = n (n = 1 is a
-    fixed point by definition and never counted).
+    """Prime-detection counts for one run over indices 1..n_limit, its
+    term count less one.  A rate is shown from its two counts, e.g.
+    ``percent(detected, total_eligible_primes)``.  ``false_negatives``
+    counts nonprime n > 1 with a(n) = n (n = 1 is a fixed point by
+    definition and never counted).
     """
 
     __slots__ = ("spec", "n_limit", "excluded_primes", "detected", "near_matches",
-                 "total_eligible_primes", "success_rate", "false_negatives",
-                 "total_nonprimes", "false_negative_rate", "missed_primes",
-                 "false_negative_values")
+                 "total_eligible_primes", "false_negatives", "total_nonprimes",
+                 "missed_primes", "false_negative_values")
     spec: SequenceSpec
     n_limit: int
     excluded_primes: tuple[int, ...]
     detected: int
     near_matches: int
     total_eligible_primes: int
-    success_rate: Fraction
     false_negatives: int
     total_nonprimes: int
-    false_negative_rate: Fraction
     missed_primes: tuple[int, ...]
     false_negative_values: tuple[int, ...]
 
 
 def report_to_json(report: ClassificationReport) -> str:
     """JSON mirror of ClassificationReport, field for field in field order,
-    with the spec as a nested object of its own fields.  Rates are emitted
-    as floats; the integer counts alongside stay exact."""
+    with the spec as a nested object of its own fields.  Each rate follows
+    its whole, as the float of its two counts (success_rate is 0.0 when no
+    prime is eligible)."""
     import json  # here, so the text report and the conjecture checks never load it
 
-    fields = {name: getattr(report, name) for name in report.__slots__}
-    fields["spec"] = {name: getattr(report.spec, name) for name in report.spec.__slots__}
+    r = report
     doc = {
-        name: float(value) if isinstance(value, Fraction) else value
-        for name, value in fields.items()
+        "spec": {name: getattr(r.spec, name) for name in r.spec.__slots__},
+        "n_limit": r.n_limit,
+        "excluded_primes": r.excluded_primes,
+        "detected": r.detected,
+        "near_matches": r.near_matches,
+        "total_eligible_primes": r.total_eligible_primes,
+        "success_rate": r.detected / r.total_eligible_primes if r.total_eligible_primes else 0.0,
+        "false_negatives": r.false_negatives,
+        "total_nonprimes": r.total_nonprimes,
+        "false_negative_rate": r.false_negatives / r.total_nonprimes,
+        "missed_primes": r.missed_primes,
+        "false_negative_values": r.false_negative_values,
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -116,24 +122,11 @@ def classify(run: SequenceRun) -> ClassificationReport:
         detected=detected,
         near_matches=near,
         total_eligible_primes=total_eligible,
-        success_rate=Fraction(detected, total_eligible) if total_eligible else Fraction(0),
         false_negatives=len(fn_values),
         total_nonprimes=total_nonprimes,
-        false_negative_rate=Fraction(len(fn_values), total_nonprimes),
         missed_primes=tuple(missed),
         false_negative_values=tuple(fn_values),
     )
-
-
-def classification_matrix(report: ClassificationReport) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """2x2 matrix of exact rates, columns (prime, nonprime) each summing to 1:
-
-        [[detected | prime,  false negative | nonprime],
-         [missed   | prime,  correct        | nonprime]]
-    """
-    det = report.success_rate
-    fn = report.false_negative_rate
-    return ((det, fn), (1 - det, 1 - fn))
 
 
 class Counterexample(FrozenValue):
@@ -239,21 +232,6 @@ def filter_false_negatives(report: ClassificationReport, small_primes: list[int]
     )
 
 
-class SweepReport(FrozenValue):
-    """Per-p classification over a family of standard sequences.
-
-    ``union_missed`` lists the primes missed by every tested sequence;
-    ``figure2_series`` pairs each p with its exact success rate.
-    """
-
-    __slots__ = ("p_list", "n_limit", "reports", "union_missed", "figure2_series")
-    p_list: tuple[int, ...]
-    n_limit: int
-    reports: tuple[ClassificationReport, ...]
-    union_missed: tuple[int, ...]
-    figure2_series: tuple[tuple[int, Fraction], ...]
-
-
 def _checked_runs(specs: list[SequenceSpec], check: Callable[[SequenceRun], object],
                   cache_dir: str | None) -> dict:
     """check(run) on the run of each spec, by spec.  Cached runs are loaded
@@ -306,10 +284,11 @@ def sweep(
     *,
     jobs: int = 1,
     cache_dir: str | None = None,
-) -> SweepReport:
-    """Classify A(p) for each p in p_list at the same n_limit.
+) -> tuple[ClassificationReport, ...]:
+    """Classify A(p) for each p in p_list at the same n_limit, one report
+    per listed p, in p_list order.
 
-    Workers may run concurrently (``jobs`` > 1) but the report is assembled
+    Workers may run concurrently (``jobs`` > 1) but the reports come back
     in p_list order, so output is independent of scheduling.
     """
     if n_limit < 2:
@@ -318,14 +297,4 @@ def sweep(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     specs = [SequenceSpec.standard(p, n_limit + 1) for p in p_list]
-    reports = tuple(_each_run(specs, classify, jobs=jobs, cache_dir=cache_dir))
-
-    missed = [set(r.missed_primes) for r in reports]
-    union = set.intersection(*missed) if missed else set()
-    return SweepReport(
-        p_list=tuple(p_list),
-        n_limit=n_limit,
-        reports=reports,
-        union_missed=tuple(sorted(union)),
-        figure2_series=tuple((p, r.success_rate) for p, r in zip(p_list, reports)),
-    )
+    return tuple(_each_run(specs, classify, jobs=jobs, cache_dir=cache_dir))

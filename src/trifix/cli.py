@@ -20,9 +20,9 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, count
 from typing import TYPE_CHECKING
 
-# Only what every subcommand uses is imported here.  The rest is imported by
-# the commands that use it, so `generate` never loads the analysis and cache
-# layers (nor hashlib, json, decimal or fractions with them).
+# Only what every subcommand uses is imported here; each command imports the
+# rest: generate nothing more, analyze and conjecture the analysis layer,
+# sweep and export the cache layer too, oeis-check the b-file parser.
 from . import __version__
 from .engine import NO_ZERO, SHIFTED, STANDARD, SequenceRun, SequenceSpec, fixed_points, generate
 from .numtheory import CapacityError
@@ -199,30 +199,29 @@ def _cmd_generate(args) -> Output:
 
 def _format_report(report: analysis.ClassificationReport, near_list: list[int] | None,
                    small_primes: list[int] | None, remaining: tuple[int, ...]) -> str:
-    from .analysis import classification_matrix, percent
+    from .analysis import percent
 
-    matrix = classification_matrix(report)
+    primes, nonprimes = report.total_eligible_primes, report.total_nonprimes
+    rate, fn_rate = percent(report.detected, primes), percent(report.false_negatives, nonprimes)
+    missed = percent(primes - report.detected, primes) if primes else "100.00%"  # 1 - 0.00%
     lines = [
         f"sequence {report.spec.label()}, classified n <= {report.n_limit}",
         f"excluded primes: {', '.join(map(str, report.excluded_primes))}",
         f"A) matches n=a(n):    {report.detected}",
         f"B) matches n=a(n+1):  {report.near_matches}",
-        f"C) total primes:      {report.total_eligible_primes}",
-        f"success rate (A/C):   {percent(report.success_rate)}",
+        f"C) total primes:      {primes}",
+        f"success rate (A/C):   {rate}",
         f"false negatives:      {report.false_negatives}",
-        f"total nonprimes:      {report.total_nonprimes}",
-        f"false negative rate:  {percent(report.false_negative_rate)}",
+        f"total nonprimes:      {nonprimes}",
+        f"false negative rate:  {fn_rate}",
         f"missed primes ({len(report.missed_primes)}): "
         + (", ".join(map(str, report.missed_primes)) if report.missed_primes else "none"),
         "classification matrix (columns prime, nonprime):",
-        f"  detect:        {percent(matrix[0][0]):>8}  {percent(matrix[0][1]):>8}",
-        f"  don't detect:  {percent(matrix[1][0]):>8}  {percent(matrix[1][1]):>8}",
+        f"  detect:        {rate:>8}  {fn_rate:>8}",
+        f"  don't detect:  {missed:>8}  {percent(nonprimes - report.false_negatives, nonprimes):>8}",
     ]
     if near_list is not None:
-        lines.append(
-            f"near-match primes ({len(near_list)}): "
-            + (", ".join(map(str, near_list)) if near_list else "none")
-        )
+        lines.append(f"near-match primes ({len(near_list)}): {', '.join(map(str, near_list)) or 'none'}")
     if small_primes is not None:
         lines.append(
             f"false negatives not divisible by {{{', '.join(map(str, small_primes))}}}: "
@@ -262,26 +261,26 @@ def _cmd_analyze(args) -> Output:
 # sweep
 
 
-def _format_sweep(sweep: analysis.SweepReport) -> str:
+def _format_sweep(reports: tuple[analysis.ClassificationReport, ...]) -> str:
     from .analysis import percent
 
     lines = [
-        f"sweep over p = {', '.join(map(str, sweep.p_list))} at N = {sweep.n_limit}",
+        f"sweep over p = {', '.join(str(r.spec.p) for r in reports)} at N = {reports[0].n_limit}",
         f"{'p':>6}  {'detected':>8}  {'near':>5}  {'total':>6}  {'success':>8}  "
         f"{'false_neg':>9}  {'fn_rate':>8}  {'missed':>6}",
     ]
-    for p, r in zip(sweep.p_list, sweep.reports):
+    for r in reports:
         lines.append(
-            f"{p:>6}  {r.detected:>8}  {r.near_matches:>5}  {r.total_eligible_primes:>6}  "
-            f"{percent(r.success_rate):>8}  {r.false_negatives:>9}  "
-            f"{percent(r.false_negative_rate):>8}  {len(r.missed_primes):>6}"
+            f"{r.spec.p:>6}  {r.detected:>8}  {r.near_matches:>5}  {r.total_eligible_primes:>6}  "
+            f"{percent(r.detected, r.total_eligible_primes):>8}  {r.false_negatives:>9}  "
+            f"{percent(r.false_negatives, r.total_nonprimes):>8}  {len(r.missed_primes):>6}"
         )
-    union = ", ".join(map(str, sweep.union_missed)) if sweep.union_missed else "none"
-    lines.append(f"primes missed by every sequence: {union}")
+    missed = sorted(set.intersection(*(set(r.missed_primes) for r in reports)))
+    lines.append(f"primes missed by every sequence: {', '.join(map(str, missed)) or 'none'}")
     return "\n".join(lines) + "\n"
 
 
-def _sweep(args) -> analysis.SweepReport:
+def _sweep(args) -> tuple[analysis.ClassificationReport, ...]:
     """The sweep that sweep and export run.  Its cache is --cache, else
     $TRIFIX_CACHE_DIR (an empty value counts as unset); export requires one."""
     from . import analysis
@@ -294,24 +293,24 @@ def _sweep(args) -> analysis.SweepReport:
     return analysis.sweep(p_list, args.terms, jobs=args.jobs, cache_dir=cache_dir)
 
 
-def _export(name: str, sweep: analysis.SweepReport) -> str:
+def _export(name: str, reports: tuple[analysis.ClassificationReport, ...]) -> str:
     """Table ``name`` of TABLES as CSV text, by store's exporter of that name."""
     from . import store
 
-    return getattr(store, f"export_{name}")(sweep)
+    return getattr(store, f"export_{name}")(reports)
 
 
 def _cmd_sweep(args) -> Output:
-    sweep = _sweep(args)
+    reports = _sweep(args)
     if args.export_dir:
         from pathlib import Path
 
         out = Path(args.export_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name in TABLES:
-            (out / f"{name}.csv").write_text(_export(name, sweep), encoding="utf-8")
+            (out / f"{name}.csv").write_text(_export(name, reports), encoding="utf-8")
         print(f"wrote {', '.join(f'{name}.csv' for name in TABLES)} to {out}", file=sys.stderr)
-    return [_format_sweep(sweep)], EXIT_OK
+    return [_format_sweep(reports)], EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from array import array
 from operator import mod
 from pathlib import Path
 
-from .analysis import SweepReport, percent
+from .analysis import ClassificationReport, percent
 from .engine import STANDARD, FrozenValue, SequenceRun, SequenceSpec
 
 # Unused here.  The benchmark's tracer (bench/tracer.py) imports trifix.cli
@@ -172,39 +172,39 @@ def _csv_text(rows: list[list[str]]) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
-def export_table2(sweep: SweepReport) -> str:
-    """Success-rate table: matches, near matches, eligible-prime totals and
-    the two-decimal percentage row, one column per p."""
-    header = ["row"] + [f"p={p}" for p in sweep.p_list]
-    if not sweep.p_list:
+def export_table2(reports: tuple[ClassificationReport, ...]) -> str:
+    """Success-rate table of a sweep's reports: matches, near matches,
+    eligible-prime totals and the two-decimal percentage row, one column per p."""
+    header = ["row"] + [f"p={r.spec.p}" for r in reports]
+    if not reports:
         return _csv_text([header])
     rows = [
         header,
-        ["A) matches n=a(n)"] + [str(r.detected) for r in sweep.reports],
-        ["B) matches n=a(n+1)"] + [str(r.near_matches) for r in sweep.reports],
-        ["C) total primes"] + [str(r.total_eligible_primes) for r in sweep.reports],
-        ["success rate (A/C)"] + [percent(r.success_rate) for r in sweep.reports],
+        ["A) matches n=a(n)"] + [str(r.detected) for r in reports],
+        ["B) matches n=a(n+1)"] + [str(r.near_matches) for r in reports],
+        ["C) total primes"] + [str(r.total_eligible_primes) for r in reports],
+        ["success rate (A/C)"] + [percent(r.detected, r.total_eligible_primes) for r in reports],
     ]
     return _csv_text(rows)
 
 
-def export_table3(sweep: SweepReport) -> str:
+def export_table3(reports: tuple[ClassificationReport, ...]) -> str:
     """False-negative table: counts, nonprime totals, percentage row."""
-    header = ["row"] + [f"p={p}" for p in sweep.p_list]
-    if not sweep.p_list:
+    header = ["row"] + [f"p={r.spec.p}" for r in reports]
+    if not reports:
         return _csv_text([header])
     rows = [
         header,
-        ["A) false negatives"] + [str(r.false_negatives) for r in sweep.reports],
-        ["B) total nonprimes"] + [str(r.total_nonprimes) for r in sweep.reports],
-        ["% (A/B)"] + [percent(r.false_negative_rate) for r in sweep.reports],
+        ["A) false negatives"] + [str(r.false_negatives) for r in reports],
+        ["B) total nonprimes"] + [str(r.total_nonprimes) for r in reports],
+        ["% (A/B)"] + [percent(r.false_negatives, r.total_nonprimes) for r in reports],
     ]
     return _csv_text(rows)
 
 
-def export_figure2(sweep: SweepReport) -> str:
+def export_figure2(reports: tuple[ClassificationReport, ...]) -> str:
     """(p, success rate in percent) pairs, plot-ready."""
     rows = [["p", "success_rate_percent"]]
-    for p, rate in sweep.figure2_series:
-        rows.append([str(p), percent(rate).rstrip("%")])
+    for r in reports:
+        rows.append([str(r.spec.p), percent(r.detected, r.total_eligible_primes).rstrip("%")])
     return _csv_text(rows)

@@ -1,5 +1,5 @@
-"""Mutation check of the hot loops: each listed mutant must fail a fast
-subset of the tests.
+"""Mutation check of the hot loops, the classifier, percent() and the
+cache check: each listed mutant must fail a fast subset of the tests.
 
     python tests/mutants.py
 
@@ -107,6 +107,9 @@ MUTANTS = [
            "if a[n] == n:", "if a[n - 1] == n:"),
     Mutant("1 is not a nonprime", ANALYSIS, "classify",
            "total_nonprimes = n_limit - prime_count", "total_nonprimes = n_limit - prime_count - 1"),
+    # percent: Table 2's 1160/1227 = 94.539...% shows as 94.54%
+    Mutant("percentages round down", ANALYSIS, "percent",
+           "(20000 * part + whole) // (2 * whole)", "(20000 * part) // (2 * whole)"),
     # _cached_values
     Mutant("an entry of exactly N terms is a miss", STORE, "_cached_values",
            "if held < count:", "if held <= count:"),

@@ -10,8 +10,8 @@ import pytest
 
 from oracle import oracle_terms
 from trifix import analysis, oeis, store
-from trifix.analysis import classification_matrix, classify, percent
-from trifix.cli import EXIT_OK, main
+from trifix.analysis import classify, percent
+from trifix.cli import EXIT_OK, _format_report, _format_sweep, main
 from trifix.engine import SequenceSpec, fixed_points, generate
 from trifix.numtheory import q_value
 
@@ -68,10 +68,10 @@ def test_criterion_1_table1_golden(capsys):
 
 def test_criterion_2_table2_regression(sweep7):
     result, elapsed = sweep7
-    assert tuple(r.detected for r in result.reports) == TABLE2_MATCHES
-    assert tuple(r.near_matches for r in result.reports) == TABLE2_NEAR
-    assert all(r.total_eligible_primes == 1227 for r in result.reports)
-    assert tuple(percent(r.success_rate) for r in result.reports) == TABLE2_RATES
+    assert tuple(r.detected for r in result) == TABLE2_MATCHES
+    assert tuple(r.near_matches for r in result) == TABLE2_NEAR
+    assert all(r.total_eligible_primes == 1227 for r in result)
+    assert tuple(percent(r.detected, r.total_eligible_primes) for r in result) == TABLE2_RATES
     # the CSV export carries the same percentage row
     last_row = store.export_table2(result).splitlines()[-1].split(",")
     assert tuple(last_row[1:]) == TABLE2_RATES
@@ -81,10 +81,10 @@ def test_criterion_2_table2_regression(sweep7):
 
 def test_criterion_3_table3_regression(sweep7):
     result, _ = sweep7
-    assert tuple(r.false_negatives for r in result.reports) == TABLE3_FALSE_NEGATIVES
-    assert all(r.total_nonprimes == 8771 for r in result.reports)
+    assert tuple(r.false_negatives for r in result) == TABLE3_FALSE_NEGATIVES
+    assert all(r.total_nonprimes == 8771 for r in result)
     # n = 1 is a fixed point everywhere but never a false negative
-    assert all(1 not in r.false_negative_values for r in result.reports)
+    assert all(1 not in r.false_negative_values for r in result)
     percent_row = store.export_table3(result).splitlines()[-1].split(",")
     assert tuple(percent_row[1:]) == (
         "13.44%", "14.06%", "14.23%", "16.13%", "16.85%", "17.31%", "17.40%"
@@ -94,24 +94,24 @@ def test_criterion_3_table3_regression(sweep7):
 
 def test_criterion_4_figure3_matrix(sweep7):
     result, _ = sweep7
-    matrix = classification_matrix(result.reports[result.p_list.index(3)])
-    rendered = [[percent(cell) for cell in row] for row in matrix]
-    assert rendered == [["94.54%", "13.44%"], ["5.46%", "86.56%"]]
-    assert matrix[0][0] + matrix[1][0] == 1
-    assert matrix[0][1] + matrix[1][1] == 1
+    a3_report = result[FAMILY.index(3)]
+    text = _format_report(a3_report, None, None, ())
+    assert "\n  detect:          94.54%    13.44%\n  don't detect:     5.46%    86.56%\n" in text
+    # each column is one whole: eligible primes, then nonprimes
+    assert a3_report.detected + len(a3_report.missed_primes) == a3_report.total_eligible_primes
     note(4, "PASS — A(3) matrix [94.54, 13.44; 5.46, 86.56], columns sum to 100%")
 
 
 def test_criterion_5_missed_prime_identity(sweep7, family_runs):
     result, _ = sweep7
-    assert result.reports[result.p_list.index(97)].missed_primes == (6529,)
-    assert result.reports[result.p_list.index(199)].missed_primes == (6529,)
-    a3_report = result.reports[result.p_list.index(3)]
+    assert result[FAMILY.index(97)].missed_primes == (6529,)
+    assert result[FAMILY.index(199)].missed_primes == (6529,)
+    a3_report = result[FAMILY.index(3)]
     assert min(a3_report.missed_primes) == 17
     assert family_runs[3].term(17).a != 17
     assert family_runs[3].term(18).a == 17
     # every prime missed by one sequence is detected by another in the family
-    assert result.union_missed == ()
+    assert _format_sweep(result).endswith("\nprimes missed by every sequence: none\n")
     note(5, "PASS — A(97)/A(199) miss exactly 6529; A(3) first misses 17, caught at a(18); "
             "no prime missed by all seven")
 
@@ -126,7 +126,7 @@ def test_criterion_6_triangular_variants(shifted_run):
     assert report.detected == report.total_eligible_primes == 1228
     assert report.missed_primes == ()
     assert report.false_negatives == 1532
-    assert percent(report.false_negative_rate) == "17.47%"
+    assert percent(report.false_negatives, report.total_nonprimes) == "17.47%"
     note(6, "PASS — no-zero prefix + fixed points; shifted 1228/1228 with 1532 false negatives")
 
 
@@ -169,7 +169,7 @@ def test_criterion_8_large_multiplier_full_detection():
     assert report.excluded_primes == (2, 541)
     assert report.detected == report.total_eligible_primes == 1227
     assert report.missed_primes == ()
-    assert percent(report.success_rate) == "100.00%"
+    assert percent(report.detected, report.total_eligible_primes) == "100.00%"
     note(8, "PASS — A(541) detects all 1227 eligible primes (100.00%)")
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,12 @@ from oracle import naive_divisors, naive_is_prime, oracle_terms
 from trifix import analysis, numtheory
 from trifix.analysis import (
     check_conjecture,
-    classification_matrix,
     classify,
     filter_false_negatives,
     percent,
     sweep,
 )
+from trifix.cli import _format_report, _format_sweep
 from trifix.engine import SequenceRun, SequenceSpec, generate, generate_runs
 
 
@@ -28,12 +29,24 @@ def a3_report(a3_run):
 
 class TestPercent:
     def test_table_value(self):
-        assert percent(Fraction(1160, 1227)) == "94.54%"
+        assert percent(1160, 1227) == "94.54%"
 
     def test_round_half_up(self):
-        assert percent(Fraction(1, 800)) == "0.13%"  # 0.125% rounds up, not to even
-        assert percent(Fraction(1, 1)) == "100.00%"
-        assert percent(Fraction(0)) == "0.00%"
+        assert percent(1, 800) == "0.13%"  # 0.125% rounds up, not to even
+        assert percent(1, 1) == "100.00%"
+        assert percent(0, 0) == "0.00%"
+
+    def test_equals_the_decimal_formula(self):
+        """For every 0 <= k <= d <= 400, percent(k, d) is the Decimal
+        round-half-up formula rates were once shown by, and k / d (the JSON
+        report's rate) is float(Fraction(k, d))."""
+        cent, hundredth = Decimal(100), Decimal("0.01")
+        for d in range(1, 401):
+            whole, parts = Decimal(d), range(d + 1)
+            assert [percent(k, d) for k in parts] == [
+                f"{(Decimal(k) / whole * cent).quantize(hundredth, rounding=ROUND_HALF_UP)}%"
+                for k in parts], d
+            assert [k / d for k in parts] == [float(Fraction(k, d)) for k in parts], d
 
 
 class TestClassify:
@@ -69,10 +82,8 @@ class TestClassify:
     def test_counts_are_consistent(self, a3_report):
         r = a3_report
         assert r.detected + len(r.missed_primes) == r.total_eligible_primes
-        assert 0 <= r.success_rate <= 1
-        assert 0 <= r.false_negative_rate <= 1
-        assert r.success_rate == Fraction(r.detected, r.total_eligible_primes)
-        assert r.false_negative_rate == Fraction(r.false_negatives, r.total_nonprimes)
+        assert r.false_negatives == len(r.false_negative_values) <= r.total_nonprimes
+        assert r.total_eligible_primes + len(r.excluded_primes) + r.total_nonprimes == r.n_limit
 
     def test_near_match_example(self, a3_run):
         # the earliest miss for p=3: prime 17 appears at a(18)
@@ -110,16 +121,30 @@ class TestClassify:
         assert classify(a3_run) == classify(a3_run)
 
 
+def matrix_cells(report):
+    """The text report's classification matrix: rows detect and don't
+    detect, columns prime and nonprime."""
+    lines = _format_report(report, None, None, ()).splitlines()
+    top = lines.index("classification matrix (columns prime, nonprime):")
+    return [line.split()[-2:] for line in lines[top + 1:top + 3]]
+
+
 class TestClassificationMatrix:
+    """Each cell of the text report's matrix is a count over its column's
+    whole: eligible primes, or nonprimes."""
+
     def test_columns_sum_to_one(self, a3_report):
-        matrix = classification_matrix(a3_report)
-        assert matrix[0][0] + matrix[1][0] == 1
-        assert matrix[0][1] + matrix[1][1] == 1
+        r = a3_report
+        assert matrix_cells(r) == [
+            [percent(r.detected, r.total_eligible_primes),
+             percent(r.false_negatives, r.total_nonprimes)],
+            [percent(len(r.missed_primes), r.total_eligible_primes),
+             percent(r.total_nonprimes - r.false_negatives, r.total_nonprimes)],
+        ] == [["95.45%", "6.49%"], ["4.55%", "93.51%"]]
 
     def test_zero_miss_structure(self):
         report = classify(generate(SequenceSpec.standard(2, 101)))
-        matrix = classification_matrix(report)
-        assert matrix[0][0] == 1 and matrix[1][0] == 0
+        assert [row[0] for row in matrix_cells(report)] == ["100.00%", "0.00%"]
 
 
 def shifted_run(n_limit):
@@ -390,19 +415,15 @@ class TestFilterFalseNegatives:
 class TestSweep:
     def test_small_family(self):
         result = sweep([3, 5], 300)
-        assert result.p_list == (3, 5)
-        assert [r.spec.p for r in result.reports] == [3, 5]
-        assert result.reports[result.p_list.index(5)].spec.p == 5
-        assert result.union_missed == (193,)
-        assert result.figure2_series == (
-            (3, result.reports[0].success_rate),
-            (5, result.reports[1].success_rate),
-        )
+        assert result == (classify(standard_run(3, 300)), classify(standard_run(5, 300)))
 
     def test_union_is_subset_of_each(self):
         result = sweep([3, 5, 7], 300)
-        for r in result.reports:
-            assert set(result.union_missed) <= set(r.missed_primes)
+        line = _format_sweep(result).splitlines()[-1]
+        union = {int(n) for n in line.removeprefix("primes missed by every sequence: ").split(", ")}
+        assert union
+        for r in result:
+            assert union <= set(r.missed_primes)
 
     def test_jobs_do_not_change_results(self):
         assert sweep([3, 5, 7], 200, jobs=3) == sweep([3, 5, 7], 200)
@@ -413,7 +434,7 @@ class TestSweep:
         alone = {p: classify(generate(SequenceSpec.standard(p, 301)))
                  for p in set(p_list)}
         result = sweep(p_list, 300, jobs=jobs)
-        assert result.reports == tuple(alone[p] for p in p_list)
+        assert result == tuple(alone[p] for p in p_list)
         assert result == sweep(p_list, 300)
 
     def test_a_family_sieves_each_block_once(self, monkeypatch):
@@ -437,12 +458,8 @@ class TestSweep:
         result = sweep([199, 5, 199, 199], 500)
         assert calls == [SequenceSpec.standard(199, 501), SequenceSpec.standard(5, 501)]
         monkeypatch.undo()
-        alone = sweep([199, 5], 500)
-        assert result.p_list == (199, 5, 199, 199)
-        a199, a5 = alone.reports
-        assert result.reports == (a199, a5, a199, a199)
-        assert result.union_missed == alone.union_missed
-        assert [p for p, _ in result.figure2_series] == [199, 5, 199, 199]
+        a199, a5 = sweep([199, 5], 500)
+        assert result == (a199, a5, a199, a199)
 
     @pytest.mark.parametrize("p_list, jobs, workers", [
         ([3, 5, 3], 64, 2), ([3, 5, 7], 2, 2), ([3, 5, 7, 11], 3, 3),
@@ -497,5 +514,4 @@ class TestSweep:
             sweep([3], 1)
 
     def test_empty_p_list(self):
-        result = sweep([], 100)
-        assert result.reports == () and result.union_missed == ()
+        assert sweep([], 100) == ()

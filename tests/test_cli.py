@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -270,9 +271,10 @@ class TestImports:
     ], ids=" ".join)
     def test_conjecture_and_analyze_load_neither_cache_nor_pool(self, argv):
         """Sharing sweep's run loop pulls in neither the cache layer nor the
-        process pool."""
+        process pool; reports hold counts, so neither fractions nor decimal
+        is loaded."""
         names = ["trifix.analysis", "trifix.store", "hashlib", "json", "concurrent.futures",
-                 "dataclasses", "inspect"]
+                 "dataclasses", "inspect", "fractions", "decimal"]
         code = f"from trifix.cli import main; main({argv!r})"
         assert modules_loaded_by(code, names) == ["trifix.analysis"]
 
@@ -281,16 +283,18 @@ class TestImports:
         run cache nor its hashlib is loaded for it."""
         argv = ["analyze", "--p", "3", "--terms", "50", "--format", "json"]
         names = ["trifix.analysis", "trifix.store", "trifix.oeis", "hashlib", "json", "csv",
-                 "concurrent.futures", "dataclasses", "inspect"]
+                 "concurrent.futures", "dataclasses", "inspect", "fractions", "decimal"]
         code = f"from trifix.cli import main; main({argv!r})"
         assert modules_loaded_by(code, names) == ["json", "trifix.analysis"]
 
     def test_cold_sweep_loads_neither_secrets_nor_datetime(self, tmp_path):
-        """Nor csv: the exported tables are plain comma-joined text."""
+        """Nor csv: the exported tables are plain comma-joined text; nor
+        fractions or decimal: each percentage is formatted from two counts."""
         cache, exports = tmp_path / "cache", tmp_path / "exports"
         argv = ["sweep", "--p-list", "3,5", "--terms", "50", "--cache", str(cache),
                 "--export-dir", str(exports)]
-        names = ["secrets", "datetime", "csv", "trifix.store", "dataclasses", "inspect"]
+        names = ["secrets", "datetime", "csv", "trifix.store", "dataclasses", "inspect",
+                 "fractions", "decimal"]
         assert modules_loaded_by(quiet_main(argv), names) == ["trifix.store"]
         assert sorted(f.name for f in (cache / "standard").iterdir()) == [
             "p3_v2.bfile.txt", "p3_v2.manifest.json", "p5_v2.bfile.txt", "p5_v2.manifest.json"]
@@ -304,9 +308,9 @@ class TestImports:
         ["export", "--what", "table2", "--p-list", "3,5", "--terms", "50", "--cache"],
     ], ids=lambda argv: argv[0])
     def test_loads_neither_dataclasses_nor_inspect(self, argv, capsys, tmp_path, data_dir):
-        """Nor csv, even where the tables are written.  sweep and export
-        read a cache filled beforehand and leave it as it is; the cold
-        sweep is checked above."""
+        """Nor csv, even where the tables are written, nor fractions or
+        decimal.  sweep and export read a cache filled beforehand and leave
+        it as it is; the cold sweep is checked above."""
         cache = tmp_path / "cache"
         paths = {"b111273.txt": data_dir / "b111273.txt", "exports": tmp_path / "exports"}
         argv = [str(paths.get(a, a)) for a in argv]
@@ -314,7 +318,8 @@ class TestImports:
             assert main(["sweep", "--p-list", "3,5", "--terms", "50", "--cache", str(cache)]) == EXIT_OK
             argv.append(str(cache))
         written = {f.name: f.stat().st_mtime_ns for f in cache.glob("*/*")}
-        assert modules_loaded_by(quiet_main(argv), ["dataclasses", "inspect", "csv"]) == []
+        names = ["dataclasses", "inspect", "csv", "fractions", "decimal"]
+        assert modules_loaded_by(quiet_main(argv), names) == []
         assert {f.name: f.stat().st_mtime_ns for f in cache.glob("*/*")} == written
 
     def test_cache_layer_loads_the_module_the_tracer_wraps(self):
@@ -648,6 +653,44 @@ class TestAnalyze:
 }
 """
 
+    @pytest.mark.parametrize("argv, expected", [
+        # no eligible prime: 0 of 0 detected reads 0.00%, and its complement 100.00%
+        (["--p", "3", "--terms", "2"],
+         "sequence A(3), classified n <= 2\n"
+         "excluded primes: 2\n"
+         "A) matches n=a(n):    0\n"
+         "B) matches n=a(n+1):  0\n"
+         "C) total primes:      0\n"
+         "success rate (A/C):   0.00%\n"
+         "false negatives:      0\n"
+         "total nonprimes:      1\n"
+         "false negative rate:  0.00%\n"
+         "missed primes (0): none\n"
+         "classification matrix (columns prime, nonprime):\n"
+         "  detect:           0.00%     0.00%\n"
+         "  don't detect:   100.00%   100.00%\n"),
+        (["--p", "3", "--terms", "2", "--format", "json"],
+         '{\n  "spec": {\n    "variant": "standard",\n    "term_count": 3,\n    "p": 3\n  },\n'
+         '  "n_limit": 2,\n  "excluded_primes": [\n    2\n  ],\n  "detected": 0,\n'
+         '  "near_matches": 0,\n  "total_eligible_primes": 0,\n  "success_rate": 0.0,\n'
+         '  "false_negatives": 0,\n  "total_nonprimes": 1,\n  "false_negative_rate": 0.0,\n'
+         '  "missed_primes": [],\n  "false_negative_values": []\n}\n'),
+    ])
+    def test_exact_output(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert (code, out, err) == (EXIT_OK, expected, "")
+
+    def test_json_rates_that_are_not_dyadic(self, capsys):
+        """A(199) at the paper's N: the float text of 1226/1227 and
+        1526/8771, and the whole report's bytes."""
+        code, out, err = run_cli(capsys, "analyze", "--p", "199", "--terms", "10000",
+                                 "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert '\n  "success_rate": 0.9991850040749797,\n' in out
+        assert '\n  "false_negative_rate": 0.1739824421388667,\n' in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8c996e580a826bfff2c7f9e4cd04d186e00ad280e24f6d1ebefce041dd8aa1c3")
+
     @pytest.mark.parametrize("value, message", [
         ("0", "small primes must be >= 2, got 0"),
         ("3,1", "small primes must be >= 2, got 1"),
@@ -928,6 +971,44 @@ class TestSweep:
         for name in ("table2.csv", "table3.csv", "figure2.csv"):
             assert (export_dir / name).exists()
         assert (export_dir / "table2.csv").read_text().startswith("row,p=3,p=5\n")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--p-list", "3,5", "--terms", "2"],
+         "sweep over p = 3, 5 at N = 2\n"
+         "     p  detected   near   total   success  false_neg   fn_rate  missed\n"
+         "     3         0      0       0     0.00%          0     0.00%       0\n"
+         "     5         0      0       0     0.00%          0     0.00%       0\n"
+         "primes missed by every sequence: none\n"),
+        (["--p-list", "3,5", "--terms", "300"],
+         "sweep over p = 3, 5 at N = 300\n"
+         "     p  detected   near   total   success  false_neg   fn_rate  missed\n"
+         "     3        57      3      60    95.00%         20     8.40%       3\n"
+         "     5        57      3      60    95.00%         23     9.66%       3\n"
+         "primes missed by every sequence: 193\n"),
+        # a repeated p: one row per listed copy
+        (["--p-list", "5,3,5", "--terms", "300"],
+         "sweep over p = 5, 3, 5 at N = 300\n"
+         "     p  detected   near   total   success  false_neg   fn_rate  missed\n"
+         "     5        57      3      60    95.00%         23     9.66%       3\n"
+         "     3        57      3      60    95.00%         20     8.40%       3\n"
+         "     5        57      3      60    95.00%         23     9.66%       3\n"
+         "primes missed by every sequence: 193\n"),
+        # the paper's family at the default N = 10^4: Tables 2 and 3 in one
+        (["--p-list", "3,5,7,11,41,97,199"],
+         "sweep over p = 3, 5, 7, 11, 41, 97, 199 at N = 10000\n"
+         "     p  detected   near   total   success  false_neg   fn_rate  missed\n"
+         "     3      1160     67    1227    94.54%       1179    13.44%      67\n"
+         "     5      1145     82    1227    93.32%       1233    14.06%      82\n"
+         "     7      1166     61    1227    95.03%       1248    14.23%      61\n"
+         "    11      1176     51    1227    95.84%       1415    16.13%      51\n"
+         "    41      1220      7    1227    99.43%       1478    16.85%       7\n"
+         "    97      1226      1    1227    99.92%       1518    17.31%       1\n"
+         "   199      1226      1    1227    99.92%       1526    17.40%       1\n"
+         "primes missed by every sequence: none\n"),
+    ])
+    def test_exact_output(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert (code, out, err) == (EXIT_OK, expected, "")
 
     def test_an_export_dir_that_is_a_file_prints_nothing(self, capsys, tmp_path):
         """stdout is written only once the exports have succeeded."""

@@ -120,7 +120,7 @@ class TestRunCache:
         121-term one and then serves the second 121-term request."""
         entry_files = ["p3_v2.bfile.txt", "p3_v2.manifest.json"]
         for n_limit in (120, 300):
-            assert sweep([3], n_limit, cache_dir=cache).reports[0] == \
+            assert sweep([3], n_limit, cache_dir=cache)[0] == \
                 classify(generate(SequenceSpec.standard(3, n_limit + 1)))
             assert sorted(f.name for f in (cache / "standard").iterdir()) == entry_files
         manifest = json.loads((cache / "standard" / "p3_v2.manifest.json").read_text())
@@ -134,7 +134,7 @@ class TestRunCache:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert load_run(spec, cache) == generate(spec)
-            assert sweep([3], 120, cache_dir=cache).reports[0] == classify(generate(spec))
+            assert sweep([3], 120, cache_dir=cache)[0] == classify(generate(spec))
         assert sorted(f.name for f in (cache / "standard").iterdir()) == entry_files
 
     def test_shorter_request_reads_only_its_words(self, cache):
@@ -197,7 +197,7 @@ class TestRunCache:
             warnings.simplefilter("error")
             assert load_run(run.spec, cache) is None
             for _ in range(2):  # a miss that writes the v2 entry, then a hit
-                assert sweep([3], 100, cache_dir=cache).reports[0] == classify(run)
+                assert sweep([3], 100, cache_dir=cache)[0] == classify(run)
             assert load_run(run.spec, cache) == run
         assert (cache / "standard" / "p3_v2.bfile.txt").read_bytes() == words(run.a)
         assert {path: path.read_text() for path in v1} == v1
@@ -358,7 +358,7 @@ class TestDamagedEntries:
             assert load_run(spec, cache) is None
         assert len(caught) == 1
         with pytest.warns(UserWarning, match=match) as caught:
-            report = sweep([9], 3000, cache_dir=cache).reports[0]
+            report = sweep([9], 3000, cache_dir=cache)[0]
         assert len(caught) == 1
         assert (report.detected, report.near_matches, len(report.missed_primes)) == (401, 27, 28)
         assert report == classify(generate(spec))
@@ -402,7 +402,7 @@ class TestDamagedEntries:
                 "a(1) is not 1": words([2] + run.a.tolist()[1:]),
             }[damage])
         with pytest.warns(UserWarning, match="treating as absent") as caught:
-            report = sweep([7], 24, cache_dir=cache).reports[0]
+            report = sweep([7], 24, cache_dir=cache)[0]
         assert len(caught) == 1
         assert report == classify(run)
         assert entry.payload_path.read_bytes() == words(run.a)
@@ -429,7 +429,7 @@ class TestDamageDeepInALongEntry:
         rewrite_word(entry, 9000, q + 1)
         with pytest.warns(UserWarning, match=rf"invalid: a\(9000\) = {q + 1} does not "
                                              rf"divide q\(9000\); treating as absent$"):
-            report = sweep([199], 10_000, cache_dir=cache).reports[0]
+            report = sweep([199], 10_000, cache_dir=cache)[0]
         assert report == classify(a199_10k)
         assert entry.payload_path.read_bytes() == words(a199_10k.a)
         with warnings.catch_warnings():
@@ -627,7 +627,7 @@ class TestServedPrefix:
     def test_damage_inside_the_prefix_is_warned_about_and_regenerated(self, cache, entry):
         rewrite_word(entry, 1500, 0)
         with pytest.warns(UserWarning, match=r"invalid: a\(1500\) = 0 does not divide"):
-            report = sweep([199], 1999, cache_dir=cache).reports[0]
+            report = sweep([199], 1999, cache_dir=cache)[0]
         spec = SequenceSpec.standard(199, 2000)
         assert report == classify(generate(spec))
         assert entry.payload_path.read_bytes() == words(generate(spec).a)
@@ -812,16 +812,17 @@ class TestReportJson:
     def test_fields_mirror_report(self):
         report = classify(generate(SequenceSpec.standard(3, 101)))
         doc = json.loads(report_to_json(report))
-        assert set(doc) == {
+        assert list(doc) == [
             "spec", "n_limit", "excluded_primes", "detected", "near_matches",
             "total_eligible_primes", "success_rate", "false_negatives",
             "total_nonprimes", "false_negative_rate", "missed_primes",
             "false_negative_values",
-        }
+        ]
         assert doc["spec"] == {"variant": "standard", "term_count": 101, "p": 3}
         assert doc["detected"] == report.detected
         assert doc["missed_primes"] == list(report.missed_primes)
-        assert doc["success_rate"] == pytest.approx(float(report.success_rate))
+        assert doc["success_rate"] == report.detected / report.total_eligible_primes
+        assert doc["false_negative_rate"] == report.false_negatives / report.total_nonprimes
 
     def test_byte_stable(self):
         report = classify(generate(SequenceSpec.standard(3, 101)))

@@ -1,10 +1,9 @@
-"""The value contract shared by trifix's ten immutable classes: equality
+"""The value contract shared by trifix's nine immutable classes: equality
 within one class only, hashing by fields, no assignment or deletion,
 pickling (``--jobs`` sends specs and reports through a process pool),
 positional and keyword construction, and a ``Name(field=value)`` repr."""
 
 import pickle
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,6 @@ from trifix.analysis import (
     ClassificationReport,
     ConjectureResult,
     Counterexample,
-    SweepReport,
     classify,
 )
 from trifix.engine import FrozenValue, SequenceRun, SequenceSpec, TermRecord, generate
@@ -35,7 +33,6 @@ VALUES = [
     (ClassificationReport, tuple(getattr(REPORT, name) for name in ClassificationReport.__slots__)),
     (Counterexample, ("A(3)", 17, "eligible prime not a fixed point")),
     (ConjectureResult, ("3.2", ("A(3)",), 30, (MISS,), 8)),
-    (SweepReport, ((3,), 30, (REPORT,), (17,), ((3, Fraction(7, 8)),))),
     (CacheEntry, (Path("standard/p3_v2.bfile.txt"), {"term_count": 31})),
 ]
 each_value = pytest.mark.parametrize("cls, fields", VALUES, ids=[cls.__name__ for cls, _ in VALUES])
