@@ -203,7 +203,7 @@ def _format_report(report: analysis.ClassificationReport, near_list: list[int] |
 
     primes, nonprimes = report.total_eligible_primes, report.total_nonprimes
     rate, fn_rate = percent(report.detected, primes), percent(report.false_negatives, nonprimes)
-    missed = percent(primes - report.detected, primes) if primes else "100.00%"  # 1 - 0.00%
+    missed = percent(primes - report.detected, primes) if primes else "100.00%"  # complement of 0.00%
     lines = [
         f"sequence {report.spec.label()}, classified n <= {report.n_limit}",
         f"excluded primes: {', '.join(map(str, report.excluded_primes))}",
