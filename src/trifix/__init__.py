@@ -9,7 +9,6 @@ from .engine import (
     STANDARD,
     SequenceRun,
     SequenceSpec,
-    TermRecord,
     fixed_points,
     generate,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "STANDARD",
     "SequenceRun",
     "SequenceSpec",
-    "TermRecord",
     "fixed_points",
     "generate",
     "is_prime",

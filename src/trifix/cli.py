@@ -468,6 +468,8 @@ def main(argv: list[str] | None = None) -> int:
         least = 2 if args.command in ("sweep", "export") else 1  # analysis.sweep's least N
         if args.terms < least:
             raise ValueError(f"--terms must be >= {least}, got {args.terms}")
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         pieces, code = args.func(args)
         _emit(pieces, args.out)
         return code

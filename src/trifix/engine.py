@@ -166,38 +166,11 @@ class SequenceSpec(FrozenValue):
         return self.multiplier == 1 and self.offset == 0
 
 
-class TermRecord(FrozenValue):
-    """One term, derived from (spec, n, a(n)).
-
-    ``is_near_match`` marks a(n) = n - 1, i.e. this term realizes
-    "value n-1 appears one position late"; primality of n-1 is judged by
-    the analysis layer, not here.
-    """
-
-    __slots__ = ("n", "q", "a", "is_bootstrap_duplicate")
-    n: int
-    q: int
-    a: int
-    is_bootstrap_duplicate: bool
-
-    @property
-    def is_fixed_point(self) -> bool:
-        return self.a == self.n
-
-    @property
-    def is_near_match(self) -> bool:
-        return self.a == self.n - 1
-
-    @classmethod
-    def of(cls, spec: SequenceSpec, n: int, a: int) -> "TermRecord":
-        """Term n of ``spec`` given a(n)."""
-        return cls(n, spec.q(n), a, n == 2 and a == 1 and spec.has_bootstrap)
-
-
 class SequenceRun(FrozenValue):
     """The spec plus a(1..N), an ``array('q')`` kept as given or converted
     (OverflowError past 63 bits).  ``==`` compares spec and terms; ``a`` is
-    read-only by convention; unhashable.  :meth:`term` derives the rest."""
+    read-only by convention; unhashable.  a(n) is ``a[n - 1]`` and q(n)
+    is ``spec.q(n)``."""
 
     __slots__ = ("spec", "a")
     spec: SequenceSpec
@@ -205,11 +178,6 @@ class SequenceRun(FrozenValue):
 
     def __init__(self, spec: SequenceSpec, a: Iterable[int]):
         super().__init__(spec, a if isinstance(a, array) and a.typecode == "q" else array("q", a))
-
-    def term(self, n: int) -> TermRecord:
-        if not 1 <= n <= len(self.a):
-            raise IndexError(f"term index {n} outside 1..{len(self.a)}")
-        return TermRecord.of(self.spec, n, self.a[n - 1])
 
 
 # A chunk of engines stepped in lockstep by generate_runs keeps its combined
@@ -380,11 +348,12 @@ class SequenceEngine:
             return 1
         raise ExhaustedDivisorsError(f"{self.spec.label()}: all divisors of q({n}) = {self.spec.q(n)} in use")
 
-    def next_term(self) -> TermRecord:
+    def next_term(self) -> int:
+        """a(n) for the next n; IndexError past term_count."""
         if len(self._a) >= self.spec.term_count:
             raise IndexError(f"all {self.spec.term_count} terms already emitted")
         _feed([self], 1)
-        return TermRecord.of(self.spec, len(self._a), self._a[-1])
+        return self._a[-1]
 
     def run(self) -> SequenceRun:
         _feed([self], self.spec.term_count - len(self._a))

@@ -41,9 +41,8 @@ FORMAT_VERSION = 2
 
 
 class CacheEntry(FrozenValue):
-    __slots__ = ("payload_path", "manifest")
+    __slots__ = ("payload_path",)
     payload_path: Path
-    manifest: dict
 
 
 def _paths(spec: SequenceSpec, cache_dir: str | os.PathLike) -> tuple[Path, Path]:
@@ -91,7 +90,7 @@ def save_run(run: SequenceRun, cache_dir: str | os.PathLike) -> CacheEntry:
     payload_path.parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(payload_path, payload)
     _write_atomic(manifest_path, (json.dumps(manifest, indent=2) + "\n").encode())
-    return CacheEntry(payload_path, manifest)
+    return CacheEntry(payload_path)
 
 
 def _cached_values(spec: SequenceSpec, payload_path: Path, manifest_path: Path) -> array | None:

@@ -108,8 +108,8 @@ def test_criterion_5_missed_prime_identity(sweep7, family_runs):
     assert result[FAMILY.index(199)].missed_primes == (6529,)
     a3_report = result[FAMILY.index(3)]
     assert min(a3_report.missed_primes) == 17
-    assert family_runs[3].term(17).a != 17
-    assert family_runs[3].term(18).a == 17
+    assert family_runs[3].a[16] != 17
+    assert family_runs[3].a[17] == 17
     # every prime missed by one sequence is detected by another in the family
     assert _format_sweep(result).endswith("\nprimes missed by every sequence: none\n")
     note(5, "PASS — A(97)/A(199) miss exactly 6529; A(3) first misses 17, caught at a(18); "
@@ -188,10 +188,8 @@ def test_criterion_9_run_invariants(family_runs, shifted_run):
     for p, run in family_runs.items():
         values = run.a
         assert len(set(values)) == len(values), f"duplicate value in A({p})"
-        terms = [run.term(n) for n in range(1, len(values) + 1)]
-        assert not any(t.is_bootstrap_duplicate for t in terms)
-        for t in terms[1:]:
-            assert t.q % t.a == 0
+        for n, a in enumerate(values[1:], start=2):
+            assert run.spec.q(n) % a == 0
     # the sanctioned duplicate is the only exception, in the shifted variant
     assert shifted_run.a.count(1) == 2
     note("9.invariants", "PASS — distinctness + divisibility over the 7-sequence family at N=10,001")

@@ -87,8 +87,8 @@ class TestClassify:
 
     def test_near_match_example(self, a3_run):
         # the earliest miss for p=3: prime 17 appears at a(18)
-        assert a3_run.term(17).a != 17
-        assert a3_run.term(18).a == 17
+        assert a3_run.a[16] != 17
+        assert a3_run.a[17] == 17
 
     def test_one_is_never_a_false_negative(self, a3_report):
         assert 1 not in a3_report.false_negative_values

@@ -151,10 +151,11 @@ def table_document(run: SequenceRun) -> str:
     """The table output, one f-string per row."""
     lines = [f"{'n':>6}  {'mult':>10}  {'q(n)':>14}  {'a(n)':>10}  fixed point\n"]
     prev = 0
-    for t in map(run.term, range(1, len(run.a) + 1)):
-        marker = "  *" if t.is_fixed_point else ""
-        lines.append(f"{t.n:>6}  {t.q - prev:>10}  {t.q:>14}  {t.a:>10}{marker}\n")
-        prev = t.q
+    for n, a in enumerate(run.a, start=1):
+        q = run.spec.q(n)
+        marker = "  *" if a == n else ""
+        lines.append(f"{n:>6}  {q - prev:>10}  {q:>14}  {a:>10}{marker}\n")
+        prev = q
     return "".join(lines)
 
 
@@ -177,14 +178,14 @@ def json_document(run: SequenceRun) -> str:
         "spec": {"variant": run.spec.variant, "p": run.spec.p, "term_count": run.spec.term_count},
         "terms": [
             {
-                "n": t.n,
-                "q": t.q,
-                "a": t.a,
-                "fixed_point": t.is_fixed_point,
-                "near_match": t.is_near_match,
-                "bootstrap_duplicate": t.is_bootstrap_duplicate,
+                "n": n,
+                "q": run.spec.q(n),
+                "a": a,
+                "fixed_point": a == n,
+                "near_match": a == n - 1,
+                "bootstrap_duplicate": n == 2 and a == 1 and run.spec.has_bootstrap,
             }
-            for t in map(run.term, range(1, len(run.a) + 1))
+            for n, a in enumerate(run.a, start=1)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -532,7 +533,11 @@ class TestSharedFlags:
          "--near-matches and --filter-small-primes add to the text report only; "
          "they cannot be combined with --format json"),
         (["generate", "--terms", "25", "--out", "{tmp}"], "standard variant requires --p"),
-    ], ids=["sweep", "export", "analyze", "generate"])
+        (["sweep", "--p-list", "3", "--terms", "50", "--jobs", "0", "--out", "{tmp}/missing/x.txt"],
+         "--jobs must be >= 1, got 0"),
+        (["export", "--what", "table2", "--p-list", "3", "--jobs", "0", "--cache", "{tmp}/cache",
+          "--out", "{tmp}/missing/x.txt"], "--jobs must be >= 1, got 0"),
+    ], ids=["sweep", "export", "analyze", "generate", "sweep-jobs", "export-jobs"])
     def test_a_flag_error_wins_over_an_unwritable_target(self, capsys, monkeypatch, tmp_path,
                                                          argv, error):
         """A command checks its own flags before its output target, so of
@@ -1134,9 +1139,8 @@ class TestSweep:
                 "--cache", str(tmp_path / "cache")]
         if command == "export":
             argv += ["--what", "table2"]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == EXIT_ERROR
-        assert out == "" and "jobs must be >= 1" in err
+        error = f"trifix: error: --jobs must be >= 1, got {jobs}\n"
+        assert run_cli(capsys, *argv) == (EXIT_ERROR, "", error)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("command", ["sweep", "export"])

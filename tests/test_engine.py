@@ -103,8 +103,8 @@ class TestSpec:
 class TestGoldenPrefixes:
     def test_a7_terms_and_q(self):
         run = generate(SequenceSpec.standard(7, 25))
-        terms = [run.term(n) for n in range(1, 26)]
-        assert [(t.n, t.q, t.a) for t in terms] == [(n, q, a) for n, _, q, a in A7_PREFIX]
+        terms = [(n, run.spec.q(n), a) for n, a in enumerate(run.a, start=1)]
+        assert terms == [(n, q, a) for n, _, q, a in A7_PREFIX]
 
     def test_a7_fixed_points(self):
         run = generate(SequenceSpec.standard(7, 25))
@@ -117,7 +117,7 @@ class TestGoldenPrefixes:
     def test_no_zero_prefix(self):
         run = generate(SequenceSpec.no_zero(12))
         assert tuple(run.a) == (1, 3, 2, 5, 15, 7, 4, 6, 9, 11, 22, 13)
-        assert run.term(1).q == 1 and run.term(1).a == 1
+        assert run.spec.q(1) == 1 and run.a[0] == 1
 
     def test_no_zero_fixed_points(self):
         run = generate(SequenceSpec.no_zero(70))
@@ -150,11 +150,9 @@ class TestGoldenPrefixes:
 
 class TestBootstrap:
     def test_standard_1_duplicate(self):
-        run = generate(SequenceSpec.standard(1, 2))
-        first, second = run.term(1), run.term(2)
-        assert (first.n, first.q, first.a) == (1, 0, 1)
-        assert (second.n, second.q, second.a) == (2, 1, 1)
-        assert second.is_bootstrap_duplicate and not first.is_bootstrap_duplicate
+        spec = SequenceSpec.standard(1, 2)
+        assert tuple(generate(spec).a) == (1, 1)
+        assert (spec.q(1), spec.q(2), spec.has_bootstrap) == (0, 1, True)
 
     def test_shifted_equals_standard_1(self):
         assert generate(SequenceSpec.shifted(50)).a == generate(SequenceSpec.standard(1, 50)).a
@@ -164,13 +162,13 @@ class TestBootstrap:
         values = run.a
         assert values.count(1) == 2
         assert len(values) - len(set(values)) == 1
-        flagged = [n for n in range(1, 201) if run.term(n).is_bootstrap_duplicate]
-        assert flagged == [2]
+        repeated = [n for n, a in enumerate(values, start=1) if a in values[:n - 1]]
+        assert repeated == [2]
 
     def test_no_bootstrap_elsewhere(self):
         for spec in (SequenceSpec.standard(3, 200), SequenceSpec.no_zero(200)):
-            run = generate(spec)
-            assert not any(run.term(n).is_bootstrap_duplicate for n in range(1, 201))
+            values = generate(spec).a
+            assert not spec.has_bootstrap and len(set(values)) == len(values)
 
 
 # a(1) = 1 is the search's own result at n = 1, where nothing is used yet:
@@ -189,16 +187,14 @@ FIRST_TERMS = [
 @pytest.mark.parametrize("spec, a, q1", FIRST_TERMS, ids=[t[0].label() for t in FIRST_TERMS])
 def test_first_terms_come_from_the_search(spec, a, q1):
     assert tuple(generate(spec).a) == a
-    t = SequenceEngine(spec).next_term()
-    assert (t.n, t.q, t.a) == (1, q1, 1)
+    assert (spec.q(1), SequenceEngine(spec).next_term()) == (q1, 1)
 
 
 class TestEngineStepping:
     def test_first_emitted_term(self):
         engine = SequenceEngine(SequenceSpec.standard(7, 25))
-        t = engine.next_term()
-        assert (t.n, t.q, t.a) == (1, 0, 1)
-        assert t.is_fixed_point
+        a = engine.next_term()
+        assert type(a) is int and a == 1 and engine.spec.q(1) == 0
 
     def test_exhausting_term_budget(self):
         engine = SequenceEngine(SequenceSpec.standard(7, 3))
@@ -209,27 +205,25 @@ class TestEngineStepping:
 
     def test_run_accessors(self):
         run = generate(SequenceSpec.standard(7, 25))
-        assert run.term(14).a == 49
+        assert len(run.a) == 25 and run.a[13] == 49
         with pytest.raises(IndexError):
-            run.term(0)
-        with pytest.raises(IndexError):
-            run.term(26)
+            run.a[25]
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 50])
     @pytest.mark.parametrize("spec", [SequenceSpec.shifted(300), SequenceSpec.standard(9, 300)],
                              ids=lambda s: s.label())
     def test_stepping_then_run_equals_generate(self, spec, k):
         engine = SequenceEngine(spec)
-        records = [engine.next_term() for _ in range(k)]
+        terms = [engine.next_term() for _ in range(k)]
         run = engine.run()
         assert run == generate(spec)
-        assert records == [run.term(n) for n in range(1, k + 1)]
+        assert terms == run.a[:k].tolist()
 
     def test_next_term_flags_the_bootstrap(self):
+        # a(2) = 1 = a(1) at q(2) = 1: the duplicate the bootstrap sanctions
         engine = SequenceEngine(SequenceSpec.shifted(5))
-        first, second, third = (engine.next_term() for _ in range(3))
-        assert (second.n, second.q, second.a, second.is_bootstrap_duplicate) == (2, 1, 1, True)
-        assert not first.is_bootstrap_duplicate and not third.is_bootstrap_duplicate
+        assert [engine.next_term() for _ in range(3)] == [1, 1, 3]
+        assert (engine.spec.q(2), engine.spec.has_bootstrap) == (1, True)
 
     def test_overflow_is_raised_before_any_term(self):
         # q increases, so q(N) alone is checked, once, when the spec is
@@ -275,10 +269,10 @@ class TestEngineStepping:
         # generate sieves divisor lists in blocks of 1024 or more: 1030
         # single steps, each sieving its own list, cross the first block's end
         engine = SequenceEngine(spec)
-        records = [engine.next_term() for _ in range(1030)]
+        terms = [engine.next_term() for _ in range(1030)]
         run = engine.run()
         assert run == generate(spec)
-        assert records == [run.term(n) for n in range(1, 1031)]
+        assert terms == run.a[:1030].tolist()
 
     def test_run_after_manual_stepping_keeps_all_terms(self):
         engine = SequenceEngine(SequenceSpec.standard(7, 10))
@@ -304,7 +298,7 @@ class TestSearchRange:
         [[ys]] = _halved_divisor_blocks(n + o, n + o + 1)
         top = engine._p_divisors[-1] * engine._xs[-1] * ys[-1]
         assert top == spec.q(n)
-        return (engine._mex, top), engine.next_term().a
+        return (engine._mex, top), engine.next_term()
 
     def test_a199_second_term(self):
         # q(2) = 199 is prime: its one unused divisor is q itself
@@ -367,7 +361,7 @@ class TestMex:
                     engine.next_term()
                 return
             a = free[0] if free else 1
-            assert engine.next_term().a == a
+            assert engine.next_term() == a
             used.add(a)
 
     def test_values_past_the_used_map_are_kept_aside(self):
@@ -737,12 +731,11 @@ class TestInvariants:
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
     def test_divisibility_and_bounds(self, spec):
         run = generate(spec)
-        for t in map(run.term, range(1, spec.term_count + 1)):
-            if t.q > 0:
-                assert t.q % t.a == 0
-                assert t.a <= t.q
-            assert t.is_fixed_point == (t.a == t.n)
-            assert t.is_near_match == (t.a == t.n - 1)
+        for n, a in enumerate(run.a, start=1):
+            q = spec.q(n)
+            if q > 0:
+                assert q % a == 0
+                assert a <= q
 
     @pytest.mark.parametrize("p", [2, 3, 7, 9, 199])
     def test_distinctness(self, p):
@@ -819,8 +812,8 @@ class TestInvariants:
     def test_no_exhaustion_at_depth(self):
         # q(n) exceeds every prior term, so a fresh divisor always exists
         for p in (3, 199):
-            run = generate(SequenceSpec.standard(p, 2000))
-            assert not any(run.term(n).is_bootstrap_duplicate for n in range(1, 2001))
+            values = generate(SequenceSpec.standard(p, 2000)).a
+            assert len(set(values)) == len(values) == 2000
 
 
 def test_overflow_propagates_from_q():

@@ -1,4 +1,4 @@
-"""The value contract shared by trifix's nine immutable classes: equality
+"""The value contract shared by trifix's eight immutable classes: equality
 within one class only, hashing by fields, no assignment or deletion,
 pickling (``--jobs`` sends specs and reports through a process pool),
 positional and keyword construction, and a ``Name(field=value)`` repr."""
@@ -14,7 +14,7 @@ from trifix.analysis import (
     Counterexample,
     classify,
 )
-from trifix.engine import FrozenValue, SequenceRun, SequenceSpec, TermRecord, generate
+from trifix.engine import FrozenValue, SequenceRun, SequenceSpec, generate
 from trifix.oeis import BFile, ComparisonResult
 from trifix.store import CacheEntry
 
@@ -26,14 +26,13 @@ MISS = Counterexample("A(3)", 17, "eligible prime not a fixed point")
 # Each class with the fields of one valid instance, in field order.
 VALUES = [
     (SequenceSpec, ("standard", 31, 3)),
-    (TermRecord, (5, 30, 5, False)),
     (SequenceRun, (SPEC, RUN.a)),
     (BFile, (1, (1, 2, 4))),
     (ComparisonResult, (3, (2, 2, 3))),
     (ClassificationReport, tuple(getattr(REPORT, name) for name in ClassificationReport.__slots__)),
     (Counterexample, ("A(3)", 17, "eligible prime not a fixed point")),
     (ConjectureResult, ("3.2", ("A(3)",), 30, (MISS,), 8)),
-    (CacheEntry, (Path("standard/p3_v2.bfile.txt"), {"term_count": 31})),
+    (CacheEntry, (Path("standard/p3_v2.bfile.txt"),)),
 ]
 each_value = pytest.mark.parametrize("cls, fields", VALUES, ids=[cls.__name__ for cls, _ in VALUES])
 
@@ -47,7 +46,7 @@ def copied(fields):
 def test_equal_fields_give_equal_values_with_equal_hashes(cls, fields):
     value, twin = cls(*fields), cls(*copied(fields))
     assert value == twin and not value != twin
-    if cls in (CacheEntry, SequenceRun):  # a dict manifest, an array of terms
+    if cls is SequenceRun:  # an array of terms
         with pytest.raises(TypeError):
             hash(value)
     else:
