@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: generate, analyze, sweep, conjecture, oeis-check, export.
+Subcommands: generate, analyze, sweep, conjecture, oeis-check.
 Every one takes --terms and --out.  Data goes to stdout (or --out),
 written by ``main`` alone once the command's other work has succeeded;
 diagnostics go to stderr.  Exit codes: 0 success, 1 operational error
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 # Only what every subcommand uses is imported here; each command imports the
 # rest: generate nothing more, analyze and conjecture the analysis layer,
-# sweep and export the cache layer too, oeis-check the b-file parser.
+# sweep the cache layer too, oeis-check the b-file parser.
 from . import __version__
 from .engine import NO_ZERO, SHIFTED, STANDARD, SequenceRun, SequenceSpec, fixed_points, generate
 from .numtheory import CapacityError
@@ -39,8 +39,8 @@ CACHE_ENV_VAR = "TRIFIX_CACHE_DIR"
 
 CONJECTURE_IDS = ("3.1", "3.2", "5.1", "6.1")
 
-# The tables a sweep exports, in order: export --what's choices, the CSV
-# files of sweep --export-dir, and store's export_<name> functions.
+# The tables a sweep exports, in order: the CSV files of sweep --export-dir,
+# each written by store's export_<name> function.
 TABLES = ("table2", "table3", "figure2")
 
 # What a command returns: the pieces main writes to stdout (or --out) and
@@ -280,35 +280,23 @@ def _format_sweep(reports: tuple[analysis.ClassificationReport, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep(args) -> tuple[analysis.ClassificationReport, ...]:
-    """The sweep that sweep and export run.  Its cache is --cache, else
-    $TRIFIX_CACHE_DIR (an empty value counts as unset); export requires one."""
+def _cmd_sweep(args) -> Output:
+    """Its cache is --cache, else $TRIFIX_CACHE_DIR; an empty value counts as unset."""
     from . import analysis
 
     p_list = _parse_p_list(args.p_list)
     cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR) or None
-    if cache_dir is None and args.command == "export":
-        raise ValueError(f"export needs --cache or ${CACHE_ENV_VAR}")
-    _refuse_unwritable(args.out, getattr(args, "export_dir", None), cache_dir)
-    return analysis.sweep(p_list, args.terms, jobs=args.jobs, cache_dir=cache_dir)
-
-
-def _export(name: str, reports: tuple[analysis.ClassificationReport, ...]) -> str:
-    """Table ``name`` of TABLES as CSV text, by store's exporter of that name."""
-    from . import store
-
-    return getattr(store, f"export_{name}")(reports)
-
-
-def _cmd_sweep(args) -> Output:
-    reports = _sweep(args)
+    _refuse_unwritable(args.out, args.export_dir, cache_dir)
+    reports = analysis.sweep(p_list, args.terms, jobs=args.jobs, cache_dir=cache_dir)
     if args.export_dir:
         from pathlib import Path
+
+        from . import store
 
         out = Path(args.export_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name in TABLES:
-            (out / f"{name}.csv").write_text(_export(name, reports), encoding="utf-8")
+            (out / f"{name}.csv").write_text(getattr(store, f"export_{name}")(reports), "utf-8")
         print(f"wrote {', '.join(f'{name}.csv' for name in TABLES)} to {out}", file=sys.stderr)
     return [_format_sweep(reports)], EXIT_OK
 
@@ -388,14 +376,6 @@ def _cmd_oeis_check(args) -> Output:
 
 
 # ---------------------------------------------------------------------------
-# export
-
-
-def _cmd_export(args) -> Output:
-    return [_export(args.what, _sweep(args))], EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,11 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--p", type=int, default=None, help="multiplier for the standard variant")
     spec.add_argument("--variant", choices=(STANDARD, NO_ZERO, SHIFTED), default=None,
                       help="sequence variant (default standard, which requires --p)")
-    family = argparse.ArgumentParser(add_help=False)
-    family.add_argument("--p-list", required=True, metavar="LIST", help="comma-separated p values")
-    family.add_argument("--jobs", type=int, default=1, help="parallel workers across p values")
-    family.add_argument("--cache", default=None,
-                        help=f"run cache directory (default ${CACHE_ENV_VAR})")
 
     def command(name, func, parents, summary):
         p = sub.add_parser(name, parents=[shared, *parents], help=summary)
@@ -433,7 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated primes; report false negatives not divisible by any")
     a.add_argument("--format", choices=("text", "json"), default="text")
 
-    s = command("sweep", _cmd_sweep, [family], "classify a family of standard sequences")
+    s = command("sweep", _cmd_sweep, [], "classify a family of standard sequences")
+    s.add_argument("--p-list", required=True, metavar="LIST", help="comma-separated p values")
+    s.add_argument("--jobs", type=int, default=1, help="parallel workers across p values")
+    s.add_argument("--cache", default=None, help=f"run cache directory (default ${CACHE_ENV_VAR})")
     s.add_argument("--export-dir", default=None,
                    help=f"also write {'/'.join(TABLES)} CSV files here")
 
@@ -451,9 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--field", choices=("a", "q", "fixed-points"), default="a")
     o.add_argument("--sequence-id", default=None, help="override the id derived from the filename")
 
-    e = command("export", _cmd_export, [family], "rebuild a table/figure CSV from cached runs")
-    e.add_argument("--what", choices=TABLES, required=True)
-
     return parser
 
 
@@ -465,11 +440,14 @@ def main(argv: list[str] | None = None) -> int:
         # but 2 means a falsified conjecture: a bad flag is an error
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
-        least = 2 if args.command in ("sweep", "export") else 1  # analysis.sweep's least N
+        least = 2 if args.command == "sweep" else 1  # analysis.sweep's least N
         if args.terms < least:
             raise ValueError(f"--terms must be >= {least}, got {args.terms}")
         if getattr(args, "jobs", 1) < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        for flag in ("out", "cache", "export_dir"):  # an empty path would mean none
+            if getattr(args, flag, None) == "":
+                raise ValueError(f"--{flag.replace('_', '-')} is empty")
         pieces, code = args.func(args)
         _emit(pieces, args.out)
         return code

@@ -11,9 +11,9 @@ DATA_DIR = Path(__file__).parent / "data"
 
 @pytest.fixture(autouse=True)
 def no_cache_dir_from_the_caller(monkeypatch):
-    """Every test starts without $TRIFIX_CACHE_DIR, so a `sweep` or
-    `export` without --cache neither reads nor writes the caller's own
-    cache; a test that wants the variable sets it with monkeypatch."""
+    """Every test starts without $TRIFIX_CACHE_DIR, so a `sweep` without
+    --cache neither reads nor writes the caller's own cache; a test that
+    wants the variable sets it with monkeypatch."""
     monkeypatch.delenv("TRIFIX_CACHE_DIR", raising=False)
 
 

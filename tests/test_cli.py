@@ -306,12 +306,11 @@ class TestImports:
         ["--version"],
         ["oeis-check", "--bfile", "b111273.txt", "--variant", "no-zero", "--terms", "30"],
         ["sweep", "--p-list", "3,5", "--terms", "50", "--export-dir", "exports", "--cache"],
-        ["export", "--what", "table2", "--p-list", "3,5", "--terms", "50", "--cache"],
     ], ids=lambda argv: argv[0])
     def test_loads_neither_dataclasses_nor_inspect(self, argv, capsys, tmp_path, data_dir):
         """Nor csv, even where the tables are written, nor fractions or
-        decimal.  sweep and export read a cache filled beforehand and leave
-        it as it is; the cold sweep is checked above."""
+        decimal.  The sweep reads a cache filled beforehand and leaves it as
+        it is; the cold sweep is checked above."""
         cache = tmp_path / "cache"
         paths = {"b111273.txt": data_dir / "b111273.txt", "exports": tmp_path / "exports"}
         argv = [str(paths.get(a, a)) for a in argv]
@@ -407,7 +406,6 @@ class TestGenerateErrors:
     (["oeis-check", "--bfile", "{data}/b000217.txt", "--p", "3"], 1),
     (["conjecture", "--id", "3.1", "--p-list", "3"], 1),
     (["sweep", "--p-list", "3"], 2),
-    (["export", "--what", "table2", "--p-list", "3", "--cache", "{tmp}/cache"], 2),
 ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
 def test_terms_below_the_least_are_named_by_the_flag(capsys, data_dir, tmp_path, argv, least):
     """Each command refuses --terms below its least value, before any work,
@@ -428,7 +426,6 @@ COMMANDS = {
     "sweep": ["--p-list", "3"],
     "conjecture": ["--id", "3.1"],
     "oeis-check": ["--bfile", "b000217.txt"],
-    "export": ["--what", "table2", "--p-list", "3"],
 }
 
 
@@ -472,12 +469,9 @@ class TestSharedFlags:
         (["sweep", "--p-list", "3", "--terms", "50", "--export-dir", "{tmp}/exports",
           "--out", "{tmp}/exports/missing/x.txt"],
          "[Errno 2] No such file or directory: '{tmp}/exports/missing/x.txt'"),
-        (["export", "--what", "table2", "--p-list", "3", "--terms", "50", "--cache", "{tmp}/cache",
-          "--out", "{tmp}"],
-         "[Errno 21] Is a directory: '{tmp}'"),
     ], ids=["generate, out in a missing directory", "generate, out a directory",
             "analyze", "conjecture", "oeis-check", "sweep, export-dir a file",
-            "sweep, out beside the export-dir", "sweep, out below the export-dir", "export"])
+            "sweep, out beside the export-dir", "sweep, out below the export-dir"])
     def test_an_unwritable_target_fails_before_the_run(self, capsys, monkeypatch, tmp_path,
                                                       argv, error):
         """The OSError that writing the output would raise once the run is
@@ -502,9 +496,7 @@ class TestSharedFlags:
         ["sweep", "--export-dir", "{tmp}/exports/deep", "--out", "{tmp}/exports/summary.txt"],
         ["sweep", "--cache", "{tmp}/cache", "--out", "{tmp}/cache/summary.txt"],
         ["sweep", "--cache", "{tmp}/cache", "--out", "{tmp}/cache/standard/summary.txt"],
-        ["export", "--what", "table2", "--cache", "{tmp}/cache", "--out", "{tmp}/cache/summary.txt"],
-    ], ids=["in the export-dir", "above the export-dir", "in the cache", "in a cache subdirectory",
-            "export, in the cache"])
+    ], ids=["in the export-dir", "above the export-dir", "in the cache", "in a cache subdirectory"])
     def test_an_out_in_a_directory_the_run_makes_is_written(self, capsys, monkeypatch, tmp_path,
                                                            argv):
         """An --out whose directory the run itself makes (the export
@@ -527,32 +519,30 @@ class TestSharedFlags:
     @pytest.mark.parametrize("argv, error", [
         (["sweep", "--p-list", "abc", "--out", "{tmp}/missing/x.txt"],
          "--p-list expects comma-separated integers, got 'abc'"),
-        (["export", "--what", "table2", "--p-list", "3", "--out", "{tmp}/missing/x.txt"],
-         "export needs --cache or $TRIFIX_CACHE_DIR"),
         (["analyze", "--p", "7", "--format", "json", "--near-matches", "--out", "{tmp}"],
          "--near-matches and --filter-small-primes add to the text report only; "
          "they cannot be combined with --format json"),
         (["generate", "--terms", "25", "--out", "{tmp}"], "standard variant requires --p"),
         (["sweep", "--p-list", "3", "--terms", "50", "--jobs", "0", "--out", "{tmp}/missing/x.txt"],
          "--jobs must be >= 1, got 0"),
-        (["export", "--what", "table2", "--p-list", "3", "--jobs", "0", "--cache", "{tmp}/cache",
-          "--out", "{tmp}/missing/x.txt"], "--jobs must be >= 1, got 0"),
-    ], ids=["sweep", "export", "analyze", "generate", "sweep-jobs", "export-jobs"])
+        (["generate", "--p", "7", "--terms", "3", "--out", ""], "--out is empty"),
+        (["sweep", "--p-list", "3", "--terms", "50", "--cache", "", "--out", "{tmp}/missing/x.txt"],
+         "--cache is empty"),
+        (["sweep", "--p-list", "3", "--terms", "50", "--export-dir", "",
+          "--out", "{tmp}/missing/x.txt"], "--export-dir is empty"),
+    ], ids=["sweep", "analyze", "generate", "sweep-jobs", "empty-out", "empty-cache",
+            "empty-export-dir"])
     def test_a_flag_error_wins_over_an_unwritable_target(self, capsys, monkeypatch, tmp_path,
                                                          argv, error):
         """A command checks its own flags before its output target, so of
-        two errors it names the flag's."""
-        monkeypatch.delenv("TRIFIX_CACHE_DIR", raising=False)
+        two errors it names the flag's, and it creates nothing.  An empty
+        --out, --cache or --export-dir names no path: it is such an error,
+        not stdout, $TRIFIX_CACHE_DIR or no export."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TRIFIX_CACHE_DIR", str(tmp_path / "envcache"))
         code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert (code, out, err) == (EXIT_ERROR, "", f"trifix: error: {error}\n")
-
-    def test_export_choices_are_the_files_a_sweep_exports(self, capsys, tmp_path):
-        assert run_cli(capsys, "sweep", "--p-list", "3", "--terms", "50",
-                       "--export-dir", str(tmp_path))[0] == EXIT_OK
-        written = sorted(f.name for f in tmp_path.iterdir())
-        choices = re.search(r"--what \{([^}]*)\}", run_cli(capsys, "export", "--help")[1])[1]
-        assert sorted(f"{name}.csv" for name in choices.split(",")) == written
-        assert written == ["figure2.csv", "table2.csv", "table3.csv"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCleanExits:
@@ -911,7 +901,7 @@ class TestConjecture:
                 yield run
 
         def not_here(spec):
-            raise AssertionError("the CLI generates no run for conjecture, sweep or export")
+            raise AssertionError("the CLI generates no run for conjecture or sweep")
 
         monkeypatch.setattr(trifix.analysis, "generate_runs", counting)
         monkeypatch.setattr(trifix.cli, "generate", not_here)
@@ -1133,25 +1123,21 @@ class TestSweep:
         assert swept("1,2,3", "B1", "--jobs", "1") == swept("1,2,3", "B3", "--jobs", "3")
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["sweep", "export"])
+    @pytest.mark.parametrize("command", ["sweep"])
     def test_jobs_below_1_rejected(self, capsys, tmp_path, command, jobs):
         argv = [command, "--p-list", "3", "--terms", "50", "--jobs", jobs,
                 "--cache", str(tmp_path / "cache")]
-        if command == "export":
-            argv += ["--what", "table2"]
         error = f"trifix: error: --jobs must be >= 1, got {jobs}\n"
         assert run_cli(capsys, *argv) == (EXIT_ERROR, "", error)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("command", ["sweep", "export"])
+    @pytest.mark.parametrize("command", ["sweep"])
     def test_overflowing_p_is_refused_before_the_first_run(self, capsys, monkeypatch, tmp_path,
                                                            command, jobs):
         generated = TestConjecture.count_generated(monkeypatch)
         cache = tmp_path / "cache"
         argv = [command, "--p-list", "199,1000000000000000003", "--terms", "3000",
                 "--jobs", jobs, "--cache", str(cache)]
-        if command == "export":
-            argv += ["--what", "table2"]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, generated) == (EXIT_ERROR, "", [])
         assert err == ("trifix: error: q(3001) = 4501500000000000013504500 for "
@@ -1175,6 +1161,38 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--p-list", "3", "--terms", "50")
         assert code == EXIT_OK and out.startswith("sweep over p = 3 at N = 50\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_cache_env_var_default(self, capsys, tmp_path, monkeypatch):
+        """Without --cache a sweep caches into $TRIFIX_CACHE_DIR, and a
+        second sweep is served from it."""
+        monkeypatch.setenv("TRIFIX_CACHE_DIR", str(tmp_path / "envcache"))
+        argv = ["sweep", "--p-list", "3", "--terms", "120"]
+        code, cold, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK and cold.startswith("sweep over p = 3 at N = 120\n")
+        assert sorted(f.name for f in (tmp_path / "envcache" / "standard").iterdir()) == [
+            "p3_v2.bfile.txt", "p3_v2.manifest.json"]
+        generated = TestConjecture.count_generated(monkeypatch)
+        assert run_cli(capsys, *argv) == (EXIT_OK, cold, "")
+        assert generated == []
+
+    def test_a_warm_export_equals_the_pinned_table2(self, capsys, monkeypatch, tmp_path):
+        """A sweep served from a cache that an earlier sweep filled writes
+        the table2.csv of the cold sweep, as pinned here."""
+        cache = tmp_path / "cache"
+        argv = ["sweep", "--p-list", "3,5", "--terms", "300", "--cache", str(cache)]
+        assert run_cli(capsys, *argv, "--export-dir", str(tmp_path / "cold"))[0] == EXIT_OK
+        generated = TestConjecture.count_generated(monkeypatch)
+        assert run_cli(capsys, *argv, "--export-dir", str(tmp_path / "warm"))[0] == EXIT_OK
+        assert generated == []
+        table2 = (tmp_path / "warm" / "table2.csv").read_text(encoding="utf-8")
+        assert table2 == (
+            "row,p=3,p=5\n"
+            "A) matches n=a(n),57,57\n"
+            "B) matches n=a(n+1),3,3\n"
+            "C) total primes,60,60\n"
+            "success rate (A/C),95.00%,95.00%\n"
+        )
+        assert table2 == (tmp_path / "cold" / "table2.csv").read_text(encoding="utf-8")
 
     def test_jobs_flag_changes_nothing(self, capsys):
         _, serial, _ = run_cli(capsys, "sweep", "--p-list", "3,5", "--terms", "150")
@@ -1302,49 +1320,3 @@ class TestOeisCheck:
         )
         assert code == EXIT_OK
         assert out == "no-zero [a] vs A123456 shift 0: MATCH over 30 position(s)\n"
-
-
-class TestExport:
-    def test_from_cache(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        code, out, _ = run_cli(
-            capsys, "export", "--cache", str(cache), "--what", "table2",
-            "--p-list", "3,5", "--terms", "300",
-        )
-        assert code == EXIT_OK
-        assert out == (
-            "row,p=3,p=5\n"
-            "A) matches n=a(n),57,57\n"
-            "B) matches n=a(n+1),3,3\n"
-            "C) total primes,60,60\n"
-            "success rate (A/C),95.00%,95.00%\n"
-        )
-        # runs were cached on the way through
-        assert (cache / "standard" / "p3_v2.bfile.txt").exists()
-
-    def test_cache_env_var_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("TRIFIX_CACHE_DIR", str(tmp_path / "envcache"))
-        code, out, _ = run_cli(
-            capsys, "export", "--what", "figure2", "--p-list", "3", "--terms", "120"
-        )
-        assert code == EXIT_OK
-        assert out.startswith("p,success_rate_percent\n")
-        assert (tmp_path / "envcache" / "standard" / "p3_v2.bfile.txt").exists()
-
-    def test_requires_cache(self, capsys, monkeypatch):
-        monkeypatch.delenv("TRIFIX_CACHE_DIR", raising=False)
-        code, _, err = run_cli(
-            capsys, "export", "--what", "table2", "--p-list", "3", "--terms", "100"
-        )
-        assert code == EXIT_ERROR
-        assert "TRIFIX_CACHE_DIR" in err
-
-    def test_empty_cache_env_var_counts_as_unset(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("TRIFIX_CACHE_DIR", "")
-        code, out, err = run_cli(
-            capsys, "export", "--what", "table2", "--p-list", "3", "--terms", "50"
-        )
-        assert (code, out) == (EXIT_ERROR, "")
-        assert err == "trifix: error: export needs --cache or $TRIFIX_CACHE_DIR\n"
-        assert list(tmp_path.iterdir()) == []
