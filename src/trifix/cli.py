@@ -3,15 +3,16 @@
 Subcommands: generate, analyze, sweep, conjecture, oeis-check.
 Every one takes --terms and --out.  Data goes to stdout (or --out),
 written by ``main`` alone once the command's other work has succeeded;
-diagnostics go to stderr.  Exit codes: 0 success, 1 operational error
-(bad flags, I/O, overflow, out of memory), 2 a checked conjecture was
-falsified, 130 interrupted.
+diagnostics go to stderr.  Before its run, a command makes each directory
+and opens each file it will write, then removes what it made, so a target
+the kernel refuses fails before the work.  Exit codes: 0 success, 1
+operational error (bad flags, I/O, overflow, out of memory), 2 a checked
+conjecture was falsified, 130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import io
 import os
 import re
@@ -70,37 +71,36 @@ def _spec_from_args(args, term_count: int) -> SequenceSpec:
 
 def _refuse_unwritable(out_path: str | None, export_dir: str | None = None,
                        cache_dir: str | None = None) -> None:
-    """Raise before the run the OSError that writing --out, or making
-    --export-dir, would raise once it is done, in three cases: an --out
-    that is a directory, an --out in a missing directory the run does not
-    make, and an --export-dir that is a file.  A sweep makes its export
-    directory and its cache's directory of standard runs, with the
-    directories above them.  Creates nothing; any other failure is left to
-    the write."""
+    """Raise before the run the OSError that the kernel would raise once it
+    is done: make the directories a sweep makes (--export-dir, the cache's
+    directory of standard runs), open each file the command writes (a
+    sweep's tables, then --out) to append, then remove whatever this made.
+    A path that is neither a regular file nor a directory (a FIFO, a
+    device) is left to the write: opening a FIFO ends its waiting reader's
+    input.  A file made through a symlink is removed at its target."""
+    made = []  # (remove, path) for each directory and file made, in order
 
-    def refuse(code: int, name: str):
-        raise OSError(code, os.strerror(code), name)
+    def mkdirs(path: str) -> None:  # os.makedirs(path, exist_ok=True), noting what it makes
+        if not os.path.isdir(path):
+            if (parent := os.path.dirname(path.rstrip(os.sep))) and not os.path.exists(parent):
+                mkdirs(parent)
+            os.mkdir(path)
+            made.append((os.rmdir, path))
 
-    if export_dir and os.path.exists(export_dir) and not os.path.isdir(export_dir):
-        from pathlib import Path
-
-        refuse(errno.EEXIST, str(Path(export_dir)))  # named as Path.mkdir names it
-    if not out_path:
-        return
-    if os.path.isdir(out_path):
-        refuse(errno.EISDIR, out_path)
-    if out_path.endswith(os.sep):  # open() refuses it its own way
-        return
-    parent = os.path.dirname(out_path) or os.curdir
+    tables = [os.path.join(export_dir, f"{name}.csv") for name in TABLES] if export_dir else []
     try:
-        os.stat(parent)
-    except FileNotFoundError:
-        real = os.path.realpath(parent)
-        made = [export_dir, cache_dir and os.path.join(cache_dir, STANDARD)]  # as store files it
-        if not any(d and os.path.commonpath([real, os.path.realpath(d)]) == real for d in made):
-            refuse(errno.ENOENT, out_path)
-    except OSError:  # ENOTDIR, EACCES: left to the write
-        pass
+        for directory in filter(None, (export_dir, cache_dir and os.path.join(cache_dir, STANDARD))):
+            mkdirs(directory)
+        for path in filter(None, (*tables, out_path)):
+            existed = os.path.exists(path)
+            if existed and not (os.path.isfile(path) or os.path.isdir(path)):
+                continue
+            os.close(os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT))
+            if not existed:
+                made.append((os.remove, os.path.realpath(path)))
+    finally:
+        for remove, path in reversed(made):
+            remove(path)
 
 
 def _emit(pieces: Iterable[str], out_path: str | None) -> None:
@@ -445,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--terms must be >= {least}, got {args.terms}")
         if getattr(args, "jobs", 1) < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-        for flag in ("out", "cache", "export_dir"):  # an empty path would mean none
+        for flag in ("out", "cache", "export_dir", "bfile"):  # an empty path names no file
             if getattr(args, flag, None) == "":
                 raise ValueError(f"--{flag.replace('_', '-')} is empty")
         pieces, code = args.func(args)

@@ -6,6 +6,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -433,6 +434,18 @@ class TestSharedFlags:
     """What every subcommand shares is declared once, so each describes it
     and each refuses a flag it does not know the same way."""
 
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The terms the engine steps, one entry for each batch it feeds."""
+        steps, feed = [], trifix.engine._feed
+
+        def counting(engines, count):
+            steps.append(len(engines) * count)
+            feed(engines, count)
+
+        monkeypatch.setattr(trifix.engine, "_feed", counting)
+        return steps
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_describes_terms_and_out(self, capsys, command):
         code, out, err = run_cli(capsys, command, "--help")
@@ -469,27 +482,89 @@ class TestSharedFlags:
         (["sweep", "--p-list", "3", "--terms", "50", "--export-dir", "{tmp}/exports",
           "--out", "{tmp}/exports/missing/x.txt"],
          "[Errno 2] No such file or directory: '{tmp}/exports/missing/x.txt'"),
+        (["generate", "--p", "7", "--terms", "25", "--out", "{tmp}/afile/x.txt"],
+         "[Errno 20] Not a directory: '{tmp}/afile/x.txt'"),
+        (["generate", "--p", "7", "--terms", "25", "--out", "{tmp}/missing/"],
+         "[Errno 21] Is a directory: '{tmp}/missing/'"),
+        (["sweep", "--p-list", "3", "--terms", "50", "--export-dir", "{tmp}/exports",
+          "--out", "{tmp}/afile/x.txt"],
+         "[Errno 20] Not a directory: '{tmp}/afile/x.txt'"),
+        (["sweep", "--p-list", "3", "--terms", "50", "--export-dir", "{tmp}"],
+         "[Errno 21] Is a directory: '{tmp}/table3.csv'"),
     ], ids=["generate, out in a missing directory", "generate, out a directory",
             "analyze", "conjecture", "oeis-check", "sweep, export-dir a file",
-            "sweep, out beside the export-dir", "sweep, out below the export-dir"])
+            "sweep, out beside the export-dir", "sweep, out below the export-dir",
+            "generate, out under a file", "generate, out ending in a separator",
+            "sweep, out under a file", "sweep, an export table a directory"])
     def test_an_unwritable_target_fails_before_the_run(self, capsys, monkeypatch, tmp_path,
-                                                      argv, error):
+                                                      steps, argv, error):
         """The OSError that writing the output would raise once the run is
         done is raised before the engine takes a step, and creates nothing."""
         monkeypatch.delenv("TRIFIX_CACHE_DIR", raising=False)
         (tmp_path / "afile").write_text("1 1\n")  # a file, and a b-file too
-        steps = []
-        feed = trifix.engine._feed
-
-        def counting(engines, count):
-            steps.append(len(engines) * count)
-            feed(engines, count)
-
-        monkeypatch.setattr(trifix.engine, "_feed", counting)
+        (tmp_path / "table3.csv").mkdir()  # a table that an export into tmp cannot write
         code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert (code, out, err) == (EXIT_ERROR, "", f"trifix: error: {error.format(tmp=tmp_path)}\n")
         assert steps == []
-        assert [f.name for f in tmp_path.iterdir()] == ["afile"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["afile", "table3.csv"]
+        assert list((tmp_path / "table3.csv").iterdir()) == []
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write into a read-only directory")
+    def test_a_read_only_directory_is_refused_before_the_run(self, capsys, tmp_path, steps):
+        readonly = tmp_path / "readonly"
+        readonly.mkdir()
+        readonly.chmod(0o500)
+        target = readonly / "x.txt"
+        code, out, err = run_cli(capsys, "generate", "--p", "7", "--terms", "25",
+                                 "--out", str(target))
+        assert (code, out, err) == (EXIT_ERROR, "",
+                                    f"trifix: error: [Errno 13] Permission denied: '{target}'\n")
+        assert steps == []
+        assert list(readonly.iterdir()) == []
+
+    def test_dev_null_is_written(self, capsys):
+        """/dev/null is a device, not a file: it is left to the write."""
+        code, out, err = run_cli(capsys, "generate", "--p", "7", "--terms", "25", "--out", os.devnull)
+        assert (code, out, err) == (EXIT_OK, "", "")
+
+    def test_a_dangling_symlink_is_written_through(self, capsys, tmp_path):
+        """The file the write makes is the symlink's target, and the
+        symlink stays."""
+        link, target = tmp_path / "link.txt", tmp_path / "target.txt"
+        link.symlink_to(target)
+        argv = ["generate", "--p", "7", "--terms", "25"]
+        assert run_cli(capsys, *argv, "--out", str(link)) == (EXIT_OK, "", "")
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_text(encoding="utf-8") == run_cli(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("reader", ["waits before the command", "opens after it starts"])
+    def test_a_fifo_reader_gets_the_whole_output(self, capsys, tmp_path, reader):
+        """A FIFO is not opened before the run, which would hand a waiting
+        reader an EOF: whenever the reader opens it, it reads the whole
+        output.  The command runs as a child, so that a write left with no
+        reader fails the test on a timeout instead of hanging it."""
+        argv = ["generate", "--p", "7", "--terms", "2000"]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        thread = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        if reader == "waits before the command":
+            thread.start()
+            time.sleep(0.1)  # blocked in open by now
+        child = subprocess.Popen([sys.executable, "-m", "trifix.cli", *argv, "--out", str(fifo)],
+                                 stderr=subprocess.PIPE, env=child_env())
+        try:
+            if reader == "opens after it starts":
+                time.sleep(0.5)  # past the pre-run check, which takes far less
+                thread.start()
+            err = child.communicate(timeout=30)[1]
+        finally:
+            child.kill()
+            child.wait()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert (child.returncode, err) == (EXIT_OK, b"")
+        assert got == [run_cli(capsys, *argv)[1].encode()]
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--export-dir", "{tmp}/exports", "--out", "{tmp}/exports/summary.txt"],
@@ -530,14 +605,17 @@ class TestSharedFlags:
          "--cache is empty"),
         (["sweep", "--p-list", "3", "--terms", "50", "--export-dir", "",
           "--out", "{tmp}/missing/x.txt"], "--export-dir is empty"),
+        (["oeis-check", "--bfile", "", "--p", "3", "--terms", "5", "--out", "{tmp}/missing/x.txt"],
+         "--bfile is empty"),
     ], ids=["sweep", "analyze", "generate", "sweep-jobs", "empty-out", "empty-cache",
-            "empty-export-dir"])
+            "empty-export-dir", "empty-bfile"])
     def test_a_flag_error_wins_over_an_unwritable_target(self, capsys, monkeypatch, tmp_path,
                                                          argv, error):
         """A command checks its own flags before its output target, so of
         two errors it names the flag's, and it creates nothing.  An empty
-        --out, --cache or --export-dir names no path: it is such an error,
-        not stdout, $TRIFIX_CACHE_DIR or no export."""
+        --out, --cache, --export-dir or --bfile names no path: it is such an
+        error, not stdout, $TRIFIX_CACHE_DIR, no export or the current
+        directory."""
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("TRIFIX_CACHE_DIR", str(tmp_path / "envcache"))
         code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
@@ -1016,8 +1094,8 @@ class TestSweep:
         assert target.read_text() == "x"
 
     def test_an_export_that_fails_mid_write_prints_nothing(self, capsys, tmp_path):
-        """A table path that is a directory fails only on its write, after
-        the run and the pre-run check: stdout still stays empty."""
+        """A table path that is a directory is refused by the pre-run check,
+        before the run: stdout stays empty."""
         (tmp_path / "table3.csv").mkdir()
         code, out, err = run_cli(capsys, "sweep", "--p-list", "3", "--terms", "50",
                                  "--export-dir", str(tmp_path))
